@@ -56,7 +56,6 @@ from .solver import (
     classify,
     count_steady_states,
     find_catastrophes,
-    newton_solve,
     stability_label,
 )
 from .boardman import (
@@ -82,8 +81,7 @@ __all__ = [
     "DomainError", "PrimaryFormSpec", "RD_KINDS", "RdReference",
     "make_primary_form", "make_reaction_diffusion", "rd_catastrophe_point",
     "CatastropheReport", "NewtonResult", "SolveOptions", "SteadyStateCensus",
-    "classify", "count_steady_states", "find_catastrophes", "newton_solve",
-    "stability_label",
+    "classify", "count_steady_states", "find_catastrophes", "stability_label",
     "CapExceededError", "DeltaChain", "MinorCount", "ToleranceError",
     "bg_condition_count", "boardman_symbol", "build_delta_chain",
     "minor_count",

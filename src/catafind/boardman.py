@@ -121,11 +121,11 @@ def build_delta_chain(field: VectorField, corank_seq, cap: int = 10_000) -> Delt
     return chain
 
 
-def _stage_corank(stage, n: int, p: Point, tol: float, memo: dict,
-                  eval_memo: dict) -> int:
-    rows = [det.gradient(c, n, memo) for c in stage]
-    M = np.array([[ex.evaluate(e, p, eval_memo) for e in row] for row in rows])
-    return n - det.numeric_rank(M, tol)
+def _gradient_rows(exprs, n: int, p: Point, memo: dict) -> list:
+    """Gradient rows of exprs evaluated at p, through one compiled function."""
+    flat = [e for c in exprs for e in det.gradient(c, n, memo)]
+    values = ex.compile_evaluator(flat, n)(p.vals())
+    return [values[k:k + n] for k in range(0, len(values), n)]
 
 
 def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
@@ -137,11 +137,14 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
         raise ValueError("fix the parameters numerically first")
     n = field.n
     diff_memo: dict = {}
-    eval_memo: dict = {}
-    stage = tuple(field.components)
+    stage = ()
+    new = tuple(field.components)
+    rows = []  # gradient rows of the stage, evaluated at p
     symbol = []
     for _depth in range(max_depth):
-        corank = _stage_corank(stage, n, p, tol, diff_memo, eval_memo)
+        stage += new
+        rows += _gradient_rows(new, n, p, diff_memo)
+        corank = n - det.numeric_rank(np.array(rows), tol)
         if corank == 0:
             break
         if symbol and corank > symbol[-1]:
@@ -152,6 +155,5 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
         predicted = minor_count(n, symbol).cumulative[-1]
         if predicted > cap:
             raise CapExceededError(predicted, cap)
-        size = n - corank + 1
-        stage = stage + tuple(_stage_minors(stage, n, size, diff_memo))
+        new = tuple(_stage_minors(stage, n, n - corank + 1, diff_memo))
     return tuple(symbol)

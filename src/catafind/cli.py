@@ -99,6 +99,17 @@ def _document(argv, input_text, **payload) -> dict:
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 
+def _finite(text: str, message: str) -> float:
+    """A flag's number; nan and inf are usage errors, like non-numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(message) from None
+    if not np.isfinite(value):
+        raise UsageError(f"{message}: not a finite number")
+    return value
+
+
 def _parse_pairs(text: str) -> dict:
     """\"a=1,b=-2.5\" -> {\"a\": 1.0, \"b\": -2.5}"""
     out: dict = {}
@@ -111,10 +122,7 @@ def _parse_pairs(text: str) -> dict:
             raise UsageError(f"expected name=value, got {item!r}")
         if name in out:
             raise UsageError(f"duplicate assignment for {name!r}")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise UsageError(f"bad numeric value in {item!r}") from None
+        out[name] = _finite(value, f"bad numeric value in {item!r}")
     return out
 
 
@@ -125,10 +133,8 @@ def _parse_intervals(text: str) -> list:
         lo, sep, hi = item.partition(":")
         if not sep:
             raise UsageError(f"expected lo:hi, got {item!r}")
-        try:
-            out.append((float(lo), float(hi)))
-        except ValueError:
-            raise UsageError(f"bad interval {item!r}") from None
+        bad = f"bad interval {item!r}"
+        out.append((_finite(lo, bad), _finite(hi, bad)))
     return out
 
 
@@ -287,7 +293,7 @@ def cmd_check(args) -> int:
     unfold = _parse_unfold(field, args.unfold)
     D = det.DeterminantSet(field, param_order=unfold)
     memo: dict = {}
-    f_values = [ex.evaluate(c, p, memo) for c in field.components]
+    f_values = list(D.field_at(p, memo))
     b_entries = []
     zero_by_key = {}
     for i in range(1, r + 1):
@@ -305,7 +311,7 @@ def cmd_check(args) -> int:
         nonzero_flags.append(nz)
         g_entries.append({"index": list(K), "value": value,
                           "scale": scale, "nonzero": nz})
-    sr = det.subrank(field, p, args.tol_b)
+    sr = D.subrank(p, args.tol_b, memo)
     full = all(nonzero_flags)
     canonical_zero = all(zero_by_key[(i, (1,) * (i - 1))] for i in range(1, r + 1))
     verdict = _check_verdict(canonical_zero, full, sr == field.n - 1,
@@ -531,7 +537,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ex.EvaluationError, bo.ToleranceError, np.linalg.LinAlgError,
-            ZeroDivisionError, FloatingPointError) as e:
+            ArithmeticError) as e:  # division by zero, overflow, FP errors
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (UsageError, ex.ParseError, DomainError, bo.CapExceededError,

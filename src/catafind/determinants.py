@@ -2,9 +2,12 @@
 
 Builds, symbolically, the iterated Jacobian determinants in which a chosen
 component of the field is replaced level by level with the previous
-determinant, together with the extended (states + unfolding parameters)
-determinants whose non-vanishing makes the conditions solvable with isolated
-roots, and the subrank test on the Jacobian.
+determinant.  The extended (states + unfolding parameters) determinants,
+whose non-vanishing makes the conditions solvable with isolated roots, are
+only ever needed at a point: their matrices are built symbolically, and the
+determinant is taken numerically (LU) from the evaluated matrix.  Every
+point value comes from compiled evaluators, one per determinant level,
+cached on the DeterminantSet.  The subrank test on the Jacobian is here too.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ def _check_index_string(n: int, K) -> tuple:
 
 
 class DeterminantSet:
-    """Lazily built, cached expressions for the level determinants of a field.
+    """Lazily built, cached expressions for the level determinants of a field,
+    and their compiled evaluators.
 
     param_order selects which declared parameters act as the unfolding
     parameters (in order); by default the first r declared parameters.
-    The cache is lock-protected; produced expressions are immutable.
+    The caches are lock-protected; produced expressions are immutable.
     """
 
     def __init__(self, field: VectorField, param_order=None):
@@ -104,8 +108,8 @@ class DeterminantSet:
         self._lock = threading.RLock()
         self._b: dict = {}
         self._bmat: dict = {}
-        self._g: dict = {}
         self._gmat: dict = {}
+        self._fns: dict = {}
         self._diff_memo: dict = {}
 
     # -- B determinants ----------------------------------------------------
@@ -174,39 +178,83 @@ class DeterminantSet:
             self._gmat[(r, K)] = mat
             return mat
 
-    def build_G(self, r: int, K=()) -> Expression:
-        K = _check_index_string(self.field.n, K)
+    # -- numeric evaluation with scale-aware thresholds ---------------------
+
+    def _level_fn(self, kind: str, level: int):
+        """One compiled function for a level, over all its index strings:
+        ("B", 0) gives the components; ("B", i) gives B_{i,K} then its
+        matrix per K; ("G", r) gives the extended matrix per K.  Entries
+        shared between index strings are compiled once; the returned index
+        array maps the function's outputs back to the full list."""
         with self._lock:
-            got = self._g.get((r, K))
+            got = self._fns.get((kind, level))
             if got is None:
-                got = sym_det(self.g_matrix(r, K))
-                self._g[(r, K)] = got
+                if level == 0:
+                    exprs = list(self.field.components)
+                else:
+                    exprs = []
+                    for K in index_strings(self.field.n, level - 1):
+                        if kind == "B":
+                            exprs.append(self.build_B(level, K))
+                            mat = self.b_matrix(level, K)
+                        else:
+                            mat = self.g_matrix(level, K)
+                        exprs.extend(e for row in mat for e in row)
+                unique = {e: j for j, e in enumerate(dict.fromkeys(exprs))}
+                got = (ex.compile_evaluator(list(unique), self.field.n),
+                       np.array([unique[e] for e in exprs]))
+                self._fns[(kind, level)] = got
             return got
 
-    # -- numeric evaluation with scale-aware thresholds ---------------------
+    def _entries(self, kind: str, level: int, K, p: Point, memo) -> np.ndarray:
+        """The values of index string K of a level at p; memo keeps each
+        level's outputs per point, so they are computed once there."""
+        fn, index = self._level_fn(kind, level)
+        key = (kind, level, p)
+        values = None if memo is None else memo.get(key)
+        if values is None:
+            values = np.array(fn(p.vals()), dtype=float)
+            if memo is not None:
+                memo[key] = values
+        n = self.field.n
+        width = len(index) // n ** max(level - 1, 0)  # entries per index string
+        j = 0
+        for k in K:
+            j = j * n + k - 1
+        return values[index[j * width:(j + 1) * width]]
+
+    def field_at(self, p: Point, _memo=None) -> tuple:
+        """Values of the field components at p."""
+        return tuple(self._entries("B", 0, (), p, _memo).tolist())
 
     def b_at(self, i: int, K, p: Point, _memo=None):
         """(value, Hadamard scale) of the level-i determinant at p."""
-        if _memo is None:
-            _memo = {}
-        value = ex.evaluate(self.build_B(i, K), p, _memo)
         if i == 0:
-            return value, 1.0
-        mat = eval_matrix(self.b_matrix(i, K), p, _memo)
-        return value, hadamard_bound(mat)
+            self.build_B(0, K)  # validates K
+            return self.field_at(p, _memo)[0], 1.0
+        self.b_matrix(i, K)  # validates i and K
+        entries = self._entries("B", i, K, p, _memo)
+        n = self.field.n
+        return float(entries[0]), hadamard_bound(entries[1:].reshape(n, n))
 
     def g_at(self, r: int, K, p: Point, _memo=None):
-        if _memo is None:
-            _memo = {}
-        value = ex.evaluate(self.build_G(r, K), p, _memo)
-        mat = eval_matrix(self.g_matrix(r, K), p, _memo)
-        return value, hadamard_bound(mat)
+        """(value, Hadamard scale) of G_{r,K} at p; the value is the LU
+        determinant of the evaluated extended matrix."""
+        self.g_matrix(r, K)  # validates r and K
+        size = self.field.n + r
+        mat = self._entries("G", r, K, p, _memo).reshape(size, size)
+        return float(np.linalg.det(mat)), hadamard_bound(mat)
 
-
-def eval_matrix(M, p: Point, memo=None) -> np.ndarray:
-    if memo is None:
-        memo = {}
-    return np.array([[ex.evaluate(e, p, memo) for e in row] for row in M])
+    def subrank(self, p: Point, tol: float = DEFAULT_TOL_B, _memo=None) -> int:
+        """Least rank of the Jacobian at p over deletions of one component row."""
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        n = self.field.n
+        J = self._entries("B", 1, (), p, _memo)[1:].reshape(n, n)
+        scale = float(np.max(np.linalg.norm(J, axis=1)))
+        rows = np.arange(n)[:, None]
+        return min(numeric_rank(np.where(rows == j, 0.0, J), tol, scale=scale)
+                   for j in range(n))
 
 
 def hadamard_bound(A: np.ndarray) -> float:
@@ -252,18 +300,8 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_TOL_B,
 
 
 def subrank(field: VectorField, p: Point, tol: float = DEFAULT_TOL_B) -> int:
-    """Least rank of the Jacobian at p over deletions of one component row."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    J = eval_matrix(jacobian(field), p)
-    scale = float(np.max(np.linalg.norm(J, axis=1)))
-    best = None
-    for j in range(field.n):
-        Jz = J.copy()
-        Jz[j, :] = 0.0
-        r = numeric_rank(Jz, tol, scale=scale)
-        best = r if best is None else min(best, r)
-    return best
+    """Least rank of the Jacobian of field at p over deletions of one row."""
+    return DeterminantSet(field).subrank(p, tol)
 
 
 def condition_count(n: int, r: int) -> int:

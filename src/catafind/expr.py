@@ -358,50 +358,20 @@ class Point:
         return self.x + self.alpha
 
 
-def evaluate(e: Expression, p: Point, _memo=None) -> float:
-    """IEEE double value of e at p; raises EvaluationError on division by zero."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(e)
-    if got is not None:
-        return got
-    k = e.kind
-    if k == CONST:
-        out = e.value
-    elif k == VAR:
-        if e.index >= len(p.x):
-            raise EvaluationError(
-                f"point has {len(p.x)} state values, need index {e.index}", e)
-        out = p.x[e.index]
-    elif k == PAR:
-        if e.index >= len(p.alpha):
-            raise EvaluationError(
-                f"point has {len(p.alpha)} parameter values, need index {e.index}", e)
-        out = p.alpha[e.index]
-    elif k == SUM:
-        out = 0.0
-        for c in e.children:
-            out += evaluate(c, p, _memo)
-    elif k == PROD:
-        out = 1.0
-        for c in e.children:
-            out *= evaluate(c, p, _memo)
-    elif k == NEG:
-        out = -evaluate(e.children[0], p, _memo)
-    elif k == QUOT:
-        den = evaluate(e.children[1], p, _memo)
-        if den == 0.0:
-            raise EvaluationError("division by zero", e)
-        out = evaluate(e.children[0], p, _memo) / den
-    elif k == POW:
-        b = evaluate(e.children[0], p, _memo)
-        if b == 0.0 and e.exponent < 0:
-            raise EvaluationError("zero raised to a negative power", e)
-        out = b ** e.exponent
-    else:  # pragma: no cover
-        raise ExprError(f"unknown node kind {k!r}")
-    _memo[e] = out
-    return out
+def evaluate(e: Expression, p: Point) -> float:
+    """IEEE double value of e at p, through compile_evaluator; raises
+    EvaluationError on division by zero or when p does not cover e."""
+    try:
+        fn = compile_evaluator([e], len(p.x))
+    except ExprError as err:
+        raise EvaluationError(str(err), e) from None
+    try:
+        return fn(p.vals())[0]
+    except ZeroDivisionError:
+        raise EvaluationError("division by zero", e) from None
+    except IndexError:
+        raise EvaluationError(
+            f"point has too few values ({len(p.alpha)} parameters)", e) from None
 
 
 def substitute_params(e: Expression, values, _memo=None) -> Expression:
@@ -677,7 +647,9 @@ def format_vector_field(field: VectorField) -> str:
 def compile_evaluator(exprs, n_vars: int):
     """Compile a list of expressions into one fast function of a flat value
     vector (variables first, then parameters).  Shared subtrees are computed
-    once.  Division by zero raises ZeroDivisionError."""
+    once.  Constants are bound by name, so inf and nan compile too.  A
+    variable index at or above n_vars raises ExprError here; division by
+    zero raises ZeroDivisionError when the function runs."""
     order = []
     seen = set()
     for root in exprs:
@@ -695,13 +667,19 @@ def compile_evaluator(exprs, n_vars: int):
                 if c not in seen:
                     stack.append((c, False))
     names: dict = {}
+    consts: dict = {}
     lines = []
     for i, node in enumerate(order):
         k = node.kind
         if k == CONST:
-            names[node] = repr(node.value)
+            names[node] = f"c{len(consts)}"
+            consts[names[node]] = node.value
             continue
         if k == VAR:
+            if node.index >= n_vars:
+                raise ExprError(
+                    f"variable index {node.index} outside the {n_vars} "
+                    "declared variables")
             names[node] = f"v[{node.index}]"
             continue
         if k == PAR:
@@ -724,6 +702,5 @@ def compile_evaluator(exprs, n_vars: int):
         names[node] = nm
     ret = ", ".join(names[r] for r in exprs)
     src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return ({ret},)\n"
-    ns: dict = {}
-    exec(src, ns)
-    return ns["_compiled"]
+    exec(src, consts)
+    return consts["_compiled"]

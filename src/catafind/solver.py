@@ -133,7 +133,7 @@ class NewtonSystem:
         for it in range(opts.max_iterations):
             try:
                 F, J = self.residual_and_jacobian(vals)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, OverflowError):
                 return NewtonResult("evaluation-error", None, np.inf, it)
             res = float(np.max(np.abs(F)))
             if not np.isfinite(res):
@@ -155,7 +155,7 @@ class NewtonSystem:
                     trial[s] += t * d
                 try:
                     tres = self.residual(trial)
-                except ZeroDivisionError:
+                except (ZeroDivisionError, OverflowError):
                     tres = np.inf
                 if tres < res:
                     vals = trial
@@ -166,19 +166,12 @@ class NewtonSystem:
                 return NewtonResult("step-underflow", as_point(vals), res, it)
         try:
             res = self.residual(vals)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             return NewtonResult("evaluation-error", None, np.inf, opts.max_iterations)
         scale = 1.0 + max(abs(vals[s]) for s in slots)
         if res <= opts.residual_tol * scale:
             return NewtonResult("converged", as_point(vals), res, opts.max_iterations)
         return NewtonResult("max-iterations", as_point(vals), res, opts.max_iterations)
-
-
-def newton_solve(field: VectorField, eqs, unknowns, start: Point,
-                 opts: SolveOptions | None = None) -> NewtonResult:
-    """Damped Newton iteration from a single start point."""
-    opts = opts or SolveOptions()
-    return NewtonSystem(field, eqs, unknowns).solve(list(start.vals()), opts)
 
 
 def _dedup(solutions, radius):
@@ -273,7 +266,7 @@ def build_report(D: det.DeterminantSet, r: int, p: Point, residual: float,
         g_scales[K] = gs
     full = all(
         det.is_nonzero(g_values[K], g_scales[K], opts.tol_g) for K in g_values)
-    sr = det.subrank(field, p, opts.tol_b)
+    sr = D.subrank(p, opts.tol_b, memo)
     return CatastropheReport(
         point=p, codim=r, label=classify(r), residual=residual,
         b_values=b_values, g_values=g_values, g_scales=g_scales,
@@ -299,28 +292,8 @@ def _resolve_fixed(field: VectorField, fixed) -> tuple:
 # ---------------------------------------------------------------------------
 # steady states and stability
 
-def _char_poly(A: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by the trace recurrence."""
-    n = A.shape[0]
-    coeffs = [1.0]
-    M = np.zeros_like(A)
-    for k in range(1, n + 1):
-        M = A @ M + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(A @ M) / k)
-    return np.array(coeffs)
-
-
-def eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues as roots of the characteristic polynomial (companion
-    matrix root finding)."""
-    A = np.asarray(A, dtype=float)
-    if A.shape == (1, 1):
-        return np.array([complex(A[0, 0])])
-    return np.roots(_char_poly(A))
-
-
 def stability_label(J: np.ndarray, tol: float = det.DEFAULT_TOL_B) -> str:
-    eig = eigenvalues(J)
+    eig = np.linalg.eigvals(np.asarray(J, dtype=float))
     re = eig.real
     im = eig.imag
     if np.all(re < -tol):
@@ -355,10 +328,9 @@ def count_steady_states(field: VectorField, alpha, box,
             if all(lo - 10 * opts.dedup_radius <= xi <= hi + 10 * opts.dedup_radius
                    for xi, (lo, hi) in zip(x, box)):
                 hits.append((x, result.residual))
-    jac = det.jacobian(field)
     states = []
     for x, _res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(x), alpha)
-        J = det.eval_matrix(jac, p)
+        _F, J = system.residual_and_jacobian(p.vals())
         states.append((p, stability_label(J, opts.tol_b)))
     return SteadyStateCensus(count=len(states), states=tuple(states))

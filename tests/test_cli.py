@@ -99,6 +99,53 @@ def test_find_empty_result_is_success(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_find_infinite_constant_is_an_empty_result(capsys, tmp_path):
+    path = tmp_path / "inf.field"
+    path.write_text("vars: x\nparams: a\neq: x^2 + a + 1e400\n")
+    rc, out, err = run(capsys, ["find", str(path), "--codim", "1",
+                                "--box=-1:1,-1:1"])
+    assert rc == 0
+    assert json.loads(out)["reports"] == []
+    assert "warning" in err
+
+
+OVERFLOW_FIELD = "vars: x\nparams: a\neq: x^7 + a*x^9 + 1/(x - 3)\n"
+
+
+def test_find_overflowing_seeds_end_without_traceback(capsys, tmp_path):
+    path = tmp_path / "overflow.field"
+    path.write_text(OVERFLOW_FIELD)
+    rc, out, _err = run(capsys, ["find", str(path), "--codim", "1",
+                                 "--box=-1e36:1e36,-1:1"])
+    assert rc in (0, 3)
+    if rc == 0:
+        json.loads(out)
+
+
+def test_check_overflow_is_a_numerical_failure(capsys, tmp_path):
+    path = tmp_path / "overflow.field"
+    path.write_text(OVERFLOW_FIELD)
+    rc, _out, err = run(capsys, ["check", str(path), "--codim", "1",
+                                 "--at", "x=1e40"])
+    assert rc == 3 and "numerical" in err
+
+
+SCAN_RD = ["scan", "--builtin", "rd", "--axes", "b,d", "--cells", "2,2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["find", "--builtin", "rd", "--codim", "1", "--fix", "k1=nan"],
+    ["check", "--builtin", "rd", "--codim", "1", "--at", "u=inf"],
+    ["boardman", "--builtin", "rd", "--at", "u=-inf"],
+    ["find", "--builtin", "rd", "--codim", "1", "--box=-1:1,-1:nan,-1:1"],
+    SCAN_RD + ["--range=-1:1,-1e400:1"],
+    SCAN_RD + ["--range=-1:1,-1:1", "--box-x=-1:1,-1:inf"],
+], ids=["fix", "at", "boardman-at", "box", "range", "box-x"])
+def test_non_finite_flag_values_are_usage_errors(capsys, argv):
+    rc, _out, err = run(capsys, argv)
+    assert rc == 2 and "not a finite number" in err
+
+
 def test_find_codim_exceeds_parameters(capsys):
     rc, _out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "9"])
     assert rc == 2 and err

@@ -7,7 +7,8 @@ import pytest
 
 import catafind.expr as ex
 import catafind.determinants as det
-from catafind.scenarios import RdReference, rd_catastrophe_point
+from catafind.scenarios import (PrimaryFormSpec, RdReference,
+                                make_primary_form, rd_catastrophe_point)
 
 
 def rd_point(rng, span=2.0):
@@ -118,7 +119,7 @@ def test_index_string_validation(rd_dets):
     with pytest.raises(IndexError):
         rd_dets.build_B(3, (1,))   # wrong length
     with pytest.raises(IndexError):
-        rd_dets.build_G(7)         # more codimensions than parameters
+        rd_dets.g_matrix(7)        # more codimensions than parameters
 
 
 def test_canonical_reduction(rd_field):
@@ -157,8 +158,8 @@ def test_g1_of_translation_field_vanishes():
     f = ex.parse_vector_field("vars: x\nparams: a\neq: x + a")
     D = det.DeterminantSet(f)
     # B1 is constant 1, so the extended determinant row is zero everywhere
-    G1 = D.build_G(1)
-    assert ex.evaluate(G1, ex.Point((0.3,), (0.7,))) == 0.0
+    value, _scale = D.g_at(1, (), ex.Point((0.3,), (0.7,)))
+    assert value == 0.0
 
 
 def test_g1_nonzero_on_fold_sheet(rd_dets):
@@ -173,6 +174,42 @@ def test_g1_nonzero_on_fold_sheet(rd_dets):
 def test_g_matrix_shape(rd_dets):
     mat = rd_dets.g_matrix(4, (1, 1, 1))
     assert len(mat) == 6 and all(len(row) == 6 for row in mat)
+
+
+def assert_g_at_matches_sym_det(D, r, points):
+    """g_at (LU on the evaluated matrix) against the expanded symbolic
+    determinant of the same matrix, for every index string."""
+    for K in det.index_strings(D.field.n, r - 1):
+        G = det.sym_det(D.g_matrix(r, K))
+        memo: dict = {}
+        for p in points:
+            value, scale = D.g_at(r, K, p, memo)
+            expect = ex.evaluate(G, p)
+            assert abs(value - expect) <= 1e-12 * max(1.0, scale), (r, K, p)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_g_at_matches_symbolic_determinant_rd(rd_dets, r):
+    rng = random.Random(40 + r)
+    assert_g_at_matches_sym_det(rd_dets, r, [rd_point(rng) for _ in range(20)])
+
+
+def test_g_at_matches_symbolic_determinant_primary():
+    D = det.DeterminantSet(make_primary_form(PrimaryFormSpec(3, 3)))
+    rng = random.Random(45)
+    points = [ex.Point(tuple(rng.uniform(-1.5, 1.5) for _ in range(3)),
+                       tuple(rng.uniform(-1.5, 1.5) for _ in range(3)))
+              for _ in range(20)]
+    assert_g_at_matches_sym_det(D, 3, points)
+
+
+def test_level_memo_is_keyed_by_point(rd_dets):
+    """One memo shared across points never returns another point's values."""
+    rng = random.Random(46)
+    memo: dict = {}
+    for p in [rd_point(rng) for _ in range(3)]:
+        assert rd_dets.g_at(2, (2,), p, memo) == rd_dets.g_at(2, (2,), p)
+        assert rd_dets.b_at(3, (2, 1), p, memo) == rd_dets.b_at(3, (2, 1), p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Expression core: parsing, differentiation, evaluation, simplification."""
 
+import math
 import random
 
 import pytest
@@ -219,6 +220,43 @@ def test_evaluate_division_by_zero():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ex.EvaluationError):
         ex.evaluate(ex.var(1), ex.Point((1.0,), ()))
+
+
+def test_evaluate_parameter_count_mismatch():
+    with pytest.raises(ex.EvaluationError):
+        ex.evaluate(ex.par(1), ex.Point((1.0,), (5.0,)))
+
+
+def test_evaluate_does_not_read_a_parameter_for_a_missing_variable():
+    # var(1) must not fall through to the first parameter slot
+    with pytest.raises(ex.EvaluationError):
+        ex.evaluate(ex.var(1), ex.Point((1.0,), (5.0,)))
+
+
+def test_evaluate_deep_expression():
+    # a continued fraction nested 2,000 nodes deep; its value tends to
+    # sqrt(2) - 1 from any start x >= 0
+    e = ex.var(0)
+    for _ in range(1000):
+        e = ex.div(ex.ONE, ex.add(e, ex.const(2.0)))
+    assert ex.evaluate(e, ex.Point((1.0,), ())) == pytest.approx(
+        math.sqrt(2.0) - 1.0, rel=1e-15)
+
+
+def test_compile_evaluator_checks_variable_indices():
+    with pytest.raises(ex.ExprError):
+        ex.compile_evaluator([ex.add(ex.var(0), ex.var(2))], 2)
+
+
+def test_compile_evaluator_non_finite_constants():
+    inf = ex.const(float("inf"))
+    fn = ex.compile_evaluator([ex.add(ex.var(0), inf), ex.mul(ex.var(0), inf),
+                               ex.add(inf, ex.neg(inf))], 1)
+    plus, times, nan = fn([-2.0])
+    assert plus == math.inf and times == -math.inf and math.isnan(nan)
+    # the same constant arises from folding
+    folded = ex.mul(ex.const(1e200), ex.const(1e200))
+    assert ex.evaluate(folded, ex.Point((), ())) == math.inf
 
 
 def test_compile_evaluator_matches_evaluate():

@@ -7,8 +7,8 @@ import catafind.expr as ex
 import catafind.determinants as det
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
                                 make_primary_form)
-from catafind.solver import (SolveOptions, classify, count_steady_states,
-                             find_catastrophes, halton, newton_solve,
+from catafind.solver import (NewtonSystem, SolveOptions, classify,
+                             count_steady_states, find_catastrophes, halton,
                              stability_label)
 
 
@@ -36,6 +36,11 @@ def test_halton_deterministic_and_in_bounds():
 
 # ---------------------------------------------------------------------------
 # newton_solve
+
+def newton_solve(field, eqs, unknowns, start, opts=None):
+    """Damped Newton iteration from a single start point."""
+    return NewtonSystem(field, eqs, unknowns).solve(list(start.vals()),
+                                                    opts or SolveOptions())
 
 def test_newton_linear_one_step():
     f = ex.parse_vector_field("vars: x\nparams:\neq: x - 2")
