@@ -9,7 +9,7 @@ Reports are JSON with a `"schema": 1` field; grids are CSV.  All floats are
 printed with 17 significant digits and results are sorted before emission,
 so identical commands on identical inputs produce byte-identical output.
 Exit codes: 0 success (including empty result sets), 2 usage or parse
-error, 3 numerical failure.  The env var CATAFIND_THREADS caps workers.
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -204,19 +203,6 @@ def _parse_point(field: ex.VectorField, text: str | None) -> ex.Point:
                     tuple(vals.get(nm, 0.0) for nm in field.param_names))
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CATAFIND_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"CATAFIND_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise UsageError("CATAFIND_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # report serialization
 
@@ -368,8 +354,7 @@ def cmd_scan(args) -> int:
         lo, hi = ranges[axis]
         return lo + (k + 0.5) * (hi - lo) / cells[axis]
 
-    def work(cell):
-        i, j = cell
+    def work(i, j):
         v1, v2 = cell_value(0, i), cell_value(1, j)
         alpha = list(base_alpha)
         alpha[idx[0]] = v1
@@ -379,9 +364,7 @@ def cmd_scan(args) -> int:
                            if label == "attracting")
         return v1, v2, census.count, n_attracting
 
-    grid = [(i, j) for i in range(cells[0]) for j in range(cells[1])]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(work, grid))
+    rows = [work(i, j) for i in range(cells[0]) for j in range(cells[1])]
     lines = [f"{axes[0]},{axes[1]},n_states,n_attracting"]
     for v1, v2, n_states, n_attracting in rows:
         lines.append(f"{_fmt_float(v1)},{_fmt_float(v2)},"

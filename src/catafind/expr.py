@@ -247,34 +247,54 @@ def sub(a: Expression, b: Expression) -> Expression:
     return add(a, neg(b))
 
 
+def _postorder(roots, done):
+    """Yield every node reachable from roots that is not in done, once each:
+    children before parents, siblings left to right.  The caller must add
+    each yielded node to done (a set or a memo dict) before asking for the
+    next one.  Iterative, so tree depth is bounded only by memory."""
+    stack = list(roots)
+    stack.reverse()
+    while stack:
+        node = stack.pop()
+        if node is None:  # marker: the node below it has all children done
+            yield stack.pop()
+        elif node not in done:
+            stack.append(node)
+            stack.append(None)
+            for c in reversed(node.children):
+                if c not in done:
+                    stack.append(c)
+
+
+def _rebuild(e: Expression, leaf, memo: dict) -> Expression:
+    """Rebuild e bottom-up through the canonicalizing constructors, mapping
+    each leaf (const/var/par node) through leaf(node)."""
+    for node in _postorder((e,), memo):
+        k = node.kind
+        cs = node.children
+        if not cs:
+            out = leaf(node)
+        elif k == SUM:
+            out = add(*[memo[c] for c in cs])
+        elif k == PROD:
+            out = mul(*[memo[c] for c in cs])
+        elif k == NEG:
+            out = neg(memo[cs[0]])
+        elif k == QUOT:
+            out = div(memo[cs[0]], memo[cs[1]])
+        else:  # POW
+            out = pow_(memo[cs[0]], node.exponent)
+        memo[node] = out
+    return memo[e]
+
+
 def simplify(e: Expression, _memo=None) -> Expression:
     """Rebuild a tree through the canonicalizing constructors.
 
     Trees built by this module are canonical already, so this is the
     identity for them; it normalizes externally assembled trees.
     """
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(e)
-    if got is not None:
-        return got
-    k = e.kind
-    if k in (CONST, VAR, PAR):
-        out = e
-    elif k == SUM:
-        out = add(*[simplify(c, _memo) for c in e.children])
-    elif k == PROD:
-        out = mul(*[simplify(c, _memo) for c in e.children])
-    elif k == NEG:
-        out = neg(simplify(e.children[0], _memo))
-    elif k == QUOT:
-        out = div(simplify(e.children[0], _memo), simplify(e.children[1], _memo))
-    elif k == POW:
-        out = pow_(simplify(e.children[0], _memo), e.exponent)
-    else:  # pragma: no cover
-        raise ExprError(f"unknown node kind {k!r}")
-    _memo[e] = out
-    return out
+    return _rebuild(e, lambda node: node, {} if _memo is None else _memo)
 
 
 def differentiate(e: Expression, wrt: Expression, _memo=None) -> Expression:
@@ -283,40 +303,40 @@ def differentiate(e: Expression, wrt: Expression, _memo=None) -> Expression:
         raise ExprError("differentiation target must be a variable or parameter node")
     if _memo is None:
         _memo = {}
-    key = (e, wrt)
-    got = _memo.get(key)
+    memo = _memo.get(wrt)  # one derivative memo per target
+    if memo is None:
+        memo = _memo[wrt] = {}
+    got = memo.get(e)
     if got is not None:
         return got
-    k = e.kind
-    if k == CONST:
-        out = ZERO
-    elif k in (VAR, PAR):
-        out = ONE if e is wrt else ZERO
-    elif k == SUM:
-        out = add(*[differentiate(c, wrt, _memo) for c in e.children])
-    elif k == NEG:
-        out = neg(differentiate(e.children[0], wrt, _memo))
-    elif k == PROD:
-        terms = []
-        cs = e.children
-        for i, c in enumerate(cs):
-            dc = differentiate(c, wrt, _memo)
-            if dc is not ZERO:
-                terms.append(mul(*cs[:i], dc, *cs[i + 1:]))
-        out = add(*terms) if terms else ZERO
-    elif k == QUOT:
-        u, v = e.children
-        du = differentiate(u, wrt, _memo)
-        dv = differentiate(v, wrt, _memo)
-        out = div(sub(mul(du, v), mul(u, dv)), pow_(v, 2))
-    elif k == POW:
-        b = e.children[0]
-        db = differentiate(b, wrt, _memo)
-        out = mul(const(e.exponent), pow_(b, e.exponent - 1), db)
-    else:  # pragma: no cover
-        raise ExprError(f"unknown node kind {k!r}")
-    _memo[key] = out
-    return out
+    for node in _postorder((e,), memo):
+        k = node.kind
+        cs = node.children
+        if k == CONST:
+            out = ZERO
+        elif k in (VAR, PAR):
+            out = ONE if node is wrt else ZERO
+        elif k == SUM:
+            out = add(*[memo[c] for c in cs])
+        elif k == NEG:
+            out = neg(memo[cs[0]])
+        elif k == PROD:
+            terms = []
+            for i, c in enumerate(cs):
+                dc = memo[c]
+                if dc is not ZERO:
+                    terms.append(mul(*cs[:i], dc, *cs[i + 1:]))
+            out = add(*terms) if terms else ZERO
+        elif k == QUOT:
+            u, v = cs
+            out = div(sub(mul(memo[u], v), mul(u, memo[v])), pow_(v, 2))
+        elif k == POW:
+            b = cs[0]
+            out = mul(const(node.exponent), pow_(b, node.exponent - 1), memo[b])
+        else:  # pragma: no cover
+            raise ExprError(f"unknown node kind {k!r}")
+        memo[node] = out
+    return memo[e]
 
 
 @dataclass(frozen=True)
@@ -376,29 +396,9 @@ def evaluate(e: Expression, p: Point) -> float:
 
 def substitute_params(e: Expression, values, _memo=None) -> Expression:
     """Replace every parameter reference with a numeric constant."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(e)
-    if got is not None:
-        return got
-    k = e.kind
-    if k == PAR:
-        out = const(values[e.index])
-    elif k in (CONST, VAR):
-        out = e
-    elif k == SUM:
-        out = add(*[substitute_params(c, values, _memo) for c in e.children])
-    elif k == PROD:
-        out = mul(*[substitute_params(c, values, _memo) for c in e.children])
-    elif k == NEG:
-        out = neg(substitute_params(e.children[0], values, _memo))
-    elif k == QUOT:
-        out = div(substitute_params(e.children[0], values, _memo),
-                  substitute_params(e.children[1], values, _memo))
-    else:  # POW
-        out = pow_(substitute_params(e.children[0], values, _memo), e.exponent)
-    _memo[e] = out
-    return out
+    return _rebuild(
+        e, lambda node: const(values[node.index]) if node.kind == PAR else node,
+        {} if _memo is None else _memo)
 
 
 def fix_parameters(field: VectorField, alpha) -> VectorField:
@@ -418,6 +418,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+")
 
+# The parser recurses through five frames per level of parentheses, so it
+# bounds the nesting well inside Python's default recursion limit.
+_MAX_PAREN_DEPTH = 100
+
 
 class _ExprParser:
     def __init__(self, text: str, line: int, col_offset: int, env: dict):
@@ -426,6 +430,7 @@ class _ExprParser:
         self.col_offset = col_offset
         self.env = env
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg, pos=None):
         p = self.pos if pos is None else pos
@@ -473,10 +478,14 @@ class _ExprParser:
                 return e
 
     def parse_unary(self) -> Expression:
-        if self.peek() == "-":
+        minuses = 0
+        while self.peek() == "-":
             self.pos += 1
-            return neg(self.parse_unary())
-        return self.parse_power()
+            minuses += 1
+        e = self.parse_power()
+        for _ in range(minuses):
+            e = neg(e)
+        return e
 
     def parse_power(self) -> Expression:
         base = self.parse_atom()
@@ -493,11 +502,15 @@ class _ExprParser:
     def parse_atom(self) -> Expression:
         c = self.peek()
         if c == "(":
+            if self.depth == _MAX_PAREN_DEPTH:
+                self.error(f"parentheses nested deeper than {_MAX_PAREN_DEPTH}")
+            self.depth += 1
             self.pos += 1
             e = self.parse_sum()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return e
         m = _NUM_RE.match(self.text, self.pos)
         if m:
@@ -582,53 +595,47 @@ def parse_vector_field(text: str, name: str = "field") -> VectorField:
 # printing
 
 def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # false for inf and nan
         return str(int(v))
     return repr(v)
 
 
 def to_str(e: Expression, var_names=None, param_names=None) -> str:
-    def name(node):
-        if node.kind == VAR:
-            return var_names[node.index] if var_names else f"x{node.index + 1}"
-        return param_names[node.index] if param_names else f"a{node.index + 1}"
+    def wrapped(node, kinds):
+        return f"({out[node]})" if node.kind in kinds else out[node]
 
-    def rec(node):
+    out: dict = {}
+    for node in _postorder((e,), out):
         k = node.kind
+        cs = node.children
         if k == CONST:
-            return _fmt_const(node.value)
-        if k in (VAR, PAR):
-            return name(node)
-        if k == SUM:
-            parts = [rec(node.children[0])]
-            for c in node.children[1:]:
-                s = rec(c)
-                if s.startswith("-"):
-                    parts.append(" - " + s[1:])
-                else:
-                    parts.append(" + " + s)
-            return "".join(parts)
-        if k == PROD:
-            return "*".join(
-                f"({rec(c)})" if c.kind == SUM else rec(c) for c in node.children)
-        if k == NEG:
-            c = node.children[0]
-            s = rec(c)
-            return f"-({s})" if c.kind == SUM else "-" + s
-        if k == QUOT:
-            num, den = node.children
-            ns = f"({rec(num)})" if num.kind == SUM else rec(num)
-            ds = f"({rec(den)})" if den.kind in (SUM, PROD, QUOT) else rec(den)
-            return f"{ns}/{ds}"
-        if k == POW:
-            b = node.children[0]
-            bs = rec(b)
+            s = _fmt_const(node.value)
+        elif k == VAR:
+            s = var_names[node.index] if var_names else f"x{node.index + 1}"
+        elif k == PAR:
+            s = param_names[node.index] if param_names else f"a{node.index + 1}"
+        elif k == SUM:
+            parts = [out[cs[0]]]
+            for c in cs[1:]:
+                t = out[c]
+                parts.append(" - " + t[1:] if t.startswith("-") else " + " + t)
+            s = "".join(parts)
+        elif k == PROD:
+            s = "*".join(wrapped(c, (SUM,)) for c in cs)
+        elif k == NEG:
+            s = "-" + wrapped(cs[0], (SUM,))
+        elif k == QUOT:
+            s = f"{wrapped(cs[0], (SUM,))}/{wrapped(cs[1], (SUM, PROD, QUOT))}"
+        elif k == POW:
+            b = cs[0]
+            s = out[b]
             if b.kind not in (VAR, PAR) and not (b.kind == CONST and b.value >= 0):
-                bs = f"({bs})"
-            return f"{bs}^{node.exponent}"
-        raise ExprError(f"unknown node kind {k!r}")  # pragma: no cover
-
-    return rec(e)
+                s = f"({s})"
+            s = f"{s}^{node.exponent}"
+        else:  # pragma: no cover
+            raise ExprError(f"unknown node kind {k!r}")
+        out[node] = s
+    return out[e]
 
 
 def format_vector_field(field: VectorField) -> str:
@@ -644,32 +651,19 @@ def format_vector_field(field: VectorField) -> str:
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
+_LINE_OPERANDS = 100
+
+
 def compile_evaluator(exprs, n_vars: int):
     """Compile a list of expressions into one fast function of a flat value
     vector (variables first, then parameters).  Shared subtrees are computed
     once.  Constants are bound by name, so inf and nan compile too.  A
     variable index at or above n_vars raises ExprError here; division by
     zero raises ZeroDivisionError when the function runs."""
-    order = []
-    seen = set()
-    for root in exprs:
-        stack = [(root, False)]
-        while stack:
-            node, done = stack.pop()
-            if node in seen:
-                continue
-            if done:
-                seen.add(node)
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for c in node.children:
-                if c not in seen:
-                    stack.append((c, False))
     names: dict = {}
     consts: dict = {}
     lines = []
-    for i, node in enumerate(order):
+    for i, node in enumerate(_postorder(exprs, names)):
         k = node.kind
         if k == CONST:
             names[node] = f"c{len(consts)}"
@@ -686,10 +680,15 @@ def compile_evaluator(exprs, n_vars: int):
             names[node] = f"v[{n_vars + node.index}]"
             continue
         nm = f"t{i}"
-        if k == SUM:
-            rhs = " + ".join(names[c] for c in node.children)
-        elif k == PROD:
-            rhs = "*".join(names[c] for c in node.children)
+        if k in (SUM, PROD):
+            # CPython compiles an operator chain recursively, so long sums
+            # and products continue on further lines, in the same order
+            op = " + " if k == SUM else "*"
+            args = [names[c] for c in node.children]
+            rhs = op.join(args[:_LINE_OPERANDS])
+            for j in range(_LINE_OPERANDS, len(args), _LINE_OPERANDS):
+                lines.append(f"    {nm} = {rhs}")
+                rhs = op.join([nm, *args[j:j + _LINE_OPERANDS]])
         elif k == NEG:
             rhs = f"-({names[node.children[0]]})"
         elif k == QUOT:

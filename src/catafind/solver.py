@@ -21,6 +21,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 LABELS = {1: "fold", 2: "cusp", 3: "swallowtail", 4: "butterfly"}
 
+_RESIDUAL_TOL = 1e-12  # scaled by (1 + max-norm of the unknowns)
+_DAMPING = 0.5  # line-search step factor
+_MIN_STEP = 1e-12  # smallest line-search step before step-underflow
+
 
 def classify(r: int) -> str:
     if r < 1:
@@ -31,9 +35,6 @@ def classify(r: int) -> str:
 @dataclass
 class SolveOptions:
     max_iterations: int = 100
-    residual_tol: float = 1e-12  # scaled by (1 + max-norm of the unknowns)
-    damping: float = 0.5
-    min_step: float = 1e-12
     seed_count: int = 256
     dedup_radius: float = 1e-6  # max-norm over (x, alpha)
     tol_b: float = det.DEFAULT_TOL_B
@@ -139,7 +140,7 @@ class NewtonSystem:
             if not np.isfinite(res):
                 return NewtonResult("evaluation-error", None, np.inf, it)
             scale = 1.0 + max(abs(vals[s]) for s in slots)
-            if res <= opts.residual_tol * scale:
+            if res <= _RESIDUAL_TOL * scale:
                 return NewtonResult("converged", as_point(vals), res, it)
             try:
                 step = np.linalg.solve(J, -F)
@@ -149,7 +150,7 @@ class NewtonSystem:
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
             t = 1.0
             accepted = False
-            while t >= opts.min_step:
+            while t >= _MIN_STEP:
                 trial = list(vals)
                 for s, d in zip(slots, step):
                     trial[s] += t * d
@@ -161,7 +162,7 @@ class NewtonSystem:
                     vals = trial
                     accepted = True
                     break
-                t *= opts.damping
+                t *= _DAMPING
             if not accepted:
                 return NewtonResult("step-underflow", as_point(vals), res, it)
         try:
@@ -169,7 +170,7 @@ class NewtonSystem:
         except (ZeroDivisionError, OverflowError):
             return NewtonResult("evaluation-error", None, np.inf, opts.max_iterations)
         scale = 1.0 + max(abs(vals[s]) for s in slots)
-        if res <= opts.residual_tol * scale:
+        if res <= _RESIDUAL_TOL * scale:
             return NewtonResult("converged", as_point(vals), res, opts.max_iterations)
         return NewtonResult("max-iterations", as_point(vals), res, opts.max_iterations)
 

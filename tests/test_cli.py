@@ -1,8 +1,11 @@
 """Command-line interface: documents, grids, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catafind.cli import main
 
@@ -227,6 +230,75 @@ def test_parse_error_exit_code(capsys, tmp_path):
     rc, _out, err = run(capsys, ["check", str(path), "--codim", "1",
                                  "--at", "x=0"])
     assert rc == 2 and err
+
+
+@pytest.mark.parametrize("divisions", [300, 1200])
+def test_deep_division_chain_field(capsys, tmp_path, divisions):
+    path = tmp_path / "chain.field"
+    path.write_text(f"vars: x\nparams: a\neq: 1{'/x' * divisions} + a\n")
+    rc, out, _err = run(capsys, ["check", str(path), "--codim", "1",
+                                 "--at", "x=1.5"])
+    assert rc == 0 and json.loads(out)["reports"]
+    if divisions == 300:
+        rc, out, _err = run(capsys, ["find", str(path), "--codim", "1",
+                                     "--seeds", "4"])
+        assert rc == 0 and "reports" in json.loads(out)
+
+
+def test_nested_parentheses_are_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "nested.field"
+    path.write_text(f"vars: x\nparams: a\neq: {'(' * 300}x{')' * 300} + a\n")
+    rc, _out, err = run(capsys, ["check", str(path), "--codim", "1",
+                                 "--at", "x=1.5"])
+    assert rc == 2 and "line 3, col" in err and "nested" in err
+
+
+def test_long_unary_minus_run(capsys, tmp_path):
+    path = tmp_path / "minus.field"
+    path.write_text(f"vars: x\nparams: a\neq: {'-' * 1200}x^2 + a\n")
+    doc = run_json(capsys, ["find", str(path), "--codim", "1", "--seeds", "8",
+                            "--box=-1:1,-1:1"])
+    assert [rep["label"] for rep in doc["reports"]] == ["fold"]
+
+
+TOKENS = ("x", "a", "y", "1", "2.5", "0", "1e400", " ", "+", "-", "*", "/",
+          "^", "^2", "^-1", "(", ")", ".", ",", "#", "=", "eq:")
+
+
+@st.composite
+def field_bodies(draw):
+    """Right-hand sides of one `eq:` line: random token soup, or a long run
+    of one construct that used to exhaust the stack."""
+    kind = draw(st.sampled_from(("tokens", "divisions", "parentheses", "minuses")))
+    if kind == "tokens":
+        return "".join(draw(st.lists(st.sampled_from(TOKENS), max_size=30)))
+    k = draw(st.integers(0, 300 if kind == "parentheses" else 1500))
+    if kind == "divisions":
+        return "1" + "/x" * k + " + a"
+    if kind == "parentheses":
+        return "(" * k + "x" + ")" * draw(st.sampled_from((k, k + 1, k - 1))) + " + a"
+    return "-" * k + "x + a"
+
+
+FLAG_VALUES = st.one_of(
+    st.floats().map(repr), st.integers(-5, 5).map(str),
+    st.sampled_from(("", "1e400", "-0", "abc", "1:2", "=", "nan", "-inf")))
+
+
+@settings(max_examples=80, deadline=None)
+@given(body=field_bodies(), command=st.sampled_from(("find", "check")),
+       value=FLAG_VALUES)
+def test_every_field_text_ends_in_a_documented_exit_code(tmp_path_factory, body,
+                                                          command, value):
+    path = tmp_path_factory.mktemp("field") / "f.field"
+    path.write_text(f"vars: x\nparams: a\neq: {body}\n")
+    argv = [command, str(path), "--codim", "1"]
+    argv += (["--seeds", "2", "--fix", f"a={value}"] if command == "find"
+             else ["--at", f"x={value}"])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

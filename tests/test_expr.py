@@ -75,6 +75,24 @@ def test_parse_error_carries_location():
         pytest.fail("expected a ParseError")
 
 
+def test_parenthesis_depth_is_bounded():
+    limit = ex._MAX_PAREN_DEPTH
+    inside = "(" * limit + "x" + ")" * limit
+    assert ex.parse_vector_field(f"vars: x\nparams:\neq: {inside}").components[0] \
+        is ex.var(0)
+    with pytest.raises(ex.ParseError) as info:
+        ex.parse_vector_field(f"vars: x\nparams:\neq: {'(' * 300}x{')' * 300}")
+    # the error points at the first "(" past the limit
+    assert info.value.line == 3 and info.value.col == len("eq: ") + limit + 1
+
+
+def test_long_unary_minus_runs():
+    f = ex.parse_vector_field(
+        f"vars: x y\nparams:\neq: {'-' * 1200}x\neq: {'- ' * 1201}x^2")
+    x = ex.var(0)
+    assert f.components == (x, ex.neg(ex.pow_(x, 2)))
+
+
 def test_roundtrip_print_parse():
     rng = random.Random(7)
     f = ex.parse_vector_field(RD_TEXT)
@@ -243,6 +261,51 @@ def test_evaluate_deep_expression():
         math.sqrt(2.0) - 1.0, rel=1e-15)
 
 
+def test_deep_expression_walks():
+    # the continued fraction above, 2,000 nodes deep, with a parameter leaf
+    x, a = ex.var(0), ex.par(0)
+    e = ex.add(x, a)
+    for _ in range(1000):
+        e = ex.div(ex.ONE, ex.add(e, ex.const(2.0)))
+    assert ex.to_str(e) == "1/(" * 1000 + "x1 + a1" + " + 2)" * 1000
+    assert ex.simplify(e) is e
+    p = ex.Point((0.5,), (0.25,))
+    fixed = ex.substitute_params(e, (0.25,))
+    assert ex.evaluate(fixed, ex.Point((0.5,), ())) == ex.evaluate(e, p)
+    de = ex.differentiate(e, x)
+    h = 1e-6
+    fd = (ex.evaluate(e, ex.Point((0.5 + h,), (0.25,)))
+          - ex.evaluate(e, ex.Point((0.5 - h,), (0.25,)))) / (2 * h)
+    assert ex.evaluate(de, p) == pytest.approx(fd, rel=1e-6, abs=1e-12)
+    assert ex.differentiate(e, a) is ex.differentiate(e, x)  # x, a enter as x + a
+
+
+def test_postorder_visits_children_first_left_to_right_once():
+    x, y = ex.var(0), ex.var(1)
+    shared = ex.mul(x, y)
+    e = ex.add(shared, ex.div(shared, ex.add(x, ex.ONE)))
+    done: set = set()
+    order = []
+    for node in ex._postorder([e, shared], done):
+        assert all(c in done for c in node.children)
+        done.add(node)
+        order.append(node)
+    assert len(order) == len(set(order)) and order[-1] is e
+    assert order[:3] == [x, y, shared]
+
+
+def test_compile_evaluator_wide_sum_and_product():
+    # one operator chain of 3,000 operands overflows CPython's compiler
+    x = ex.var(0)
+    shifts = [k * 1e-6 for k in range(1, 3001)]
+    wide_sum = ex.add(*[ex.pow_(x, k) for k in range(1, 3001)])
+    wide_prod = ex.mul(*[ex.add(x, ex.const(c)) for c in shifts])
+    assert len(wide_sum.children) == len(wide_prod.children) == 3000
+    total, product = ex.compile_evaluator([wide_sum, wide_prod], 1)([1.0])
+    assert total == 3000.0
+    assert product == pytest.approx(math.prod(1.0 + c for c in shifts), rel=1e-12)
+
+
 def test_compile_evaluator_checks_variable_indices():
     with pytest.raises(ex.ExprError):
         ex.compile_evaluator([ex.add(ex.var(0), ex.var(2))], 2)
@@ -257,6 +320,12 @@ def test_compile_evaluator_non_finite_constants():
     # the same constant arises from folding
     folded = ex.mul(ex.const(1e200), ex.const(1e200))
     assert ex.evaluate(folded, ex.Point((), ())) == math.inf
+
+
+def test_non_finite_constants_print():
+    assert repr(ex.const(float("inf"))) == "<expr inf>"
+    assert ex.to_str(ex.const(float("-inf"))) == "-inf"
+    assert ex.to_str(ex.add(ex.var(0), ex.const(float("nan")))) == "x1 + nan"
 
 
 def test_compile_evaluator_matches_evaluate():
