@@ -9,6 +9,7 @@ skipped), so repeated runs are reproducible without any RNG state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ def halton(dim: int, count: int, skip: int = 20) -> np.ndarray:
 
 class NewtonSystem:
     """A square system of expressions with its symbolic Jacobian, compiled
-    once for fast repeated evaluation over many seeds."""
+    once for fast repeated evaluation over many seeds.  The line search
+    evaluates F alone, and every unknown stays a Python float."""
 
     def __init__(self, field: VectorField, eqs, unknowns):
         if len(eqs) != len(unknowns):
@@ -108,45 +110,44 @@ class NewtonSystem:
         memo: dict = {}
         jac = [ex.differentiate(e, u, memo) for e in self.eqs for u in self.unknowns]
         self._fn = ex.compile_evaluator(list(self.eqs) + jac, field.n)
+        self._f = ex.compile_evaluator(list(self.eqs), field.n)
         self._m = len(self.eqs)
         self._slots = tuple(
             u.index if u.kind == ex.VAR else field.n + u.index for u in self.unknowns)
 
     def residual_and_jacobian(self, vals):
+        """F as a tuple of floats, J as an m x m array."""
         out = self._fn(vals)
         m = self._m
-        return (np.array(out[:m]), np.array(out[m:]).reshape(m, m))
+        return out[:m], np.array(out[m:]).reshape(m, m)
 
     def residual(self, vals) -> float:
-        out = self._fn(vals)
-        return max(abs(v) for v in out[:self._m])
+        return _max_norm(self._f(vals))
 
     def solve(self, start_vals, opts: SolveOptions) -> NewtonResult:
-        vals = list(start_vals)
-        m = self._m
+        vals = [float(v) for v in start_vals]
         slots = self._slots
         n = self.field.n
 
         def as_point(v):
-            return Point(tuple(float(t) for t in v[:n]),
-                         tuple(float(t) for t in v[n:]))
+            return Point(tuple(v[:n]), tuple(v[n:]))
 
         for it in range(opts.max_iterations):
             try:
                 F, J = self.residual_and_jacobian(vals)
             except (ZeroDivisionError, OverflowError):
-                return NewtonResult("evaluation-error", None, np.inf, it)
-            res = float(np.max(np.abs(F)))
-            if not np.isfinite(res):
-                return NewtonResult("evaluation-error", None, np.inf, it)
+                return NewtonResult("evaluation-error", None, math.inf, it)
+            res = _max_norm(F)
+            if res == math.inf:
+                return NewtonResult("evaluation-error", None, math.inf, it)
             scale = 1.0 + max(abs(vals[s]) for s in slots)
             if res <= _RESIDUAL_TOL * scale:
                 return NewtonResult("converged", as_point(vals), res, it)
             try:
-                step = np.linalg.solve(J, -F)
+                step = np.linalg.solve(J, np.negative(F)).tolist()
             except np.linalg.LinAlgError:
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
-            if not np.all(np.isfinite(step)):
+            if not all(map(math.isfinite, step)):
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
             t = 1.0
             accepted = False
@@ -157,7 +158,7 @@ class NewtonSystem:
                 try:
                     tres = self.residual(trial)
                 except (ZeroDivisionError, OverflowError):
-                    tres = np.inf
+                    tres = math.inf
                 if tres < res:
                     vals = trial
                     accepted = True
@@ -168,11 +169,17 @@ class NewtonSystem:
         try:
             res = self.residual(vals)
         except (ZeroDivisionError, OverflowError):
-            return NewtonResult("evaluation-error", None, np.inf, opts.max_iterations)
+            return NewtonResult("evaluation-error", None, math.inf, opts.max_iterations)
         scale = 1.0 + max(abs(vals[s]) for s in slots)
         if res <= _RESIDUAL_TOL * scale:
             return NewtonResult("converged", as_point(vals), res, opts.max_iterations)
         return NewtonResult("max-iterations", as_point(vals), res, opts.max_iterations)
+
+
+def _max_norm(F) -> float:
+    """Max-norm of F, or inf when any component is not finite (Python's
+    max drops a NaN that is not first)."""
+    return max(map(abs, F)) if all(map(math.isfinite, F)) else math.inf
 
 
 def _dedup(solutions, radius):
@@ -202,7 +209,7 @@ def _seed_values(box, count):
     pts = halton(len(box), count)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    return lo + pts * (hi - lo)
+    return (lo + pts * (hi - lo)).tolist()
 
 
 def find_catastrophes(field: VectorField, r: int, box,
@@ -239,7 +246,7 @@ def find_catastrophes(field: VectorField, r: int, box,
     for seed in _seed_values(box, opts.seed_count):
         vals = list(template)
         for s, v in zip(slots, seed):
-            vals[s] = float(v)
+            vals[s] = v
         result = system.solve(vals, opts)
         if result.ok:
             hits.append((result.point.vals(), result.residual))
@@ -308,6 +315,23 @@ def stability_label(J: np.ndarray, tol: float = det.DEFAULT_TOL_B) -> str:
     return "degenerate"
 
 
+# The last census's Newton system and seeds: a scan asks for the same field,
+# box and seed count in every cell.  One entry, so a session does not grow it.
+_census_memo = None
+
+
+def _census_setup(field: VectorField, box, count):
+    global _census_memo
+    key = (tuple((float(lo), float(hi)) for lo, hi in box), count)
+    memo = _census_memo
+    if memo is None or memo[0] is not field or memo[1] != key:
+        unknowns = [ex.var(j) for j in range(field.n)]
+        memo = (field, key, NewtonSystem(field, field.components, unknowns),
+                _seed_values(box, count))
+        _census_memo = memo
+    return memo[2], memo[3]
+
+
 def count_steady_states(field: VectorField, alpha, box,
                         opts: SolveOptions | None = None) -> SteadyStateCensus:
     """Multistart Newton on F = 0 in x alone, at fixed parameter values,
@@ -318,11 +342,10 @@ def count_steady_states(field: VectorField, alpha, box,
         raise ValueError(f"expected {field.r} parameter values")
     if len(box) != field.n:
         raise ValueError(f"box needs {field.n} intervals")
-    unknowns = [ex.var(j) for j in range(field.n)]
-    system = NewtonSystem(field, field.components, unknowns)
+    system, seeds = _census_setup(field, box, opts.seed_count)
     hits = []
-    for seed in _seed_values(box, opts.seed_count):
-        vals = list(seed) + list(alpha)
+    for seed in seeds:
+        vals = seed + list(alpha)
         result = system.solve(vals, opts)
         if result.ok:
             x = result.point.x

@@ -238,3 +238,109 @@ def test_solve_options_validation():
         SolveOptions(seed_count=0)
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# Newton trajectories: the cost of a step may change, the step may not
+
+def test_residual_is_inf_when_any_component_is_not_finite():
+    f = ex.parse_vector_field("vars: x y\nparams:\neq: x\neq: y")
+    nan, inf = float("nan"), float("inf")
+    for c1, c2 in ((1.0, nan), (nan, 1.0), (1.0, inf), (1.0, -inf)):
+        eqs = [ex.mul(ex.const(c1), ex.var(0)), ex.mul(ex.const(c2), ex.var(1))]
+        system = NewtonSystem(f, eqs, [ex.var(0), ex.var(1)])
+        # F = (0.5 * c1, 0.5 * c2): Python's max alone would return 0.5
+        assert system.residual([0.5, 0.5]) == inf
+    system = NewtonSystem(f, f.components, [ex.var(0), ex.var(1)])
+    assert system.residual([0.5, -2.0]) == 2.0
+
+
+class _NewtonCounters:
+    """Counting wrappers around NewtonSystem's evaluations and solves."""
+
+    def __init__(self, monkeypatch):
+        self.fj = self.residual = self.iterations = 0
+        self.statuses: dict = {}
+        self.trial_types: set = set()
+        residual = NewtonSystem.residual
+        residual_and_jacobian = NewtonSystem.residual_and_jacobian
+        solve = NewtonSystem.solve
+
+        def counted_residual(system, vals):
+            self.residual += 1
+            self.trial_types.update(type(v) for v in vals)
+            return residual(system, vals)
+
+        def counted_residual_and_jacobian(system, vals):
+            self.fj += 1
+            return residual_and_jacobian(system, vals)
+
+        def counted_solve(system, vals, opts):
+            result = solve(system, vals, opts)
+            self.statuses[result.status] = self.statuses.get(result.status, 0) + 1
+            self.iterations += result.iterations
+            return result
+
+        monkeypatch.setattr(NewtonSystem, "residual", counted_residual)
+        monkeypatch.setattr(NewtonSystem, "residual_and_jacobian",
+                            counted_residual_and_jacobian)
+        monkeypatch.setattr(NewtonSystem, "solve", counted_solve)
+
+
+def _readme_box_find(rd_field):
+    return find_catastrophes(rd_field, 4, RD_BOX_UNIT, fixed={"k1": 1, "k2": 1})
+
+
+def _census_cell(rd_field):
+    return count_steady_states(rd_field, [0.6, -0.6, -1, -1, 1, 1],
+                               [(-3.0, 3.0)] * 2, SolveOptions(seed_count=64))
+
+
+def test_readme_box_newton_counters(rd_field, monkeypatch):
+    counters = _NewtonCounters(monkeypatch)
+    _readme_box_find(rd_field)
+    assert counters.statuses == {"converged": 255, "step-underflow": 1}
+    assert counters.iterations == 2037
+    assert counters.fj == 2293
+    assert counters.residual == 2692
+
+
+def test_census_cell_newton_counters(rd_field, monkeypatch):
+    counters = _NewtonCounters(monkeypatch)
+    census = _census_cell(rd_field)
+    assert counters.statuses == {"converged": 39, "step-underflow": 25}
+    assert counters.iterations == 627
+    assert counters.fj == 694  # 691 in the solves, one label per state
+    assert counters.residual == 8190
+    assert census.count == 3
+    assert [label for _p, label in census.states] == [
+        "saddle", "attracting", "saddle"]
+
+
+def test_newton_unknowns_stay_python_floats(rd_field, monkeypatch):
+    counters = _NewtonCounters(monkeypatch)
+    _readme_box_find(rd_field)
+    _census_cell(rd_field)
+    assert counters.trial_types == {float}
+
+
+def test_census_builds_one_system_per_field_box_and_seed_count(monkeypatch):
+    f = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - a")
+    builds = []
+    init = NewtonSystem.__init__
+
+    def counted_init(system, *args):
+        builds.append(args[0])
+        init(system, *args)
+
+    monkeypatch.setattr(NewtonSystem, "__init__", counted_init)
+    opts = SolveOptions(seed_count=16)
+    counts = [count_steady_states(f, (a,), [(-2.0, 2.0)], opts).count
+              for a in (1.0, 0.25, -1.0)]
+    assert counts == [2, 2, 0]
+    assert len(builds) == 1
+    count_steady_states(f, (1.0,), [(-3.0, 3.0)], opts)  # another box
+    count_steady_states(f, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
+    g = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - a")
+    count_steady_states(g, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
+    assert len(builds) == 4 and builds[-1] is g
