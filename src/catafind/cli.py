@@ -273,6 +273,8 @@ def _check_verdict(canonical_zero, full, subrank_ok, b1_zero, r, n) -> str:
 
 
 def cmd_check(args) -> int:
+    if args.codim < 1:
+        raise UsageError("codimension must be >= 1")
     field, text = _load_field(args)
     p = _parse_point(field, args.at)
     r = args.codim

@@ -5,9 +5,12 @@ component of the field is replaced level by level with the previous
 determinant.  The extended (states + unfolding parameters) determinants,
 whose non-vanishing makes the conditions solvable with isolated roots, are
 only ever needed at a point: their matrices are built symbolically, and the
-determinant is taken numerically (LU) from the evaluated matrix.  Every
-point value comes from compiled evaluators, one per determinant level,
-cached on the DeterminantSet.  The subrank test on the Jacobian is here too.
+determinant is taken numerically (LU) from the evaluated matrix.  Gradient
+rows and B determinants are cached by expression and matrix, so index
+strings that share them build them once.  Every point value comes from
+compiled evaluators, one per determinant level, cached on the
+DeterminantSet; one call evaluates a whole level at a point.  The subrank
+test on the Jacobian is here too.
 """
 
 from __future__ import annotations
@@ -111,6 +114,21 @@ class DeterminantSet:
         self._gmat: dict = {}
         self._fns: dict = {}
         self._diff_memo: dict = {}
+        self._rows: dict = {}  # expression -> its gradient row so far
+        self._dets: dict = {}  # b_matrix -> its symbolic determinant
+        self._cols = (tuple(ex.var(j) for j in range(field.n))
+                      + tuple(ex.par(j) for j in self.param_order))
+
+    def _row(self, e: Expression, width: int) -> tuple:
+        """The first width entries of e's gradient over the state variables,
+        then the unfolding parameters in order; each entry of a row is
+        differentiated once, and a wider request only adds columns."""
+        row = self._rows.get(e, ())
+        if len(row) < width:
+            row += tuple(ex.differentiate(e, c, self._diff_memo)
+                         for c in self._cols[len(row):width])
+            self._rows[e] = row
+        return row[:width]
 
     # -- B determinants ----------------------------------------------------
 
@@ -128,8 +146,7 @@ class DeterminantSet:
             comps = list(self.field.components)
             if i >= 2:
                 comps[K[-1] - 1] = self.build_B(i - 1, K[:-1])
-            n = self.field.n
-            mat = tuple(gradient(c, n, self._diff_memo) for c in comps)
+            mat = tuple(self._row(c, self.field.n) for c in comps)
             self._bmat[(i, K)] = mat
             return mat
 
@@ -147,7 +164,10 @@ class DeterminantSet:
         with self._lock:
             got = self._b.get((i, K))
             if got is None:
-                got = sym_det(self.b_matrix(i, K))
+                mat = self.b_matrix(i, K)
+                got = self._dets.get(mat)
+                if got is None:  # interned entries: equal matrices, equal det
+                    got = self._dets[mat] = sym_det(mat)
                 self._b[(i, K)] = got
             return got
 
@@ -170,11 +190,7 @@ class DeterminantSet:
             rows_src = list(self.field.components)
             for i in range(1, r + 1):
                 rows_src.append(self.build_B(i, K[:i - 1]))
-            cols = [ex.var(j) for j in range(self.field.n)]
-            cols += [ex.par(self.param_order[i]) for i in range(r)]
-            mat = tuple(
-                tuple(ex.differentiate(e, c, self._diff_memo) for c in cols)
-                for e in rows_src)
+            mat = tuple(self._row(e, self.field.n + r) for e in rows_src)
             self._gmat[(r, K)] = mat
             return mat
 
@@ -206,26 +222,42 @@ class DeterminantSet:
                 self._fns[(kind, level)] = got
             return got
 
-    def _entries(self, kind: str, level: int, K, p: Point, memo) -> np.ndarray:
-        """The values of index string K of a level at p; memo keeps each
-        level's outputs per point, so they are computed once there."""
-        fn, index = self._level_fn(kind, level)
+    def _level_at(self, kind: str, level: int, p: Point, memo):
+        """A level at p from one call of its function: (values, scales,
+        matrices), one entry per index string in index_strings order.  A B
+        value is the determinant's own expression, a G value the LU
+        determinant of its matrix; scales are Hadamard bounds.  Level 0
+        gives the component values alone.  memo keeps the result per
+        (kind, level, point)."""
         key = (kind, level, p)
-        values = None if memo is None else memo.get(key)
-        if values is None:
-            values = np.array(fn(p.vals()), dtype=float)
-            if memo is not None:
-                memo[key] = values
-        n = self.field.n
-        width = len(index) // n ** max(level - 1, 0)  # entries per index string
+        got = None if memo is None else memo.get(key)
+        if got is not None:
+            return got
+        fn, index = self._level_fn(kind, level)
+        values = np.array(fn(p.vals()), dtype=float)[index]
+        if level == 0:
+            got = (values, None, None)
+        else:
+            rows = values.reshape(self.field.n ** (level - 1), -1)
+            size = self.field.n + (0 if kind == "B" else level)
+            mats = rows[:, -size * size:].reshape(-1, size, size)
+            scales = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+            got = (rows[:, 0] if kind == "B" else np.linalg.det(mats), scales, mats)
+        if memo is not None:
+            memo[key] = got
+        return got
+
+    def _at(self, kind: str, level: int, K, p: Point, memo):
+        """(value, Hadamard scale) of index string K of a level at p."""
+        values, scales, _ = self._level_at(kind, level, p, memo)
         j = 0
         for k in K:
-            j = j * n + k - 1
-        return values[index[j * width:(j + 1) * width]]
+            j = j * self.field.n + k - 1
+        return float(values[j]), float(scales[j])
 
     def field_at(self, p: Point, _memo=None) -> tuple:
         """Values of the field components at p."""
-        return tuple(self._entries("B", 0, (), p, _memo).tolist())
+        return tuple(self._level_at("B", 0, p, _memo)[0].tolist())
 
     def b_at(self, i: int, K, p: Point, _memo=None):
         """(value, Hadamard scale) of the level-i determinant at p."""
@@ -233,24 +265,20 @@ class DeterminantSet:
             self.build_B(0, K)  # validates K
             return self.field_at(p, _memo)[0], 1.0
         self.b_matrix(i, K)  # validates i and K
-        entries = self._entries("B", i, K, p, _memo)
-        n = self.field.n
-        return float(entries[0]), hadamard_bound(entries[1:].reshape(n, n))
+        return self._at("B", i, K, p, _memo)
 
     def g_at(self, r: int, K, p: Point, _memo=None):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the LU
         determinant of the evaluated extended matrix."""
         self.g_matrix(r, K)  # validates r and K
-        size = self.field.n + r
-        mat = self._entries("G", r, K, p, _memo).reshape(size, size)
-        return float(np.linalg.det(mat)), hadamard_bound(mat)
+        return self._at("G", r, K, p, _memo)
 
     def subrank(self, p: Point, tol: float = DEFAULT_TOL_B, _memo=None) -> int:
         """Least rank of the Jacobian at p over deletions of one component row."""
         if tol <= 0:
             raise ValueError("tol must be positive")
         n = self.field.n
-        J = self._entries("B", 1, (), p, _memo)[1:].reshape(n, n)
+        J = self._level_at("B", 1, p, _memo)[2][0]
         scale = float(np.max(np.linalg.norm(J, axis=1)))
         rows = np.arange(n)[:, None]
         return min(numeric_rank(np.where(rows == j, 0.0, J), tol, scale=scale)

@@ -210,6 +210,14 @@ def test_check_no_singularity(capsys, tmp_path):
     assert doc["reports"][0]["verdict"] == "no singularity"
 
 
+@pytest.mark.parametrize("codim", ["0", "-1"])
+def test_check_codimension_below_one_is_a_usage_error(capsys, codim):
+    rc, out, err = run(capsys, ["check", "--builtin", "rd", "--codim", codim,
+                                "--at", "u=0"])
+    assert rc == 2 and out == ""
+    assert "codimension must be >= 1" in err
+
+
 def test_check_numerical_failure_exit_code(capsys, tmp_path):
     path = tmp_path / "sing.field"
     path.write_text("vars: x\nparams: a\neq: 1/x\n")

@@ -212,6 +212,73 @@ def test_level_memo_is_keyed_by_point(rd_dets):
         assert rd_dets.b_at(3, (2, 1), p, memo) == rd_dets.b_at(3, (2, 1), p)
 
 
+def evaluated(exprs, n_vars, p):
+    """Values of exprs at p through their own compiled function."""
+    return np.array(ex.compile_evaluator(exprs, n_vars)(p.vals()), dtype=float)
+
+
+def assert_level_values_are_exact(D, r, points):
+    """b_at and g_at, read from one stacked evaluation per level, give the
+    same bits as evaluating each determinant and matrix on its own."""
+    n = D.field.n
+    for p in points:
+        memo: dict = {}
+        for i in range(1, r + 1):
+            for K in det.index_strings(n, i - 1):
+                value = evaluated([D.build_B(i, K)], n, p)[0]
+                M = evaluated([e for row in D.b_matrix(i, K) for e in row],
+                              n, p).reshape(n, n)
+                assert D.b_at(i, K, p, memo) == (
+                    float(value), det.hadamard_bound(M)), (i, K, p)
+        for K in det.index_strings(n, r - 1):
+            M = evaluated([e for row in D.g_matrix(r, K) for e in row],
+                          n, p).reshape(n + r, n + r)
+            assert D.g_at(r, K, p, memo) == (
+                float(np.linalg.det(M)), det.hadamard_bound(M)), (K, p)
+
+
+def test_stacked_level_values_are_exact_rd(rd_dets):
+    rng = random.Random(47)
+    points = [RdReference(1.0, 2.0).butterfly_point(+1),
+              rd_point(rng), rd_point(rng)]
+    assert_level_values_are_exact(rd_dets, 4, points)
+
+
+def test_stacked_level_values_are_exact_primary():
+    D = det.DeterminantSet(make_primary_form(PrimaryFormSpec(3, 4)))
+    rng = random.Random(48)
+    points = [ex.Point(tuple(rng.uniform(-1.5, 1.5) for _ in range(3)),
+                       tuple(rng.uniform(-1.5, 1.5) for _ in range(4)))
+              for _ in range(3)]
+    assert_level_values_are_exact(D, 4, points)
+
+
+def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
+        monkeypatch):
+    """A cold fullness report at n=3, r=6 differentiates each (expression,
+    target) pair once and expands each distinct b_matrix once."""
+    from catafind import solver
+    pairs, matrices = [], []
+    differentiate, sym_det = ex.differentiate, det.sym_det
+
+    def counting_differentiate(e, wrt, _memo=None):
+        pairs.append((e, wrt))
+        return differentiate(e, wrt, _memo)
+
+    def counting_sym_det(M):
+        matrices.append(M)
+        return sym_det(M)
+
+    monkeypatch.setattr(ex, "differentiate", counting_differentiate)
+    monkeypatch.setattr(det, "sym_det", counting_sym_det)
+    D = det.DeterminantSet(make_primary_form(
+        PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6))))
+    rep = solver.build_report(D, 6, ex.Point((0.0,) * 3, (0.0,) * 6), 0.0)
+    assert rep.full
+    assert len(matrices) == 184
+    assert len(pairs) == 1089 and len(set(pairs)) == 1089
+
+
 # ---------------------------------------------------------------------------
 # vanishing structure on the catastrophe sets
 
