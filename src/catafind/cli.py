@@ -109,6 +109,18 @@ def _finite(text: str, message: str) -> float:
     return value
 
 
+def _check_tolerances(args):
+    """--tol-b and --tol-g must be finite and > 0, --dedup-radius finite
+    and >= 0, on every subcommand that takes them."""
+    for flag, positive in (("tol_b", True), ("tol_g", True), ("dedup_radius", False)):
+        if hasattr(args, flag):
+            name = "--" + flag.replace("_", "-")
+            value = _finite(getattr(args, flag), f"bad {name}")
+            if value < 0 or (positive and value == 0):
+                bound = "> 0" if positive else ">= 0"
+                raise UsageError(f"{name} must be {bound}, got {value!r}")
+
+
 def _parse_pairs(text: str) -> dict:
     """\"a=1,b=-2.5\" -> {\"a\": 1.0, \"b\": -2.5}"""
     out: dict = {}
@@ -326,6 +338,8 @@ def cmd_scan(args) -> int:
     axes = [a.strip() for a in args.axes.split(",")]
     if len(axes) != 2:
         raise UsageError("--axes needs exactly two parameter names")
+    if axes[0] == axes[1]:
+        raise UsageError(f"--axes names {axes[0]!r} twice")
     for a in axes:
         if a not in field.param_names:
             raise UsageError(f"--axes: {a!r} is not a declared parameter")
@@ -520,6 +534,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     args._argv = argv
     try:
+        _check_tolerances(args)
         return args.func(args)
     except (ex.EvaluationError, bo.ToleranceError, np.linalg.LinAlgError,
             ArithmeticError) as e:  # division by zero, overflow, FP errors

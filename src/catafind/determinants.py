@@ -8,9 +8,9 @@ only ever needed at a point: their matrices are built symbolically, and the
 determinant is taken numerically (LU) from the evaluated matrix.  Gradient
 rows and B determinants are cached by expression and matrix, so index
 strings that share them build them once.  Every point value comes from
-compiled evaluators, one per determinant level, cached on the
-DeterminantSet; one call evaluates a whole level at a point.  The subrank
-test on the Jacobian is here too.
+compiled evaluators cached on the DeterminantSet: one per determinant
+level, whose one call evaluates the whole level at a point, and one per
+canonical chain B_{i,(1,...,1)}.  The subrank test is here too.
 """
 
 from __future__ import annotations
@@ -199,14 +199,18 @@ class DeterminantSet:
     def _level_fn(self, kind: str, level: int):
         """One compiled function for a level, over all its index strings:
         ("B", 0) gives the components; ("B", i) gives B_{i,K} then its
-        matrix per K; ("G", r) gives the extended matrix per K.  Entries
-        shared between index strings are compiled once; the returned index
-        array maps the function's outputs back to the full list."""
+        matrix per K; ("G", r) gives the extended matrix per K; ("chain",
+        r) gives B_{i,(1,...,1)} for i = 1..r alone, without matrices.
+        Entries shared between index strings are compiled once; the
+        returned index array maps the function's outputs back to the full
+        list."""
         with self._lock:
             got = self._fns.get((kind, level))
             if got is None:
                 if level == 0:
                     exprs = list(self.field.components)
+                elif kind == "chain":
+                    exprs = [self.build_B(i, (1,) * (i - 1)) for i in range(1, level + 1)]
                 else:
                     exprs = []
                     for K in index_strings(self.field.n, level - 1):
@@ -266,6 +270,12 @@ class DeterminantSet:
             return self.field_at(p, _memo)[0], 1.0
         self.b_matrix(i, K)  # validates i and K
         return self._at("B", i, K, p, _memo)
+
+    def chain_at(self, r: int, p: Point) -> tuple:
+        """Values of the canonical chain B_{i,(1,...,1)}, i = 1..r, at p."""
+        if r < 1:
+            raise IndexError("chain_at needs r >= 1")
+        return self._level_fn("chain", r)[0](p.vals())
 
     def g_at(self, r: int, K, p: Point, _memo=None):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the LU

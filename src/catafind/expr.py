@@ -654,52 +654,71 @@ def format_vector_field(field: VectorField) -> str:
 _LINE_OPERANDS = 100
 
 
-def compile_evaluator(exprs, n_vars: int):
+def compile_evaluator(exprs, n_vars: int, *, max_norm: bool = False):
     """Compile a list of expressions into one fast function of a flat value
-    vector (variables first, then parameters).  Shared subtrees are computed
-    once.  Constants are bound by name, so inf and nan compile too.  A
-    variable index at or above n_vars raises ExprError here; division by
-    zero raises ZeroDivisionError when the function runs."""
+    vector (variables first, then parameters), returning their values as a
+    tuple; with max_norm, it returns their max-norm instead, or inf when
+    any value is not finite.
+
+    The generated code does the tree's floating-point operations in the
+    tree's order, so its values are bit-identical to a plain tree walk.
+    Shared subtrees are computed once, and each variable or parameter is
+    read from the vector once.  A negation has no temporary: a sum
+    subtracts its child (IEEE defines x - y as x + (-y), signed zeros
+    included), and any other reader negates inline, which is exact.
+    Constants are bound by name, so inf and nan compile too.  A variable
+    index at or above n_vars raises ExprError here; division by zero
+    raises ZeroDivisionError when the function runs."""
     names: dict = {}
-    consts: dict = {}
+    consts: dict = {"inf": float("inf")}
     lines = []
     for i, node in enumerate(_postorder(exprs, names)):
         k = node.kind
+        cs = node.children
         if k == CONST:
             names[node] = f"c{len(consts)}"
             consts[names[node]] = node.value
             continue
-        if k == VAR:
-            if node.index >= n_vars:
+        if k in (VAR, PAR):
+            if k == VAR and node.index >= n_vars:
                 raise ExprError(
                     f"variable index {node.index} outside the {n_vars} "
                     "declared variables")
-            names[node] = f"v[{node.index}]"
+            j = node.index if k == VAR else n_vars + node.index
+            names[node] = f"v{j}"
+            lines.append(f"    v{j} = v[{j}]")
             continue
-        if k == PAR:
-            names[node] = f"v[{n_vars + node.index}]"
+        if k == NEG:  # the only names that start with "-"
+            names[node] = "-" + names[cs[0]]
             continue
         nm = f"t{i}"
         if k in (SUM, PROD):
             # CPython compiles an operator chain recursively, so long sums
             # and products continue on further lines, in the same order
-            op = " + " if k == SUM else "*"
-            args = [names[c] for c in node.children]
-            rhs = op.join(args[:_LINE_OPERANDS])
-            for j in range(_LINE_OPERANDS, len(args), _LINE_OPERANDS):
+            first, *rest = [names[c] for c in cs]
+            ops = ["*" + a if k == PROD else " - " + a[1:] if a[0] == "-"
+                   else " + " + a for a in rest]
+            rhs = first + "".join(ops[:_LINE_OPERANDS - 1])
+            for j in range(_LINE_OPERANDS - 1, len(ops), _LINE_OPERANDS):
                 lines.append(f"    {nm} = {rhs}")
-                rhs = op.join([nm, *args[j:j + _LINE_OPERANDS]])
-        elif k == NEG:
-            rhs = f"-({names[node.children[0]]})"
+                rhs = nm + "".join(ops[j:j + _LINE_OPERANDS])
         elif k == QUOT:
-            rhs = f"({names[node.children[0]]})/({names[node.children[1]]})"
+            rhs = f"{names[cs[0]]}/{names[cs[1]]}"
         elif k == POW:
-            rhs = f"({names[node.children[0]]})**({node.exponent})"
+            rhs = f"({names[cs[0]]})**({node.exponent})"
         else:  # pragma: no cover
             raise ExprError(f"unknown node kind {k!r}")
         lines.append(f"    {nm} = {rhs}")
         names[node] = nm
-    ret = ", ".join(names[r] for r in exprs)
-    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return ({ret},)\n"
+    outs = [names[e] for e in exprs]
+    if max_norm:  # comparisons, not a call of max(), which is slower
+        lines += [f"    a{j} = abs({o})" for j, o in enumerate(outs)]
+        finite = " and ".join(f"a{j} < inf" for j in range(len(outs)))
+        lines.append(f"    if not ({finite}):\n        return inf")
+        lines += [f"    a0 = a0 if a0 >= a{j} else a{j}" for j in range(1, len(outs))]
+        ret = "a0"
+    else:
+        ret = f"({', '.join(outs)},)"
+    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return {ret}\n"
     exec(src, consts)
     return consts["_compiled"]

@@ -98,8 +98,12 @@ def halton(dim: int, count: int, skip: int = 20) -> np.ndarray:
 
 class NewtonSystem:
     """A square system of expressions with its symbolic Jacobian, compiled
-    once for fast repeated evaluation over many seeds.  The line search
-    evaluates F alone, and every unknown stays a Python float."""
+    once for fast repeated evaluation over many seeds.
+
+    Each Newton iteration makes one residual_and_jacobian call and one
+    linear solve; each line-search trial makes one residual call, which
+    runs a generated function that returns F's max-norm itself (inf when a
+    component is not finite).  Every unknown stays a Python float."""
 
     def __init__(self, field: VectorField, eqs, unknowns):
         if len(eqs) != len(unknowns):
@@ -110,7 +114,7 @@ class NewtonSystem:
         memo: dict = {}
         jac = [ex.differentiate(e, u, memo) for e in self.eqs for u in self.unknowns]
         self._fn = ex.compile_evaluator(list(self.eqs) + jac, field.n)
-        self._f = ex.compile_evaluator(list(self.eqs), field.n)
+        self._norm = ex.compile_evaluator(self.eqs, field.n, max_norm=True)
         self._m = len(self.eqs)
         self._slots = tuple(
             u.index if u.kind == ex.VAR else field.n + u.index for u in self.unknowns)
@@ -122,19 +126,22 @@ class NewtonSystem:
         return out[:m], np.array(out[m:]).reshape(m, m)
 
     def residual(self, vals) -> float:
-        return _max_norm(self._f(vals))
+        """Max-norm of F, or inf when any component is not finite."""
+        return self._norm(vals)
 
     def solve(self, start_vals, opts: SolveOptions) -> NewtonResult:
         vals = [float(v) for v in start_vals]
         slots = self._slots
         n = self.field.n
+        residual = self.residual  # looked up once per seed, not per trial
+        residual_and_jacobian = self.residual_and_jacobian
 
         def as_point(v):
             return Point(tuple(v[:n]), tuple(v[n:]))
 
         for it in range(opts.max_iterations):
             try:
-                F, J = self.residual_and_jacobian(vals)
+                F, J = residual_and_jacobian(vals)
             except (ZeroDivisionError, OverflowError):
                 return NewtonResult("evaluation-error", None, math.inf, it)
             res = _max_norm(F)
@@ -149,25 +156,23 @@ class NewtonSystem:
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
             if not all(map(math.isfinite, step)):
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
+            moves = tuple(zip(slots, step))
             t = 1.0
-            accepted = False
             while t >= _MIN_STEP:
-                trial = list(vals)
-                for s, d in zip(slots, step):
+                trial = vals[:]
+                for s, d in moves:
                     trial[s] += t * d
                 try:
-                    tres = self.residual(trial)
+                    if residual(trial) < res:
+                        vals = trial
+                        break
                 except (ZeroDivisionError, OverflowError):
-                    tres = math.inf
-                if tres < res:
-                    vals = trial
-                    accepted = True
-                    break
+                    pass
                 t *= _DAMPING
-            if not accepted:
+            else:
                 return NewtonResult("step-underflow", as_point(vals), res, it)
         try:
-            res = self.residual(vals)
+            res = residual(vals)
         except (ZeroDivisionError, OverflowError):
             return NewtonResult("evaluation-error", None, math.inf, opts.max_iterations)
         scale = 1.0 + max(abs(vals[s]) for s in slots)
@@ -264,8 +269,7 @@ def build_report(D: det.DeterminantSet, r: int, p: Point, residual: float,
     opts = opts or SolveOptions()
     field = D.field
     memo: dict = {}
-    b_values = tuple(
-        D.b_at(i, (1,) * (i - 1), p, memo)[0] for i in range(1, r + 1))
+    b_values = D.chain_at(r, p)
     g_values = {}
     g_scales = {}
     for K in det.index_strings(field.n, r - 1):

@@ -134,6 +134,7 @@ def test_check_overflow_is_a_numerical_failure(capsys, tmp_path):
 
 
 SCAN_RD = ["scan", "--builtin", "rd", "--axes", "b,d", "--cells", "2,2"]
+FIND_RD1 = ["find", "--builtin", "rd", "--codim", "1", "--seeds", "8"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,10 +144,37 @@ SCAN_RD = ["scan", "--builtin", "rd", "--axes", "b,d", "--cells", "2,2"]
     ["find", "--builtin", "rd", "--codim", "1", "--box=-1:1,-1:nan,-1:1"],
     SCAN_RD + ["--range=-1:1,-1e400:1"],
     SCAN_RD + ["--range=-1:1,-1:1", "--box-x=-1:1,-1:inf"],
-], ids=["fix", "at", "boardman-at", "box", "range", "box-x"])
+    FIND_RD1 + ["--tol-g", "nan"],
+    FIND_RD1 + ["--tol-b", "inf"],
+    SCAN_RD + ["--range=-1:1,-1:1", "--dedup-radius", "nan"],
+    ["check", "--builtin", "rd", "--codim", "1", "--at", "u=0", "--tol-g", "inf"],
+    ["boardman", "--builtin", "rd", "--tol-b", "nan"],
+], ids=["fix", "at", "boardman-at", "box", "range", "box-x", "tol-g", "tol-b",
+        "dedup-radius", "check-tol-g", "boardman-tol-b"])
 def test_non_finite_flag_values_are_usage_errors(capsys, argv):
     rc, _out, err = run(capsys, argv)
     assert rc == 2 and "not a finite number" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (FIND_RD1 + ["--tol-g", "-1"], "--tol-g"),
+    (FIND_RD1 + ["--tol-b", "0"], "--tol-b"),
+    (FIND_RD1 + ["--dedup-radius", "-1"], "--dedup-radius"),
+    (SCAN_RD + ["--range=-1:1,-1:1", "--tol-g", "0"], "--tol-g"),
+    (["check", "--builtin", "rd", "--codim", "1", "--at", "u=0",
+      "--tol-b=-1e-9"], "--tol-b"),
+    (["boardman", "--builtin", "rd", "--tol-b", "0"], "--tol-b"),
+], ids=["tol-g", "tol-b", "dedup-radius", "scan-tol-g", "check-tol-b",
+        "boardman-tol-b"])
+def test_tolerance_flags_out_of_range_are_usage_errors(capsys, argv, flag):
+    # tolerances must be > 0, the dedup radius >= 0
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "" and flag in err
+
+
+def test_find_accepts_a_zero_dedup_radius(capsys):
+    doc = run_json(capsys, FIND_RD1 + ["--dedup-radius", "0"])
+    assert doc["reports"]
 
 
 def test_find_codim_exceeds_parameters(capsys):
@@ -351,6 +379,12 @@ def test_scan_deterministic_under_thread_cap(capsys, monkeypatch):
     monkeypatch.setenv("CATAFIND_THREADS", "4")
     _rc, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+def test_scan_axes_must_differ(capsys):
+    rc, out, err = run(capsys, ["scan", "--builtin", "rd", "--axes", "b,b",
+                                "--range=-1:1,-1:1", "--cells", "1,1"])
+    assert rc == 2 and out == "" and "twice" in err
 
 
 def test_scan_axis_must_be_parameter(capsys):

@@ -340,6 +340,105 @@ def test_compile_evaluator_matches_evaluate():
             assert g == pytest.approx(ex.evaluate(e, p), rel=1e-13, abs=1e-13)
 
 
+def _reference(e, vals, n_vars, memo):
+    """The value of e by a plain walk in Python floats: each node's own
+    operation on its children's values, operands left to right, and a
+    negation as its own step."""
+    if e in memo:
+        return memo[e]
+    cs = [_reference(c, vals, n_vars, memo) for c in e.children]
+    k = e.kind
+    if k == ex.CONST:
+        out = e.value
+    elif k == ex.VAR:
+        out = vals[e.index]
+    elif k == ex.PAR:
+        out = vals[n_vars + e.index]
+    elif k in (ex.SUM, ex.PROD):
+        out = cs[0]
+        for c in cs[1:]:
+            out = out + c if k == ex.SUM else out * c
+    elif k == ex.NEG:
+        out = -cs[0]
+    elif k == ex.QUOT:
+        out = cs[0] / cs[1]
+    else:
+        out = cs[0] ** e.exponent
+    memo[e] = out
+    return out
+
+
+def _same_bits(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _assert_bit_exact(exprs, n_vars, points):
+    fn = ex.compile_evaluator(exprs, n_vars)
+    norm = ex.compile_evaluator(exprs, n_vars, max_norm=True)
+    for vals in points:
+        memo: dict = {}
+        want = [_reference(e, vals, n_vars, memo) for e in exprs]
+        got = fn(vals)
+        assert all(map(_same_bits, got, want)), vals
+        finite = all(map(math.isfinite, want))
+        assert norm(vals) == (max(map(abs, want)) if finite else math.inf)
+
+
+def _points(rng, size, count=200):
+    """Random points, with +-0.0 and small integers mixed in."""
+    special = (0.0, -0.0, 1.0, -1.0)
+    return [[rng.choice(special) if rng.random() < 0.3 else rng.uniform(-2, 2)
+             for _ in range(size)] for _ in range(count)]
+
+
+def test_compile_evaluator_is_bit_exact_on_newton_and_g_systems():
+    from catafind import make_primary_form, make_reaction_diffusion
+    from catafind.determinants import DeterminantSet, index_strings
+    from catafind.scenarios import PrimaryFormSpec
+    from catafind.solver import NewtonSystem
+    rng = random.Random(5)
+    rd = make_reaction_diffusion()
+    D = DeterminantSet(rd)
+    eqs = list(rd.components) + [D.build_B(i, (1,) * (i - 1)) for i in range(1, 5)]
+    system = NewtonSystem(rd, eqs, [ex.var(0), ex.var(1)] + [ex.par(j) for j in range(4)])
+    jac = [ex.differentiate(e, u, {}) for e in system.eqs for u in system.unknowns]
+    _assert_bit_exact(eqs + jac, rd.n, _points(rng, rd.n + rd.r))
+    _assert_bit_exact(eqs + jac, rd.n, [[0.0, -0.0] * 4, [-0.0] * 8])
+    primary = make_primary_form(PrimaryFormSpec(3, 4))
+    P = DeterminantSet(primary)
+    entries = [e for K in index_strings(3, 3) for row in P.g_matrix(4, K) for e in row]
+    _assert_bit_exact(entries, 3, _points(rng, 3 + 4, 50))
+
+
+def test_compile_evaluator_is_bit_exact_on_negations():
+    x, y, z = ex.var(0), ex.var(1), ex.par(0)
+    mostly_negated = ex.add(*[ex.neg(ex.pow_(x, k)) for k in range(1, 8)], y)
+    wide = ex.add(*[ex.neg(ex.mul(ex.pow_(x, k), y)) if k % 3 else ex.pow_(y, k)
+                    for k in range(1, 251)])
+    shared = ex.neg(ex.mul(x, y))
+    cases = [
+        mostly_negated,
+        ex.add(*[ex.neg(ex.pow_(y, k)) for k in range(1, 6)]),  # every term
+        wide,
+        ex.add(shared, z),  # a negation read by a sum and by a product,
+        # built directly: mul() folds a negation into its coefficient
+        ex._node(ex.PROD, children=(shared, ex.add(x, z))),
+        ex.div(shared, ex.add(ex.pow_(z, 2), ex.const(1.0))),
+        shared,  # a negation that is itself an output
+        ex.neg(x),
+        ex.add(ex.neg(x), ex.neg(y)),
+    ]
+    assert len(wide.children) == 250
+    assert sum(c.kind == ex.NEG for c in mostly_negated.children) == 7
+    points = _points(random.Random(6), 3)
+    points += [[a, b, c] for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0)]
+    _assert_bit_exact(cases, 2, points)
+    for e in cases:  # each on its own, so the negation's readers differ
+        _assert_bit_exact([e], 2, points[:20])
+
+
 # ---------------------------------------------------------------------------
 # simplification
 

@@ -244,15 +244,22 @@ def test_solve_options_validation():
 # Newton trajectories: the cost of a step may change, the step may not
 
 def test_residual_is_inf_when_any_component_is_not_finite():
-    f = ex.parse_vector_field("vars: x y\nparams:\neq: x\neq: y")
     nan, inf = float("nan"), float("inf")
-    for c1, c2 in ((1.0, nan), (nan, 1.0), (1.0, inf), (1.0, -inf)):
-        eqs = [ex.mul(ex.const(c1), ex.var(0)), ex.mul(ex.const(c2), ex.var(1))]
-        system = NewtonSystem(f, eqs, [ex.var(0), ex.var(1)])
-        # F = (0.5 * c1, 0.5 * c2): Python's max alone would return 0.5
-        assert system.residual([0.5, 0.5]) == inf
-    system = NewtonSystem(f, f.components, [ex.var(0), ex.var(1)])
-    assert system.residual([0.5, -2.0]) == 2.0
+    for size in (1, 2, 3):
+        names = "x y z"[:2 * size - 1]
+        f = ex.parse_vector_field(
+            f"vars: {names}\nparams:\n" + "".join(f"eq: {v}\n" for v in names.split()))
+        xs = [ex.var(j) for j in range(size)]
+        for pos in {0, size - 1}:  # the first and the last component
+            for bad in (nan, inf, -inf):
+                cs = [1.0] * size
+                cs[pos] = bad
+                eqs = [ex.mul(ex.const(c), x) for c, x in zip(cs, xs)]
+                system = NewtonSystem(f, eqs, xs)
+                # F = 0.5 * cs: Python's max alone would return 0.5
+                assert system.residual([0.5] * size) == inf
+        system = NewtonSystem(f, f.components, xs)
+        assert system.residual([0.5, -2.0, 1.0][:size]) == (0.5 if size == 1 else 2.0)
 
 
 class _NewtonCounters:
