@@ -135,6 +135,8 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
     increase is reported as a numerical-tolerance failure."""
     if field.r != 0:
         raise ValueError("fix the parameters numerically first")
+    if max_depth < 0:
+        raise ValueError(f"max depth must be >= 0, got {max_depth}")
     n = field.n
     diff_memo: dict = {}
     stage = ()

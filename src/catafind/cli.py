@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str  # = json.dumps(str)
 
 import numpy as np
 
@@ -39,16 +40,13 @@ class UsageError(ValueError):
 # deterministic serialization
 
 def _fmt_float(v: float) -> str:
-    if not np.isfinite(v):
-        return "null"
-    s = "%.17g" % v
-    # keep JSON-valid: bare integers stay parseable as numbers anyway
-    return s
+    # math.isfinite: np.isfinite costs about ten times as much per float
+    return "%.17g" % v if math.isfinite(v) else "null"
 
 
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _to_json(value, pad: str = "\n") -> str:
+    """value as JSON indented by two spaces a level; pad is a newline and
+    the current indent."""
     if value is None:
         return "null"
     if value is True:
@@ -60,18 +58,19 @@ def _to_json(value, indent: int = 0) -> str:
     if isinstance(value, float):
         return _fmt_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_str(value)
+    inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
+        items = [_json_str(str(k)) + ": " + _to_json(v, inner)
                  for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        items = [_to_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -4,11 +4,16 @@ Solves F = 0 together with the level determinants over states and unfolding
 parameters, verifies fullness and subrank at each converged point,
 classifies by codimension, and deduplicates roots.  Seeds come from a
 deterministic Halton sequence (prime bases 2, 3, 5, ..., first 20 points
-skipped), so repeated runs are reproducible without any RNG state.
+skipped), so repeated runs are reproducible without any RNG state.  A
+Newton iteration runs generated code only, on Python floats: F and its
+flat Jacobian from one compiled function, and the step from a partial-pivot
+elimination generated once per system size, so its bits depend on IEEE
+double arithmetic alone, not on a BLAS build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,10 +105,13 @@ class NewtonSystem:
     """A square system of expressions with its symbolic Jacobian, compiled
     once for fast repeated evaluation over many seeds.
 
-    Each Newton iteration makes one residual_and_jacobian call and one
-    linear solve; each line-search trial makes one residual call, which
-    runs a generated function that returns F's max-norm itself (inf when a
-    component is not finite).  Every unknown stays a Python float."""
+    Each Newton iteration makes one residual_and_jacobian call, which
+    returns F and the flat row-major J as tuples of floats, and one call of
+    the generated elimination for the system's size (_newton_step); each
+    line-search trial makes one residual call, which runs a generated
+    function that returns F's max-norm itself (inf when a component is not
+    finite).  No iteration calls numpy, and every unknown stays a Python
+    float."""
 
     def __init__(self, field: VectorField, eqs, unknowns):
         if len(eqs) != len(unknowns):
@@ -116,14 +124,15 @@ class NewtonSystem:
         self._fn = ex.compile_evaluator(list(self.eqs) + jac, field.n)
         self._norm = ex.compile_evaluator(self.eqs, field.n, max_norm=True)
         self._m = len(self.eqs)
+        self._step = _newton_step(self._m)
         self._slots = tuple(
             u.index if u.kind == ex.VAR else field.n + u.index for u in self.unknowns)
 
     def residual_and_jacobian(self, vals):
-        """F as a tuple of floats, J as an m x m array."""
+        """F and the row-major m x m J, each a flat tuple of floats."""
         out = self._fn(vals)
         m = self._m
-        return out[:m], np.array(out[m:]).reshape(m, m)
+        return out[:m], out[m:]
 
     def residual(self, vals) -> float:
         """Max-norm of F, or inf when any component is not finite."""
@@ -135,6 +144,7 @@ class NewtonSystem:
         n = self.field.n
         residual = self.residual  # looked up once per seed, not per trial
         residual_and_jacobian = self.residual_and_jacobian
+        newton_step = self._step
 
         def as_point(v):
             return Point(tuple(v[:n]), tuple(v[n:]))
@@ -151,8 +161,8 @@ class NewtonSystem:
             if res <= _RESIDUAL_TOL * scale:
                 return NewtonResult("converged", as_point(vals), res, it)
             try:
-                step = np.linalg.solve(J, np.negative(F)).tolist()
-            except np.linalg.LinAlgError:
+                step = newton_step(F, J)
+            except ZeroDivisionError:  # a zero pivot: J is singular
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
             if not all(map(math.isfinite, step)):
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
@@ -179,6 +189,55 @@ class NewtonSystem:
         if res <= _RESIDUAL_TOL * scale:
             return NewtonResult("converged", as_point(vals), res, opts.max_iterations)
         return NewtonResult("max-iterations", as_point(vals), res, opts.max_iterations)
+
+
+@functools.cache  # one generated function per system size
+def _newton_step(m: int):
+    """The function (F, J) -> x that solves J x = -F for a flat row-major
+    m x m J, generated on the first system of each size: Gaussian
+    elimination with partial pivoting (Golub & Van Loan, Matrix
+    Computations, section 3.4) as straight-line code on Python floats, with
+    every matrix entry in a local.
+
+    Step k pivots on the first maximum of abs(a_ik), i >= k, compared with
+    strict >, and swaps rows k and p once; each row i > k then takes
+    l = a_ik / a_kk, a_ij -= l*a_kj and b_i -= l*b_k, with b = -F.  Back
+    substitution computes x_k = (b_k - a_k,k+1*x_k+1 - ...) / a_kk left to
+    right.  A zero pivot raises ZeroDivisionError; a NaN in J gives a
+    non-finite x."""
+    namespace: dict = {}
+    exec(_step_source(m), namespace)
+    return namespace["_step"]
+
+
+def _step_source(m: int) -> str:
+    a = [[f"a{i}_{j}" for j in range(m)] for i in range(m)]
+    b = [f"b{i}" for i in range(m)]
+
+    def swap(k, i):  # rows k and i from column k on, with their b
+        rows = a[k][k:] + [b[k]], a[i][k:] + [b[i]]
+        return f"{', '.join(rows[0] + rows[1])} = {', '.join(rows[1] + rows[0])}"
+
+    lines = [f"    {', '.join(sum(a, []))}, = J", f"    {', '.join(b)}, = F"]
+    lines += [f"    {bi} = -{bi}" for bi in b]
+    for k in range(m - 1):
+        # p stays 0 (no swap) unless a row i > k >= 0 wins
+        lines.append(f"    s = abs({a[k][k]})\n    p = 0")
+        lines += [f"    t = abs({a[i][k]})\n    if t > s: s = t; p = {i}"
+                  for i in range(k + 1, m)]
+        lines.append("    if p:")
+        for i in range(k + 1, m):
+            head = "if" if i == k + 1 else "elif"
+            lines.append(f"        {head} p == {i}:\n            {swap(k, i)}")
+        for i in range(k + 1, m):
+            lines.append(f"    l = {a[i][k]} / {a[k][k]}")
+            lines += [f"    {a[i][j]} -= l*{a[k][j]}" for j in range(k + 1, m)]
+            lines.append(f"    {b[i]} -= l*{b[k]}")
+    for k in reversed(range(m)):
+        terms = "".join(f" - {a[k][j]}*x{j}" for j in range(k + 1, m))
+        lines.append(f"    x{k} = ({b[k]}{terms}) / {a[k][k]}")
+    xs = ", ".join(f"x{k}" for k in range(m))
+    return "def _step(F, J):\n" + "\n".join(lines) + f"\n    return ({xs},)\n"
 
 
 def _max_norm(F) -> float:
@@ -360,5 +419,6 @@ def count_steady_states(field: VectorField, alpha, box,
     for x, _res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(x), alpha)
         _F, J = system.residual_and_jacobian(p.vals())
-        states.append((p, stability_label(J, opts.tol_b)))
+        m = len(x)
+        states.append((p, stability_label(np.reshape(J, (m, m)), opts.tol_b)))
     return SteadyStateCensus(count=len(states), states=tuple(states))

@@ -412,6 +412,13 @@ def test_boardman_identity_symbol(capsys, tmp_path):
     assert doc["boardman"]["stage_sizes"] == [2]
 
 
+def test_boardman_negative_max_depth_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, ["boardman", "--builtin", "primary:n=2,r=2",
+                                "--max-depth", "-1"])
+    assert rc == 2 and out == ""
+    assert "max depth must be >= 0" in err
+
+
 def test_boardman_cap_exit_code(capsys):
     rc, _out, err = run(capsys, ["boardman", "--builtin", "primary:n=2,r=4",
                                  "--cap", "100"])

@@ -1,5 +1,8 @@
 """Newton iteration, multistart catastrophe search, steady-state census."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,9 @@ import catafind.expr as ex
 import catafind.determinants as det
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
                                 make_primary_form)
-from catafind.solver import (NewtonSystem, SolveOptions, classify,
-                             count_steady_states, find_catastrophes, halton,
-                             stability_label)
+from catafind.solver import (NewtonSystem, SolveOptions, _newton_step,
+                             classify, count_steady_states, find_catastrophes,
+                             halton, stability_label)
 
 
 RD_BOX_UNIT = [(-1.2, 1.2)] * 4 + [(0.0, 1.2)] * 2
@@ -316,9 +319,9 @@ def test_census_cell_newton_counters(rd_field, monkeypatch):
     counters = _NewtonCounters(monkeypatch)
     census = _census_cell(rd_field)
     assert counters.statuses == {"converged": 39, "step-underflow": 25}
-    assert counters.iterations == 627
-    assert counters.fj == 694  # 691 in the solves, one label per state
-    assert counters.residual == 8190
+    assert counters.iterations == 634
+    assert counters.fj == 701  # 698 in the solves, one label per state
+    assert counters.residual == 8440
     assert census.count == 3
     assert [label for _p, label in census.states] == [
         "saddle", "attracting", "saddle"]
@@ -351,3 +354,141 @@ def test_census_builds_one_system_per_field_box_and_seed_count(monkeypatch):
     g = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - a")
     count_steady_states(g, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
     assert len(builds) == 4 and builds[-1] is g
+
+
+# ---------------------------------------------------------------------------
+# the generated Newton step: partial-pivot elimination on Python floats
+
+def _plain_step(F, J):
+    """J x = -F by the generated step's algorithm and operation order,
+    written as plain loops over lists."""
+    m = len(F)
+    a = [list(J[i * m:(i + 1) * m]) for i in range(m)]
+    b = [-f for f in F]
+    for k in range(m):
+        p = k
+        for i in range(k + 1, m):
+            if abs(a[i][k]) > abs(a[p][k]):  # the first maximum
+                p = i
+        a[k], a[p] = a[p], a[k]
+        b[k], b[p] = b[p], b[k]
+        for i in range(k + 1, m):
+            l = a[i][k] / a[k][k]
+            for j in range(k + 1, m):
+                a[i][j] -= l * a[k][j]
+            b[i] -= l * b[k]
+    x = [0.0] * m
+    for k in reversed(range(m)):
+        s = b[k]
+        for j in range(k + 1, m):
+            s -= a[k][j] * x[j]
+        x[k] = s / a[k][k]
+    return tuple(x)
+
+
+def _step_or_error(step, F, J):
+    try:
+        return step(F, J)
+    except ZeroDivisionError:
+        return "singular"
+
+
+def _systems(m, rng):
+    """Random systems of size m: dense; with exact zeros and tied pivot
+    candidates; and permuted, well-conditioned ones whose (0, 0) entry is
+    at most 0.1 against at least 0.9 below it, so the first step swaps."""
+    for _ in range(6):
+        yield [rng.uniform(-1, 1) for _ in range(m * m)], "dense"
+    for _ in range(6):
+        yield [float(rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)))
+               for _ in range(m * m)], "ties"
+    for _ in range(3):  # a permuted, well-conditioned matrix: J[i][perm[i]]
+        perm = list(range(m))
+        rng.shuffle(perm)
+        while m > 1 and perm[0] == 0:
+            rng.shuffle(perm)
+        J = [0.0] * (m * m)
+        for i in range(m):
+            J[i * m + perm[i]] = rng.choice((-1, 1)) * rng.uniform(1, 2)
+            J[i * m + rng.randrange(m)] += rng.uniform(-0.1, 0.1)
+        yield J, "pivot"
+
+
+def test_generated_step_matches_plain_elimination_bit_for_bit():
+    rng = random.Random(7)
+    kinds = {"dense": 0, "ties": 0, "pivot": 0, "singular": 0}
+    for m in range(1, 13):
+        step = _newton_step(m)
+        for J, kind in _systems(m, rng):
+            F = tuple(rng.uniform(-1, 1) for _ in range(m))
+            got = _step_or_error(step, F, tuple(J))
+            assert got == _step_or_error(_plain_step, F, tuple(J)), (m, kind)
+            if got == "singular":
+                assert kind == "ties"
+                kinds["singular"] += 1
+                continue
+            kinds[kind] += 1
+            if kind != "ties":  # well conditioned: the step solves J x = -F
+                for i in range(m):
+                    row = sum(J[i * m + j] * got[j] for j in range(m))
+                    assert row == pytest.approx(-F[i], abs=1e-9)
+    assert kinds["singular"] and kinds["ties"] and kinds["pivot"] == 36
+
+
+def test_generated_step_pivots_on_the_first_largest_candidate():
+    # a zero leading pivot needs a row swap; |-3| ties |3| and loses to it
+    J = (0.0, 1.0, 0.0,
+         3.0, 0.0, 1.0,
+         -3.0, 1.0, 1.0)
+    F = (-1.0, -2.0, -3.0)
+    x = _newton_step(3)(F, J)
+    assert x == _plain_step(F, J)
+    assert x == pytest.approx(tuple(np.linalg.solve(np.reshape(J, (3, 3)),
+                                                    np.negative(F))), abs=1e-15)
+
+
+def test_generated_step_on_singular_and_nan_matrices():
+    with pytest.raises(ZeroDivisionError):
+        _newton_step(1)((1.0,), (0.0,))
+    with pytest.raises(ZeroDivisionError):
+        _newton_step(2)((1.0, 1.0), (1.0, 1.0, 2.0, 2.0))
+    rng = random.Random(3)
+    for m in range(1, 5):
+        J = [rng.uniform(-1, 1) for _ in range(m * m)]
+        F = tuple(rng.uniform(-1, 1) for _ in range(m))
+        for pos in range(m * m):  # a NaN anywhere: never a finite step
+            bad = list(J)
+            bad[pos] = math.nan
+            got = _step_or_error(_newton_step(m), F, tuple(bad))
+            assert got == "singular" or not all(map(math.isfinite, got))
+
+
+def test_singular_jacobian_with_nonzero_residual():
+    f = ex.parse_vector_field("vars: x y\nparams:\neq: x + y - 1\neq: 2*x + 2*y - 3")
+    res = newton_solve(f, f.components, [ex.var(0), ex.var(1)],
+                       ex.Point((0.0, 0.0), ()))
+    assert (res.status, res.iterations, res.residual) == ("singular-jacobian", 0, 3.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.0])
+def test_non_finite_jacobian_entry_is_singular(c):
+    # dF0/dy = (a*b)*c is inf at a = b = 1e200 when c = 1, and NaN when
+    # c = 0, while F0 = x + ((y*a)*b)*c - 1 stays finite
+    f = ex.parse_vector_field(
+        "vars: x y\nparams: a b c\neq: x + y*a*b*c - 1\neq: y - 0.25")
+    system = NewtonSystem(f, f.components, [ex.var(0), ex.var(1)])
+    vals = [0.5, 1e-300, 1e200, 1e200, c]
+    F, J = system.residual_and_jacobian(vals)
+    assert all(map(math.isfinite, F))
+    assert not math.isfinite(J[1])
+    res = system.solve(vals, SolveOptions())
+    assert (res.status, res.iterations) == ("singular-jacobian", 0)
+
+
+def test_newton_iteration_makes_no_lapack_call(rd_field, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert len(_readme_box_find(rd_field)) == 2
+    assert _census_cell(rd_field).count == 3
