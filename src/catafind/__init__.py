@@ -34,9 +34,7 @@ from .determinants import (
     index_strings,
     is_nonzero,
     is_zero,
-    jacobian,
     numeric_rank,
-    subrank,
     sym_det,
 )
 from .scenarios import (
@@ -76,8 +74,8 @@ __all__ = [
     "fix_parameters", "format_vector_field", "parse_vector_field",
     "simplify", "substitute_params", "to_str",
     "DEFAULT_TOL_B", "DEFAULT_TOL_G", "DeterminantSet", "condition_count",
-    "hadamard_bound", "index_strings", "is_nonzero", "is_zero", "jacobian",
-    "numeric_rank", "subrank", "sym_det",
+    "hadamard_bound", "index_strings", "is_nonzero", "is_zero",
+    "numeric_rank", "sym_det",
     "DomainError", "PrimaryFormSpec", "RD_KINDS", "RdReference",
     "make_primary_form", "make_reaction_diffusion", "rd_catastrophe_point",
     "CatastropheReport", "NewtonResult", "SolveOptions", "SteadyStateCensus",

@@ -131,12 +131,13 @@ def _gradient_rows(exprs, n: int, p: Point, memo: dict) -> list:
 def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
                     cap: int = 10_000, tol: float = det.DEFAULT_TOL_B) -> tuple:
     """Corank sequence of the iterated extended maps at p, terminating at
-    the first zero.  The sequence is non-increasing by construction; an
-    increase is reported as a numerical-tolerance failure."""
+    the first zero, over at most max_depth >= 1 stages.  The sequence is
+    non-increasing by construction; an increase is reported as a
+    numerical-tolerance failure."""
     if field.r != 0:
         raise ValueError("fix the parameters numerically first")
-    if max_depth < 0:
-        raise ValueError(f"max depth must be >= 0, got {max_depth}")
+    if max_depth < 1:
+        raise ValueError(f"max depth must be >= 1, got {max_depth}")
     n = field.n
     diff_memo: dict = {}
     stage = ()

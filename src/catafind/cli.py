@@ -204,6 +204,21 @@ def _parse_unfold(field: ex.VectorField, text: str | None):
     return tuple(order)
 
 
+def _parse_fix(field: ex.VectorField, text: str | None) -> dict:
+    """--fix values by parameter name; each name must be declared."""
+    fixed = _parse_pairs(text or "")
+    for name in fixed:
+        if name not in field.param_names:
+            raise UsageError(f"--fix: {name!r} is not a declared parameter")
+    return fixed
+
+
+def _solve_options(args) -> solver.SolveOptions:
+    return solver.SolveOptions(seed_count=args.seeds, tol_b=args.tol_b,
+                               tol_g=args.tol_g,
+                               dedup_radius=args.dedup_radius)
+
+
 def _parse_point(field: ex.VectorField, text: str | None) -> ex.Point:
     vals = _parse_pairs(text or "")
     known = set(field.var_names) | set(field.param_names)
@@ -244,13 +259,8 @@ def _report_json(field: ex.VectorField, rep: solver.CatastropheReport) -> dict:
 def cmd_find(args) -> int:
     field, text = _load_field(args)
     unfold = _parse_unfold(field, args.unfold)
-    fixed = _parse_pairs(args.fix or "")
-    for name in fixed:
-        if name not in field.param_names:
-            raise UsageError(f"--fix: {name!r} is not a declared parameter")
-    opts = solver.SolveOptions(seed_count=args.seeds, tol_b=args.tol_b,
-                               tol_g=args.tol_g,
-                               dedup_radius=args.dedup_radius)
+    fixed = _parse_fix(field, args.fix)
+    opts = _solve_options(args)
     n_unknowns = field.n + args.codim
     box = (_parse_intervals(args.box) if args.box
            else [(-1.5, 1.5)] * n_unknowns)
@@ -302,18 +312,14 @@ def cmd_check(args) -> int:
             zero_by_key[(i, K)] = zero
             b_entries.append({"level": i, "index": list(K),
                               "value": value, "scale": scale, "zero": zero})
-    g_entries = []
-    nonzero_flags = []
-    for K in det.index_strings(field.n, r - 1):
-        value, scale = D.g_at(r, K, p, memo)
-        nz = det.is_nonzero(value, scale, args.tol_g)
-        nonzero_flags.append(nz)
-        g_entries.append({"index": list(K), "value": value,
-                          "scale": scale, "nonzero": nz})
-    sr = D.subrank(p, args.tol_b, memo)
-    full = all(nonzero_flags)
+    # the residual is not printed: check reports F itself
+    rep = solver.build_report(D, r, p, math.nan, solver.SolveOptions(
+        tol_b=args.tol_b, tol_g=args.tol_g))
+    g_entries = [{"index": list(K), "value": value, "scale": rep.g_scales[K],
+                  "nonzero": det.is_nonzero(value, rep.g_scales[K], args.tol_g)}
+                 for K, value in rep.g_values.items()]
     canonical_zero = all(zero_by_key[(i, (1,) * (i - 1))] for i in range(1, r + 1))
-    verdict = _check_verdict(canonical_zero, full, sr == field.n - 1,
+    verdict = _check_verdict(canonical_zero, rep.full, rep.subrank_ok,
                              zero_by_key[(1, ())], r, field.n)
     report = {
         "x": list(p.x),
@@ -322,9 +328,9 @@ def cmd_check(args) -> int:
         "f_values": f_values,
         "b_values": b_entries,
         "g_values": g_entries,
-        "full": full,
-        "subrank": sr,
-        "subrank_ok": sr == field.n - 1,
+        "full": rep.full,
+        "subrank": rep.subrank,
+        "subrank_ok": rep.subrank_ok,
         "verdict": verdict,
     }
     doc = _document(args._argv, text, reports=[report])
@@ -351,17 +357,12 @@ def cmd_scan(args) -> int:
         raise UsageError(f"bad --cells {args.cells!r}") from None
     if len(cells) != 2 or min(cells) < 1:
         raise UsageError("--cells needs two positive integers")
-    fixed = _parse_pairs(args.fix or "")
-    for name in fixed:
-        if name not in field.param_names:
-            raise UsageError(f"--fix: {name!r} is not a declared parameter")
+    fixed = _parse_fix(field, args.fix)
     box = (_parse_intervals(args.box_x) if args.box_x
            else [(-3.0, 3.0)] * field.n)
     if len(box) != field.n:
         raise UsageError(f"--box-x needs {field.n} intervals")
-    opts = solver.SolveOptions(seed_count=args.seeds, tol_b=args.tol_b,
-                               tol_g=args.tol_g,
-                               dedup_radius=args.dedup_radius)
+    opts = _solve_options(args)
     idx = [field.param_names.index(a) for a in axes]
     base_alpha = solver._resolve_fixed(field, fixed)
 
@@ -417,10 +418,7 @@ def cmd_count_minors(args) -> int:
 
 def cmd_boardman(args) -> int:
     field, text = _load_field(args)
-    fixed = _parse_pairs(args.fix or "")
-    for name in fixed:
-        if name not in field.param_names:
-            raise UsageError(f"--fix: {name!r} is not a declared parameter")
+    fixed = _parse_fix(field, args.fix)
     alpha = solver._resolve_fixed(field, fixed)
     frozen = ex.fix_parameters(field, alpha)
     at = _parse_pairs(args.at or "")

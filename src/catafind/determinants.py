@@ -34,12 +34,6 @@ def gradient(e: Expression, n: int, memo=None):
     return tuple(ex.differentiate(e, ex.var(j), memo) for j in range(n))
 
 
-def jacobian(field: VectorField):
-    """Matrix of symbolic entries d f_i / d x_j."""
-    memo: dict = {}
-    return tuple(gradient(c, field.n, memo) for c in field.components)
-
-
 def sym_det(M) -> Expression:
     """Determinant of a square matrix of expressions.
 
@@ -81,11 +75,16 @@ def index_strings(n: int, length: int):
     return list(itertools.product(range(1, n + 1), repeat=length))
 
 
-def _check_index_string(n: int, K) -> tuple:
+def _check_index_string(n: int, level: int, K) -> tuple:
+    """K as a tuple, checked to hold level - 1 entries in 1..n (level >= 1)."""
+    if level < 1:
+        raise IndexError(f"level {level} is below 1")
     K = tuple(K)
     for k in K:
         if not 1 <= k <= n:
             raise IndexError(f"index string entry {k} outside 1..{n}")
+    if len(K) != level - 1:
+        raise IndexError(f"level {level} needs an index string of length {level - 1}")
     return K
 
 
@@ -110,8 +109,6 @@ class DeterminantSet:
             raise ValueError("param_order has repeated entries")
         self._lock = threading.RLock()
         self._b: dict = {}
-        self._bmat: dict = {}
-        self._gmat: dict = {}
         self._fns: dict = {}
         self._diff_memo: dict = {}
         self._rows: dict = {}  # expression -> its gradient row so far
@@ -134,33 +131,20 @@ class DeterminantSet:
 
     def b_matrix(self, i: int, K=()):
         """The n x n Jacobian under the level-i determinant (i >= 1)."""
-        if i < 1:
-            raise IndexError("b_matrix needs level i >= 1")
-        K = _check_index_string(self.field.n, K)
-        if len(K) != i - 1:
-            raise IndexError(f"level {i} needs an index string of length {i - 1}")
+        K = _check_index_string(self.field.n, i, K)
         with self._lock:
-            got = self._bmat.get((i, K))
-            if got is not None:
-                return got
             comps = list(self.field.components)
             if i >= 2:
                 comps[K[-1] - 1] = self.build_B(i - 1, K[:-1])
-            mat = tuple(self._row(c, self.field.n) for c in comps)
-            self._bmat[(i, K)] = mat
-            return mat
+            return tuple(self._row(c, self.field.n) for c in comps)
 
     def build_B(self, i: int, K=()) -> Expression:
         """Level-i determinant; level 0 is the first component itself."""
-        if i < 0:
-            raise IndexError("negative level")
-        K = _check_index_string(self.field.n, K)
         if i == 0:
-            if K:
+            if tuple(K):
                 raise IndexError("level 0 takes an empty index string")
             return self.field.components[0]
-        if len(K) != i - 1:
-            raise IndexError(f"level {i} needs an index string of length {i - 1}")
+        K = _check_index_string(self.field.n, i, K)
         with self._lock:
             got = self._b.get((i, K))
             if got is None:
@@ -174,25 +158,16 @@ class DeterminantSet:
     # -- G determinants ----------------------------------------------------
 
     def g_matrix(self, r: int, K=()):
-        if r < 1:
-            raise IndexError("g_matrix needs codimension r >= 1")
+        K = _check_index_string(self.field.n, r, K)
         if r > len(self.param_order):
             raise IndexError(
                 f"codimension {r} exceeds the {len(self.param_order)} "
                 "available unfolding parameters")
-        K = _check_index_string(self.field.n, K)
-        if len(K) != r - 1:
-            raise IndexError(f"codimension {r} needs an index string of length {r - 1}")
         with self._lock:
-            got = self._gmat.get((r, K))
-            if got is not None:
-                return got
             rows_src = list(self.field.components)
             for i in range(1, r + 1):
                 rows_src.append(self.build_B(i, K[:i - 1]))
-            mat = tuple(self._row(e, self.field.n + r) for e in rows_src)
-            self._gmat[(r, K)] = mat
-            return mat
+            return tuple(self._row(e, self.field.n + r) for e in rows_src)
 
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
@@ -264,12 +239,8 @@ class DeterminantSet:
         return tuple(self._level_at("B", 0, p, _memo)[0].tolist())
 
     def b_at(self, i: int, K, p: Point, _memo=None):
-        """(value, Hadamard scale) of the level-i determinant at p."""
-        if i == 0:
-            self.build_B(0, K)  # validates K
-            return self.field_at(p, _memo)[0], 1.0
-        self.b_matrix(i, K)  # validates i and K
-        return self._at("B", i, K, p, _memo)
+        """(value, Hadamard scale) of the level-i determinant at p (i >= 1)."""
+        return self._at("B", i, _check_index_string(self.field.n, i, K), p, _memo)
 
     def chain_at(self, r: int, p: Point) -> tuple:
         """Values of the canonical chain B_{i,(1,...,1)}, i = 1..r, at p."""
@@ -280,8 +251,7 @@ class DeterminantSet:
     def g_at(self, r: int, K, p: Point, _memo=None):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the LU
         determinant of the evaluated extended matrix."""
-        self.g_matrix(r, K)  # validates r and K
-        return self._at("G", r, K, p, _memo)
+        return self._at("G", r, _check_index_string(self.field.n, r, K), p, _memo)
 
     def subrank(self, p: Point, tol: float = DEFAULT_TOL_B, _memo=None) -> int:
         """Least rank of the Jacobian at p over deletions of one component row."""
@@ -335,11 +305,6 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_TOL_B,
         rank += 1
         row += 1
     return rank
-
-
-def subrank(field: VectorField, p: Point, tol: float = DEFAULT_TOL_B) -> int:
-    """Least rank of the Jacobian of field at p over deletions of one row."""
-    return DeterminantSet(field).subrank(p, tol)
 
 
 def condition_count(n: int, r: int) -> int:

@@ -200,13 +200,7 @@ def mul(*factors: Expression) -> Expression:
     if not parts:
         return const(const_acc)
     body = parts[0] if len(parts) == 1 else _node(PROD, children=tuple(parts))
-    if const_acc == 1.0:
-        return body
-    if const_acc == -1.0:
-        return _node(NEG, children=(body,))
-    if body.kind == PROD:
-        return _node(PROD, children=(const(const_acc),) + body.children)
-    return _node(PROD, children=(const(const_acc), body))
+    return _scale(const_acc, body)
 
 
 def pow_(base: Expression, k: int) -> Expression:
@@ -364,9 +358,6 @@ class VectorField:
     @property
     def r(self) -> int:
         return len(self.param_names)
-
-    def point(self, x, alpha=()) -> "Point":
-        return Point(tuple(float(v) for v in x), tuple(float(a) for a in alpha))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 LABELS = {1: "fold", 2: "cusp", 3: "swallowtail", 4: "butterfly"}
 
+_MAX_ITERATIONS = 100  # Newton iterations per seed
 _RESIDUAL_TOL = 1e-12  # scaled by (1 + max-norm of the unknowns)
 _DAMPING = 0.5  # line-search step factor
 _MIN_STEP = 1e-12  # smallest line-search step before step-underflow
+_HALTON_SKIP = 20  # leading Halton points left out
 
 
 def classify(r: int) -> str:
@@ -40,14 +42,15 @@ def classify(r: int) -> str:
 
 @dataclass
 class SolveOptions:
-    max_iterations: int = 100
+    """Seeds per search, the dedup radius and the B/G thresholds.  Each
+    seed gets at most _MAX_ITERATIONS Newton iterations."""
     seed_count: int = 256
     dedup_radius: float = 1e-6  # max-norm over (x, alpha)
     tol_b: float = det.DEFAULT_TOL_B
     tol_g: float = det.DEFAULT_TOL_G
 
     def __post_init__(self):
-        if self.seed_count < 1 or self.max_iterations < 1:
+        if self.seed_count < 1:
             raise ValueError("counts must be >= 1")
 
 
@@ -83,15 +86,16 @@ class SteadyStateCensus:
     states: tuple  # of (Point, stability label)
 
 
-def halton(dim: int, count: int, skip: int = 20) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0, 1)^dim."""
+def halton(dim: int, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy points in [0, 1)^dim: the Halton
+    sequence from its point _HALTON_SKIP + 1 on."""
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
     out = np.empty((count, dim))
     for d in range(dim):
         base = _PRIMES[d]
         for i in range(count):
-            n = skip + 1 + i
+            n = _HALTON_SKIP + 1 + i
             f, x = 1.0, 0.0
             while n > 0:
                 f /= base
@@ -149,7 +153,7 @@ class NewtonSystem:
         def as_point(v):
             return Point(tuple(v[:n]), tuple(v[n:]))
 
-        for it in range(opts.max_iterations):
+        for it in range(_MAX_ITERATIONS):
             try:
                 F, J = residual_and_jacobian(vals)
             except (ZeroDivisionError, OverflowError):
@@ -184,11 +188,11 @@ class NewtonSystem:
         try:
             res = residual(vals)
         except (ZeroDivisionError, OverflowError):
-            return NewtonResult("evaluation-error", None, math.inf, opts.max_iterations)
+            return NewtonResult("evaluation-error", None, math.inf, _MAX_ITERATIONS)
         scale = 1.0 + max(abs(vals[s]) for s in slots)
         if res <= _RESIDUAL_TOL * scale:
-            return NewtonResult("converged", as_point(vals), res, opts.max_iterations)
-        return NewtonResult("max-iterations", as_point(vals), res, opts.max_iterations)
+            return NewtonResult("converged", as_point(vals), res, _MAX_ITERATIONS)
+        return NewtonResult("max-iterations", as_point(vals), res, _MAX_ITERATIONS)
 
 
 @functools.cache  # one generated function per system size

@@ -84,6 +84,26 @@ def test_find_butterflies_document(capsys):
         assert rep["subrank"] == 1 and rep["subrank_ok"]
 
 
+def test_check_agrees_with_find_at_every_found_point(capsys):
+    """check and find share one verification path: at each point find
+    reports, check gives the same G values and scales, fullness, subrank
+    and canonical B chain, bit for bit."""
+    reports = run_json(capsys, BUTTERFLY_ARGS)["reports"]
+    assert len(reports) == 2
+    for rep in reports:
+        names = rep["var_names"] + rep["param_names"]
+        at = ",".join(f"{nm}={v!r}" for nm, v in zip(names, rep["x"] + rep["alpha"]))
+        got = run_json(capsys, ["check", "--builtin", "rd", "--codim", "4",
+                                "--at", at])["reports"][0]
+        assert ([(g["value"], g["scale"]) for g in got["g_values"]]
+                == [(g["value"], g["scale"]) for g in rep["g_values"]])
+        assert (got["full"], got["subrank"], got["subrank_ok"]) == (
+            rep["full"], rep["subrank"], rep["subrank_ok"])
+        chain = [b["value"] for b in got["b_values"]
+                 if b["index"] == [1] * (b["level"] - 1)]
+        assert chain == rep["b_values"]
+
+
 def test_find_output_is_byte_identical(capsys):
     rc1, out1, _ = run(capsys, BUTTERFLY_ARGS)
     rc2, out2, _ = run(capsys, BUTTERFLY_ARGS)
@@ -413,10 +433,12 @@ def test_boardman_identity_symbol(capsys, tmp_path):
 
 
 def test_boardman_negative_max_depth_is_a_usage_error(capsys):
-    rc, out, err = run(capsys, ["boardman", "--builtin", "primary:n=2,r=2",
-                                "--max-depth", "-1"])
-    assert rc == 2 and out == ""
-    assert "max depth must be >= 0" in err
+    # depth 0 would examine no stage and print the symbol of a regular point
+    for depth in ("-1", "0"):
+        rc, out, err = run(capsys, ["boardman", "--builtin", "primary:n=2,r=2",
+                                    "--max-depth", depth])
+        assert rc == 2 and out == ""
+        assert "max depth must be >= 1" in err
 
 
 def test_boardman_cap_exit_code(capsys):

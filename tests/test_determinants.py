@@ -35,7 +35,7 @@ def rd_closed_forms(p):
 # jacobian / sym_det
 
 def test_jacobian_reaction_diffusion(rd_field):
-    J = det.jacobian(rd_field)
+    J = det.DeterminantSet(rd_field).b_matrix(1)
     rng = random.Random(5)
     for _ in range(20):
         p = rd_point(rng)
@@ -50,7 +50,7 @@ def test_jacobian_reaction_diffusion(rd_field):
 
 def test_jacobian_identity():
     f = ex.parse_vector_field("vars: x y\nparams:\neq: x\neq: y")
-    J = det.jacobian(f)
+    J = det.DeterminantSet(f).b_matrix(1)
     assert J[0][0] is ex.ONE and J[1][1] is ex.ONE
     assert J[0][1] is ex.ZERO and J[1][0] is ex.ZERO
 
@@ -120,6 +120,19 @@ def test_index_string_validation(rd_dets):
         rd_dets.build_B(3, (1,))   # wrong length
     with pytest.raises(IndexError):
         rd_dets.g_matrix(7)        # more codimensions than parameters
+    p = ex.Point((0.1, 0.2), (0.3, -0.4, 0.5, 0.6, 1.0, 1.0))
+    with pytest.raises(IndexError):
+        rd_dets.b_at(2, (3,), p)   # entry outside 1..n
+    with pytest.raises(IndexError):
+        rd_dets.g_at(2, (0,), p)
+    with pytest.raises(IndexError):
+        rd_dets.b_at(3, (1,), p)   # wrong length
+    with pytest.raises(IndexError):
+        rd_dets.g_at(2, (1, 1), p)
+    with pytest.raises(IndexError):
+        rd_dets.b_at(0, (), p)     # level below 1
+    with pytest.raises(IndexError):
+        rd_dets.g_at(7, (1,) * 6, p)  # more codimensions than parameters
 
 
 def test_canonical_reduction(rd_field):
@@ -311,18 +324,18 @@ def test_butterfly_kills_every_index_string(rd_dets):
 
 def test_subrank_reaction_diffusion_origin(rd_field):
     p = ex.Point((0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0, 1.0))
-    assert det.subrank(rd_field, p, 1e-8) == 1
+    assert det.DeterminantSet(rd_field).subrank(p, 1e-8) == 1
 
 
 def test_subrank_corank_collapse(corank_zero_field):
     p = ex.Point((0.0, 0.0), (0.0, 0.0))
-    assert det.subrank(corank_zero_field, p, 1e-8) == 0
+    assert det.DeterminantSet(corank_zero_field).subrank(p, 1e-8) == 0
 
 
 def test_subrank_identity_3d():
     f = ex.parse_vector_field("vars: x y z\nparams:\neq: x\neq: y\neq: z")
     p = ex.Point((0.4, -0.2, 1.1), ())
-    assert det.subrank(f, p, 1e-8) == 2
+    assert det.DeterminantSet(f).subrank(p, 1e-8) == 2
 
 
 def test_numeric_rank():

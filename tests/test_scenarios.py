@@ -37,7 +37,7 @@ def test_primary_form_cusp_components():
 def test_primary_form_jacobian_structure():
     f = make_primary_form(PrimaryFormSpec(3, 1, lambdas=(2.0, 3.0),
                                           taus=(1.0, -1.0)))
-    J = det.jacobian(f)
+    J = det.DeterminantSet(f).b_matrix(1)
     p = ex.Point((0.5, 0.1, -0.3), (0.2,))
     assert ex.evaluate(J[0][1], p) == pytest.approx(1.0)
     assert ex.evaluate(J[0][2], p) == pytest.approx(-1.0)

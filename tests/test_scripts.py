@@ -1,0 +1,57 @@
+"""The example scripts run against the package, and its public names resolve."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import catafind
+from catafind import determinants as det
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_butterfly_hunt():
+    out = run_script("butterfly_hunt.py", "--k1", "1", "--k2", "1", "--seeds", "64")
+    assert "2 codim-4 report(s)" in out
+
+
+def test_minor_growth():
+    out = run_script("minor_growth.py", "--max-dim", "2", "--max-codim", "2")
+    assert out.startswith("minors (corank-1 chain):")
+    assert "level-determinant conditions" in out
+
+
+def test_region_scan(tmp_path):
+    path = tmp_path / "grid.csv"
+    out = run_script("region_scan.py", str(path), "--cells", "3")
+    assert f"wrote 3x3 grid to {path}" in out
+    lines = path.read_text().splitlines()
+    assert lines[0] == "b,d,n_states,n_attracting"
+    assert len(lines) == 1 + 3 * 3
+
+
+def test_public_names_resolve():
+    for name in catafind.__all__:
+        assert hasattr(catafind, name), name
+
+
+def test_removed_names_are_gone():
+    # DeterminantSet(f).b_matrix(1) and DeterminantSet(f).subrank(p, tol)
+    # replace the module functions
+    for name in ("jacobian", "subrank"):
+        assert name not in catafind.__all__
+        assert not hasattr(catafind, name)
+        assert not hasattr(det, name)
+    assert not hasattr(catafind.VectorField, "point")
+    fields = [f.name for f in dataclasses.fields(catafind.SolveOptions)]
+    assert fields == ["seed_count", "dedup_radius", "tol_b", "tol_g"]

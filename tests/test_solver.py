@@ -78,8 +78,7 @@ def test_newton_butterfly_system(rd_field):
 def test_newton_failure_is_diagnosed():
     # x^2 + 1 = 0 has no real root; the iteration must not crash
     f = ex.parse_vector_field("vars: x\nparams:\neq: x^2 + 1")
-    res = newton_solve(f, f.components, [ex.var(0)], ex.Point((0.7,), ()),
-                       SolveOptions(max_iterations=40))
+    res = newton_solve(f, f.components, [ex.var(0)], ex.Point((0.7,), ()))
     assert not res.ok
     assert res.status in ("max-iterations", "singular-jacobian",
                           "step-underflow")
@@ -239,8 +238,6 @@ def test_stability_labels():
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(seed_count=0)
-    with pytest.raises(ValueError):
-        SolveOptions(max_iterations=0)
 
 
 # ---------------------------------------------------------------------------
