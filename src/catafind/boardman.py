@@ -4,7 +4,8 @@ The number of minors needed to pin down each successive symbol entry grows
 superfactorially; the counting recurrence here is exact (arbitrary-precision
 integers).  For desk-scale instances the chain of extended maps is also
 built explicitly, each stage appending every full-size minor of the previous
-stage's Jacobian, so the symbol can be read off numerically.
+stage's Jacobian, so the symbol can be read off numerically.  The Jacobian
+rows come from a DeterminantSet of the parameter-free field.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class DeltaChain:
         return tuple(len(s) for s in self.stages)
 
 
-def _stage_minors(stage, n: int, size: int, memo: dict):
-    rows = [det.gradient(c, n, memo) for c in stage]
+def _stage_minors(stage, D: det.DeterminantSet, size: int):
+    n = D.field.n
+    rows = [D.row(c, n) for c in stage]
     minors = []
     for ridx in itertools.combinations(range(len(rows)), size):
         for cidx in itertools.combinations(range(n), size):
@@ -111,19 +113,20 @@ def build_delta_chain(field: VectorField, corank_seq, cap: int = 10_000) -> Delt
     if predicted > cap:
         raise CapExceededError(predicted, cap)
     stages = [tuple(field.components)]
-    memo: dict = {}
+    D = det.DeterminantSet(field)
     for i in corank_seq:
         size = n - i + 1
-        minors = _stage_minors(stages[-1], n, size, memo)
+        minors = _stage_minors(stages[-1], D, size)
         stages.append(stages[-1] + tuple(minors))
     chain = DeltaChain(field, tuple(corank_seq), tuple(stages))
     assert chain.stage_sizes == counts.cumulative
     return chain
 
 
-def _gradient_rows(exprs, n: int, p: Point, memo: dict) -> list:
+def _gradient_rows(exprs, D: det.DeterminantSet, p: Point) -> list:
     """Gradient rows of exprs evaluated at p, through one compiled function."""
-    flat = [e for c in exprs for e in det.gradient(c, n, memo)]
+    n = D.field.n
+    flat = [e for c in exprs for e in D.row(c, n)]
     values = ex.compile_evaluator(flat, n)(p.vals())
     return [values[k:k + n] for k in range(0, len(values), n)]
 
@@ -139,14 +142,14 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
     if max_depth < 1:
         raise ValueError(f"max depth must be >= 1, got {max_depth}")
     n = field.n
-    diff_memo: dict = {}
+    D = det.DeterminantSet(field)
     stage = ()
     new = tuple(field.components)
     rows = []  # gradient rows of the stage, evaluated at p
     symbol = []
     for _depth in range(max_depth):
         stage += new
-        rows += _gradient_rows(new, n, p, diff_memo)
+        rows += _gradient_rows(new, D, p)
         corank = n - det.numeric_rank(np.array(rows), tol)
         if corank == 0:
             break
@@ -158,5 +161,5 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
         predicted = minor_count(n, symbol).cumulative[-1]
         if predicted > cap:
             raise CapExceededError(predicted, cap)
-        new = tuple(_stage_minors(stage, n, n - corank + 1, diff_memo))
+        new = tuple(_stage_minors(stage, D, n - corank + 1))
     return tuple(symbol)

@@ -214,9 +214,9 @@ def _parse_fix(field: ex.VectorField, text: str | None) -> dict:
 
 
 def _solve_options(args) -> solver.SolveOptions:
-    return solver.SolveOptions(seed_count=args.seeds, tol_b=args.tol_b,
-                               tol_g=args.tol_g,
-                               dedup_radius=args.dedup_radius)
+    """SolveOptions from the flags the subcommand has, defaults for the rest."""
+    names = ("seed_count", "dedup_radius", "tol_b", "tol_g")
+    return solver.SolveOptions(**{k: getattr(args, k) for k in names if hasattr(args, k)})
 
 
 def _parse_point(field: ex.VectorField, text: str | None) -> ex.Point:
@@ -313,8 +313,7 @@ def cmd_check(args) -> int:
             b_entries.append({"level": i, "index": list(K),
                               "value": value, "scale": scale, "zero": zero})
     # the residual is not printed: check reports F itself
-    rep = solver.build_report(D, r, p, math.nan, solver.SolveOptions(
-        tol_b=args.tol_b, tol_g=args.tol_g))
+    rep = solver.build_report(D, r, p, math.nan, _solve_options(args))
     g_entries = [{"index": list(K), "value": value, "scale": rep.g_scales[K],
                   "nonzero": det.is_nonzero(value, rep.g_scales[K], args.tol_g)}
                  for K, value in rep.g_values.items()]
@@ -459,30 +458,33 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="built-in field: rd | "
                               "primary:n=N,r=R[,lam=v:..,tau=v:..]")
 
-    tol_p = argparse.ArgumentParser(add_help=False)
-    tol_p.add_argument("--tol-b", type=float, default=det.DEFAULT_TOL_B,
-                       help="scaled zero threshold for level determinants")
-    tol_p.add_argument("--tol-g", type=float, default=det.DEFAULT_TOL_G,
-                       help="scaled nonzero threshold for extended determinants")
-    tol_p.add_argument("--dedup-radius", type=float, default=1e-6,
-                       help="max-norm radius for merging converged roots")
+    # one parent per tolerance flag, so each subcommand takes the ones it reads
+    tol_b_p = argparse.ArgumentParser(add_help=False)
+    tol_b_p.add_argument("--tol-b", type=float, default=det.DEFAULT_TOL_B,
+                         help="scaled zero threshold for level determinants")
+    tol_g_p = argparse.ArgumentParser(add_help=False)
+    tol_g_p.add_argument("--tol-g", type=float, default=det.DEFAULT_TOL_G,
+                         help="scaled nonzero threshold for extended determinants")
+    dedup_p = argparse.ArgumentParser(add_help=False)
+    dedup_p.add_argument("--dedup-radius", type=float, default=1e-6,
+                         help="max-norm radius for merging converged roots")
 
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("find", parents=[field_p, tol_p, out_p],
+    p = sub.add_parser("find", parents=[field_p, tol_b_p, tol_g_p, dedup_p, out_p],
                        help="multistart search for codimension-r points")
     p.add_argument("--codim", type=int, required=True)
     p.add_argument("--box",
                    help="seed box lo:hi,... over states then unfolding "
                         "parameters (default -1.5:1.5 each)")
-    p.add_argument("--seeds", type=int, default=256)
+    p.add_argument("--seeds", type=int, default=256, dest="seed_count")
     p.add_argument("--fix", help="fixed parameter values name=value,...")
     p.add_argument("--unfold",
                    help="comma-separated unfolding parameter names, in order")
     p.set_defaults(func=cmd_find)
 
-    p = sub.add_parser("check", parents=[field_p, tol_p, out_p],
+    p = sub.add_parser("check", parents=[field_p, tol_b_p, tol_g_p, out_p],
                        help="evaluate all determinant conditions at a point")
     p.add_argument("--at", required=True,
                    help="point name=value,... (unlisted coordinates are 0)")
@@ -491,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated unfolding parameter names, in order")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan", parents=[field_p, tol_p, out_p],
+    p = sub.add_parser("scan", parents=[field_p, tol_b_p, dedup_p, out_p],
                        help="steady-state census over a parameter-plane grid")
     p.add_argument("--axes", required=True,
                    help="two parameter names, comma-separated")
@@ -500,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", help="fixed parameter values name=value,...")
     p.add_argument("--box-x",
                    help="state seed box lo:hi,... (default -3:3 each)")
-    p.add_argument("--seeds", type=int, default=64)
+    p.add_argument("--seeds", type=int, default=64, dest="seed_count")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("count-minors", parents=[out_p],
@@ -510,13 +512,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corank-seq", help="explicit corank sequence i1,i2,...")
     p.set_defaults(func=cmd_count_minors)
 
-    p = sub.add_parser("boardman", parents=[field_p, out_p],
+    p = sub.add_parser("boardman", parents=[field_p, tol_b_p, out_p],
                        help="singularity symbol at a point, parameters fixed")
     p.add_argument("--at", help="state values name=value,... (default origin)")
     p.add_argument("--fix", help="parameter values name=value,...")
     p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--cap", type=int, default=10_000)
-    p.add_argument("--tol-b", type=float, default=det.DEFAULT_TOL_B)
     p.set_defaults(func=cmd_boardman)
 
     return parser

@@ -7,10 +7,11 @@ whose non-vanishing makes the conditions solvable with isolated roots, are
 only ever needed at a point: their matrices are built symbolically, and the
 determinant is taken numerically (LU) from the evaluated matrix.  Gradient
 rows and B determinants are cached by expression and matrix, so index
-strings that share them build them once.  Every point value comes from
-compiled evaluators cached on the DeterminantSet: one per determinant
-level, whose one call evaluates the whole level at a point, and one per
-canonical chain B_{i,(1,...,1)}.  The subrank test is here too.
+strings that share them build them once; Newton systems and Boardman stages
+read the same rows.  Every point value comes from compiled evaluators
+cached on the DeterminantSet: one per determinant level, whose one call
+evaluates the whole level at a point, and one per canonical chain
+B_{i,(1,...,1)}.  The subrank test is here too.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ from .expr import Expression, Point, VectorField
 
 DEFAULT_TOL_B = 1e-8
 DEFAULT_TOL_G = 1e-6
-
-
-def gradient(e: Expression, n: int, memo=None):
-    """Row of derivatives of e with respect to the n state variables."""
-    if memo is None:
-        memo = {}
-    return tuple(ex.differentiate(e, ex.var(j), memo) for j in range(n))
 
 
 def sym_det(M) -> Expression:
@@ -116,16 +110,20 @@ class DeterminantSet:
         self._cols = (tuple(ex.var(j) for j in range(field.n))
                       + tuple(ex.par(j) for j in self.param_order))
 
-    def _row(self, e: Expression, width: int) -> tuple:
+    def row(self, e: Expression, width: int) -> tuple:
         """The first width entries of e's gradient over the state variables,
         then the unfolding parameters in order; each entry of a row is
-        differentiated once, and a wider request only adds columns."""
-        row = self._rows.get(e, ())
-        if len(row) < width:
-            row += tuple(ex.differentiate(e, c, self._diff_memo)
-                         for c in self._cols[len(row):width])
-            self._rows[e] = row
-        return row[:width]
+        differentiated once, and a wider request only adds columns.  The
+        package takes every derivative here."""
+        if width > len(self._cols):
+            raise IndexError(f"row width {width} exceeds the {len(self._cols)} columns")
+        with self._lock:
+            row = self._rows.get(e, ())
+            if len(row) < width:
+                row += tuple(ex.differentiate(e, c, self._diff_memo)
+                             for c in self._cols[len(row):width])
+                self._rows[e] = row
+            return row[:width]
 
     # -- B determinants ----------------------------------------------------
 
@@ -136,7 +134,7 @@ class DeterminantSet:
             comps = list(self.field.components)
             if i >= 2:
                 comps[K[-1] - 1] = self.build_B(i - 1, K[:-1])
-            return tuple(self._row(c, self.field.n) for c in comps)
+            return tuple(self.row(c, self.field.n) for c in comps)
 
     def build_B(self, i: int, K=()) -> Expression:
         """Level-i determinant; level 0 is the first component itself."""
@@ -167,7 +165,7 @@ class DeterminantSet:
             rows_src = list(self.field.components)
             for i in range(1, r + 1):
                 rows_src.append(self.build_B(i, K[:i - 1]))
-            return tuple(self._row(e, self.field.n + r) for e in rows_src)
+            return tuple(self.row(e, self.field.n + r) for e in rows_src)
 
     # -- numeric evaluation with scale-aware thresholds ---------------------
 

@@ -3,9 +3,9 @@
 Solves F = 0 together with the level determinants over states and unfolding
 parameters, verifies fullness and subrank at each converged point,
 classifies by codimension, and deduplicates roots.  Seeds come from a
-deterministic Halton sequence (prime bases 2, 3, 5, ..., first 20 points
-skipped), so repeated runs are reproducible without any RNG state.  A
-Newton iteration runs generated code only, on Python floats: F and its
+deterministic Halton sequence (the first d primes as bases, first 20
+points skipped), so repeated runs are reproducible without any RNG state.
+A Newton iteration runs generated code only, on Python floats: F and its
 flat Jacobian from one compiled function, and the step from a partial-pivot
 elimination generated once per system size, so its bits depend on IEEE
 double arithmetic alone, not on a BLAS build.
@@ -14,6 +14,7 @@ double arithmetic alone, not on a BLAS build.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,6 @@ import numpy as np
 from . import expr as ex
 from .expr import Point, VectorField
 from . import determinants as det
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 LABELS = {1: "fold", 2: "cusp", 3: "swallowtail", 4: "butterfly"}
 
@@ -88,12 +87,12 @@ class SteadyStateCensus:
 
 def halton(dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy points in [0, 1)^dim: the Halton
-    sequence from its point _HALTON_SKIP + 1 on."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    sequence in the first dim prime bases, from its point _HALTON_SKIP + 1
+    on."""
     out = np.empty((count, dim))
-    for d in range(dim):
-        base = _PRIMES[d]
+    primes = (k for k in itertools.count(2)
+              if all(k % q for q in range(2, math.isqrt(k) + 1)))
+    for d, base in zip(range(dim), primes):
         for i in range(count):
             n = _HALTON_SKIP + 1 + i
             f, x = 1.0, 0.0
@@ -107,7 +106,9 @@ def halton(dim: int, count: int) -> np.ndarray:
 
 class NewtonSystem:
     """A square system of expressions with its symbolic Jacobian, compiled
-    once for fast repeated evaluation over many seeds.
+    once for fast repeated evaluation over many seeds.  The m unknowns are
+    the first m columns of the DeterminantSet D (states, then unfolding
+    parameters in D.param_order), and the Jacobian rows are D's rows.
 
     Each Newton iteration makes one residual_and_jacobian call, which
     returns F and the flat row-major J as tuples of floats, and one call of
@@ -117,20 +118,19 @@ class NewtonSystem:
     finite).  No iteration calls numpy, and every unknown stays a Python
     float."""
 
-    def __init__(self, field: VectorField, eqs, unknowns):
-        if len(eqs) != len(unknowns):
-            raise ValueError("newton system must be square")
-        self.field = field
-        self.eqs = tuple(eqs)
-        self.unknowns = tuple(unknowns)  # var/par expression nodes
-        memo: dict = {}
-        jac = [ex.differentiate(e, u, memo) for e in self.eqs for u in self.unknowns]
-        self._fn = ex.compile_evaluator(list(self.eqs) + jac, field.n)
-        self._norm = ex.compile_evaluator(self.eqs, field.n, max_norm=True)
-        self._m = len(self.eqs)
-        self._step = _newton_step(self._m)
-        self._slots = tuple(
-            u.index if u.kind == ex.VAR else field.n + u.index for u in self.unknowns)
+    def __init__(self, D: det.DeterminantSet, eqs):
+        n, m = D.field.n, len(eqs)
+        slots = tuple(range(n)) + tuple(n + j for j in D.param_order)
+        if m > len(slots):
+            raise ValueError(f"{m} equations but only {len(slots)} "
+                             "states and unfolding parameters")
+        self.field = D.field
+        jac = [d for e in eqs for d in D.row(e, m)]
+        self._fn = ex.compile_evaluator(list(eqs) + jac, n)
+        self._norm = ex.compile_evaluator(eqs, n, max_norm=True)
+        self._m = m
+        self._step = _newton_step(m)
+        self._slots = slots[:m]  # positions of the unknowns in a value vector
 
     def residual_and_jacobian(self, vals):
         """F and the row-major m x m J, each a flat tuple of floats."""
@@ -142,7 +142,7 @@ class NewtonSystem:
         """Max-norm of F, or inf when any component is not finite."""
         return self._norm(vals)
 
-    def solve(self, start_vals, opts: SolveOptions) -> NewtonResult:
+    def solve(self, start_vals) -> NewtonResult:
         vals = [float(v) for v in start_vals]
         slots = self._slots
         n = self.field.n
@@ -298,13 +298,11 @@ def find_catastrophes(field: VectorField, r: int, box,
         raise ValueError(
             f"codimension {r} exceeds the field's {field.r} parameters")
     D = det.DeterminantSet(field, param_order=param_order)
-    unknowns = [ex.var(j) for j in range(field.n)]
-    unknowns += [ex.par(D.param_order[i]) for i in range(r)]
-    if len(box) != len(unknowns):
-        raise ValueError(f"box needs {len(unknowns)} intervals, got {len(box)}")
+    if len(box) != field.n + r:
+        raise ValueError(f"box needs {field.n + r} intervals, got {len(box)}")
     eqs = list(field.components)
     eqs += [D.build_B(i, (1,) * (i - 1)) for i in range(1, r + 1)]
-    system = NewtonSystem(field, eqs, unknowns)
+    system = NewtonSystem(D, eqs)
 
     alpha0 = _resolve_fixed(field, fixed)
     template = list(tuple(0.0 for _ in range(field.n)) + alpha0)
@@ -315,7 +313,7 @@ def find_catastrophes(field: VectorField, r: int, box,
         vals = list(template)
         for s, v in zip(slots, seed):
             vals[s] = v
-        result = system.solve(vals, opts)
+        result = system.solve(vals)
         if result.ok:
             hits.append((result.point.vals(), result.residual))
 
@@ -392,8 +390,7 @@ def _census_setup(field: VectorField, box, count):
     key = (tuple((float(lo), float(hi)) for lo, hi in box), count)
     memo = _census_memo
     if memo is None or memo[0] is not field or memo[1] != key:
-        unknowns = [ex.var(j) for j in range(field.n)]
-        memo = (field, key, NewtonSystem(field, field.components, unknowns),
+        memo = (field, key, NewtonSystem(det.DeterminantSet(field), field.components),
                 _seed_values(box, count))
         _census_memo = memo
     return memo[2], memo[3]
@@ -413,7 +410,7 @@ def count_steady_states(field: VectorField, alpha, box,
     hits = []
     for seed in seeds:
         vals = seed + list(alpha)
-        result = system.solve(vals, opts)
+        result = system.solve(vals)
         if result.ok:
             x = result.point.x
             if all(lo - 10 * opts.dedup_radius <= xi <= hi + 10 * opts.dedup_radius

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,18 @@ def test_tolerance_flags_out_of_range_are_usage_errors(capsys, argv, flag):
     assert rc == 2 and out == "" and flag in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (SCAN_RD + ["--range=-1:1,-1:1", "--tol-g", "0.9"], "--tol-g"),
+    (["check", "--builtin", "rd", "--codim", "1", "--at", "u=0",
+      "--dedup-radius", "1e-6"], "--dedup-radius"),
+], ids=["scan-tol-g", "check-dedup-radius"])
+def test_tolerance_flags_a_subcommand_does_not_read_are_usage_errors(
+        capsys, argv, flag):
+    # a scan computes no G, and check never deduplicates
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "" and flag in err
+
+
 def test_find_accepts_a_zero_dedup_radius(capsys):
     doc = run_json(capsys, FIND_RD1 + ["--dedup-radius", "0"])
     assert doc["reports"]
@@ -206,6 +220,16 @@ def test_find_box_arity_checked(capsys):
     rc, _out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "1",
                                  "--box=-1:1"])
     assert rc == 2 and "intervals" in err
+
+
+def test_find_beyond_twelve_unknowns(capsys):
+    # 13 unknowns: the Halton seeds need a 13th prime base
+    doc = run_json(capsys, ["find", "--builtin", "primary:n=1,r=12",
+                            "--codim", "12", "--seeds", "64"])
+    assert len(doc["reports"]) == 1
+    rep = doc["reports"][0]
+    assert rep["label"] == "A_12" and rep["full"]
+    assert max(abs(t) for t in rep["x"] + rep["alpha"]) <= 1e-9
 
 
 def test_builtin_primary_fold(capsys):
@@ -469,3 +493,25 @@ def test_floats_carry_17_significant_digits(capsys):
     rc, out, _err = run(capsys, BUTTERFLY_ARGS)
     assert rc == 0
     assert "0.33333333333333331" in out or "0.33333333333333337" in out
+
+
+def _readme_commands():
+    """The catafind lines of the README's "Command line" block, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("catafind ")]
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the scan example writes grid.csv
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "find", "check", "scan", "count-minors", "boardman"]
+    for argv in commands:
+        if "--cells" in argv:  # a coarser grid keeps the suite fast
+            argv[argv.index("--cells") + 1] = "3,3"
+        rc, _out, err = run(capsys, argv)
+        assert rc == 0, (argv, err)

@@ -145,7 +145,8 @@ def test_canonical_reduction(rd_field):
     pts = [rd_point(rng) for _ in range(20)]
     for i in range(1, 5):
         rows = [prev] + comps[1:]
-        direct = det.sym_det([det.gradient(e, 2) for e in rows])
+        direct = det.sym_det([[ex.differentiate(e, ex.var(j)) for j in range(2)]
+                              for e in rows])
         built = D.build_B(i, (1,) * (i - 1))
         for p in pts:
             assert ex.evaluate(built, p) == pytest.approx(
@@ -269,7 +270,9 @@ def test_stacked_level_values_are_exact_primary():
 def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
         monkeypatch):
     """A cold fullness report at n=3, r=6 differentiates each (expression,
-    target) pair once and expands each distinct b_matrix once."""
+    target) pair once and expands each distinct b_matrix once; a whole find
+    on the same field differentiates no more, since its Newton Jacobian is
+    the report's canonical extended matrix."""
     from catafind import solver
     pairs, matrices = [], []
     differentiate, sym_det = ex.differentiate, det.sym_det
@@ -284,11 +287,16 @@ def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
 
     monkeypatch.setattr(ex, "differentiate", counting_differentiate)
     monkeypatch.setattr(det, "sym_det", counting_sym_det)
-    D = det.DeterminantSet(make_primary_form(
-        PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6))))
+    field = make_primary_form(PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6)))
+    D = det.DeterminantSet(field)
     rep = solver.build_report(D, 6, ex.Point((0.0,) * 3, (0.0,) * 6), 0.0)
     assert rep.full
     assert len(matrices) == 184
+    assert len(pairs) == 1089 and len(set(pairs)) == 1089
+    pairs.clear()
+    reps = solver.find_catastrophes(field, 6, [(-1.5, 1.5)] * 9,
+                                    solver.SolveOptions(seed_count=64))
+    assert [r.full for r in reps] == [True]
     assert len(pairs) == 1089 and len(set(pairs)) == 1089
 
 

@@ -35,19 +35,23 @@ def test_halton_deterministic_and_in_bounds():
     assert np.all((a >= 0.0) & (a < 1.0))
     # low-discrepancy: each coordinate roughly fills the interval
     assert a[:, 0].min() < 0.1 and a[:, 0].max() > 0.9
+    # the bases are the first dim primes, so a column does not depend on dim
+    wide = halton(13, 64)
+    assert np.array_equal(wide[:, :3], a)
+    assert wide[0, 12] == pytest.approx(21 / 41, rel=1e-15)  # point 21, base 41
 
 
 # ---------------------------------------------------------------------------
 # newton_solve
 
-def newton_solve(field, eqs, unknowns, start, opts=None):
-    """Damped Newton iteration from a single start point."""
-    return NewtonSystem(field, eqs, unknowns).solve(list(start.vals()),
-                                                    opts or SolveOptions())
+def newton_solve(field, eqs, start):
+    """Damped Newton iteration from a single start point, over the first
+    len(eqs) states and parameters."""
+    return NewtonSystem(det.DeterminantSet(field), eqs).solve(list(start.vals()))
 
 def test_newton_linear_one_step():
     f = ex.parse_vector_field("vars: x\nparams:\neq: x - 2")
-    res = newton_solve(f, f.components, [ex.var(0)], ex.Point((0.0,), ()))
+    res = newton_solve(f, f.components, ex.Point((0.0,), ()))
     assert res.ok and res.iterations <= 2
     assert res.point.x[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -56,8 +60,7 @@ def test_newton_steady_state(rd_field):
     # beta=delta=0, alpha=gamma=-1, k1=k2=0: states are (i, j), i,j in {-1,0,1}
     alpha = (0.0, 0.0, -1.0, -1.0, 0.0, 0.0)
     start = ex.Point((0.9, 0.9), alpha)
-    res = newton_solve(rd_field, rd_field.components,
-                       [ex.var(0), ex.var(1)], start)
+    res = newton_solve(rd_field, rd_field.components, start)
     assert res.ok
     assert res.point.x == pytest.approx((1.0, 1.0), abs=1e-12)
 
@@ -66,9 +69,8 @@ def test_newton_butterfly_system(rd_field):
     D = det.DeterminantSet(rd_field)
     eqs = list(rd_field.components) + [
         D.build_B(i, (1,) * (i - 1)) for i in range(1, 5)]
-    unknowns = [ex.var(0), ex.var(1)] + [ex.par(j) for j in range(4)]
     start = ex.Point((0.3, 0.3), (-0.5, -0.5, 0.7, 0.7, 1.0, 1.0))
-    res = newton_solve(rd_field, eqs, unknowns, start)
+    res = newton_solve(rd_field, eqs, start)  # unknowns u, v, b, d, a, g
     assert res.ok
     target = RdReference(1.0, 1.0).butterfly_point(+1)
     assert res.point.x == pytest.approx(target.x, abs=1e-10)
@@ -78,7 +80,7 @@ def test_newton_butterfly_system(rd_field):
 def test_newton_failure_is_diagnosed():
     # x^2 + 1 = 0 has no real root; the iteration must not crash
     f = ex.parse_vector_field("vars: x\nparams:\neq: x^2 + 1")
-    res = newton_solve(f, f.components, [ex.var(0)], ex.Point((0.7,), ()))
+    res = newton_solve(f, f.components, ex.Point((0.7,), ()))
     assert not res.ok
     assert res.status in ("max-iterations", "singular-jacobian",
                           "step-underflow")
@@ -255,10 +257,10 @@ def test_residual_is_inf_when_any_component_is_not_finite():
                 cs = [1.0] * size
                 cs[pos] = bad
                 eqs = [ex.mul(ex.const(c), x) for c, x in zip(cs, xs)]
-                system = NewtonSystem(f, eqs, xs)
+                system = NewtonSystem(det.DeterminantSet(f), eqs)
                 # F = 0.5 * cs: Python's max alone would return 0.5
                 assert system.residual([0.5] * size) == inf
-        system = NewtonSystem(f, f.components, xs)
+        system = NewtonSystem(det.DeterminantSet(f), f.components)
         assert system.residual([0.5, -2.0, 1.0][:size]) == (0.5 if size == 1 else 2.0)
 
 
@@ -282,8 +284,8 @@ class _NewtonCounters:
             self.fj += 1
             return residual_and_jacobian(system, vals)
 
-        def counted_solve(system, vals, opts):
-            result = solve(system, vals, opts)
+        def counted_solve(system, vals):
+            result = solve(system, vals)
             self.statuses[result.status] = self.statuses.get(result.status, 0) + 1
             self.iterations += result.iterations
             return result
@@ -350,7 +352,7 @@ def test_census_builds_one_system_per_field_box_and_seed_count(monkeypatch):
     count_steady_states(f, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
     g = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - a")
     count_steady_states(g, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
-    assert len(builds) == 4 and builds[-1] is g
+    assert len(builds) == 4 and builds[-1].field is g
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +464,7 @@ def test_generated_step_on_singular_and_nan_matrices():
 
 def test_singular_jacobian_with_nonzero_residual():
     f = ex.parse_vector_field("vars: x y\nparams:\neq: x + y - 1\neq: 2*x + 2*y - 3")
-    res = newton_solve(f, f.components, [ex.var(0), ex.var(1)],
-                       ex.Point((0.0, 0.0), ()))
+    res = newton_solve(f, f.components, ex.Point((0.0, 0.0), ()))
     assert (res.status, res.iterations, res.residual) == ("singular-jacobian", 0, 3.0)
 
 
@@ -473,12 +474,12 @@ def test_non_finite_jacobian_entry_is_singular(c):
     # c = 0, while F0 = x + ((y*a)*b)*c - 1 stays finite
     f = ex.parse_vector_field(
         "vars: x y\nparams: a b c\neq: x + y*a*b*c - 1\neq: y - 0.25")
-    system = NewtonSystem(f, f.components, [ex.var(0), ex.var(1)])
+    system = NewtonSystem(det.DeterminantSet(f), f.components)
     vals = [0.5, 1e-300, 1e200, 1e200, c]
     F, J = system.residual_and_jacobian(vals)
     assert all(map(math.isfinite, F))
     assert not math.isfinite(J[1])
-    res = system.solve(vals, SolveOptions())
+    res = system.solve(vals)
     assert (res.status, res.iterations) == ("singular-jacobian", 0)
 
 
