@@ -54,7 +54,8 @@ class MinorCount:
 
 def minor_count(n: int, corank_seq) -> MinorCount:
     """Count the new minors per stage: each stage j takes the
-    (n - i_j + 1)-size minors of the gradient of everything so far."""
+    (n - i_j + 1)-size minors of the gradient of everything so far.  A row
+    count past 4300 digits, which CPython will not print, is a ValueError."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     corank_seq = tuple(int(i) for i in corank_seq)
@@ -68,6 +69,9 @@ def minor_count(n: int, corank_seq) -> MinorCount:
         nj = math.comb(n, s) * math.comb(cum, s)
         counts.append(nj)
         cum += nj
+        if cum >= 10 ** 4300:  # stop before the next stage squares it
+            raise ValueError(f"the stage-{len(counts)} row count has more than "
+                             "4300 digits, too many to print")
     total = sum(counts)
     return MinorCount(n, corank_seq, tuple(counts), total, n + total)
 
@@ -147,7 +151,7 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
     new = tuple(field.components)
     rows = []  # gradient rows of the stage, evaluated at p
     symbol = []
-    for _depth in range(max_depth):
+    for depth in range(1, max_depth + 1):
         stage += new
         rows += _gradient_rows(new, D, p)
         corank = n - det.numeric_rank(np.array(rows), tol)
@@ -158,6 +162,8 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
                 f"symbol increased from {symbol[-1]} to {corank}; "
                 "numerical tolerance failure")
         symbol.append(corank)
+        if depth == max_depth:  # no stage after the last corank is read
+            break
         predicted = minor_count(n, symbol).cumulative[-1]
         if predicted > cap:
             raise CapExceededError(predicted, cap)

@@ -15,6 +15,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -301,13 +302,12 @@ def cmd_check(args) -> int:
     r = args.codim
     unfold = _parse_unfold(field, args.unfold)
     D = det.DeterminantSet(field, param_order=unfold)
-    memo: dict = {}
-    f_values = list(D.field_at(p, memo))
+    f_values = list(D.field_at(p))
     b_entries = []
     zero_by_key = {}
     for i in range(1, r + 1):
         for K in det.index_strings(field.n, i - 1):
-            value, scale = D.b_at(i, K, p, memo)
+            value, scale = D.b_at(i, K, p)
             zero = det.is_zero(value, scale, args.tol_b)
             zero_by_key[(i, K)] = zero
             b_entries.append({"level": i, "index": list(K),
@@ -369,22 +369,19 @@ def cmd_scan(args) -> int:
         lo, hi = ranges[axis]
         return lo + (k + 0.5) * (hi - lo) / cells[axis]
 
-    def work(i, j):
-        v1, v2 = cell_value(0, i), cell_value(1, j)
-        alpha = list(base_alpha)
-        alpha[idx[0]] = v1
-        alpha[idx[1]] = v2
-        census = solver.count_steady_states(field, alpha, box, opts)
-        n_attracting = sum(1 for _p, label in census.states
-                           if label == "attracting")
-        return v1, v2, census.count, n_attracting
-
-    rows = [work(i, j) for i in range(cells[0]) for j in range(cells[1])]
-    lines = [f"{axes[0]},{axes[1]},n_states,n_attracting"]
-    for v1, v2, n_states, n_attracting in rows:
-        lines.append(f"{_fmt_float(v1)},{_fmt_float(v2)},"
-                     f"{n_states},{n_attracting}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(f"{axes[0]},{axes[1]},n_states,n_attracting\n")
+        for i in range(cells[0]):
+            for j in range(cells[1]):
+                alpha = list(base_alpha)
+                alpha[idx[0]] = v1 = cell_value(0, i)
+                alpha[idx[1]] = v2 = cell_value(1, j)
+                census = solver.count_steady_states(field, alpha, box, opts)
+                n_attracting = sum(1 for _p, label in census.states
+                                   if label == "attracting")
+                fh.write(f"{_fmt_float(v1)},{_fmt_float(v2)},"
+                         f"{census.count},{n_attracting}\n")
     return 0
 
 

@@ -282,13 +282,13 @@ def _rebuild(e: Expression, leaf, memo: dict) -> Expression:
     return memo[e]
 
 
-def simplify(e: Expression, _memo=None) -> Expression:
+def simplify(e: Expression) -> Expression:
     """Rebuild a tree through the canonicalizing constructors.
 
     Trees built by this module are canonical already, so this is the
     identity for them; it normalizes externally assembled trees.
     """
-    return _rebuild(e, lambda node: node, {} if _memo is None else _memo)
+    return _rebuild(e, lambda node: node, {})
 
 
 def differentiate(e: Expression, wrt: Expression, _memo=None) -> Expression:

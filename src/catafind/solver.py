@@ -329,17 +329,16 @@ def build_report(D: det.DeterminantSet, r: int, p: Point, residual: float,
     """Evaluate every fullness and degeneracy check at a solved point."""
     opts = opts or SolveOptions()
     field = D.field
-    memo: dict = {}
     b_values = D.chain_at(r, p)
     g_values = {}
     g_scales = {}
     for K in det.index_strings(field.n, r - 1):
-        gv, gs = D.g_at(r, K, p, memo)
+        gv, gs = D.g_at(r, K, p)
         g_values[K] = gv
         g_scales[K] = gs
     full = all(
         det.is_nonzero(g_values[K], g_scales[K], opts.tol_g) for K in g_values)
-    sr = D.subrank(p, opts.tol_b, memo)
+    sr = D.subrank(p, opts.tol_b)
     return CatastropheReport(
         point=p, codim=r, label=classify(r), residual=residual,
         b_values=b_values, g_values=g_values, g_scales=g_scales,

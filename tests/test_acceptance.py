@@ -75,9 +75,8 @@ def test_criterion_03_extended_determinant_formula():
     D = det.DeterminantSet(field, param_order=(2, 0, 3, 1))
     k1, k2 = 1.0, 2.0
     p = RdReference(k1, k2).butterfly_point(+1)
-    memo: dict = {}
     for K in det.index_strings(2, 3):
-        value, _scale = D.g_at(4, K, p, memo)
+        value, _scale = D.g_at(4, K, p)
         expect = g_closed_form(*K, k1, k2)
         assert abs(value - expect) <= 1e-6 * abs(expect), K
 
@@ -138,9 +137,8 @@ def test_criterion_06_parameterization_oracle():
         for _ in range(200):
             ref = RdReference(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
             p = random_rd_point(rng, ref, kind)
-            memo: dict = {}
             for i in range(1, m + 1):
-                value, scale = D.b_at(i, (1,) * (i - 1), p, memo)
+                value, scale = D.b_at(i, (1,) * (i - 1), p)
                 assert abs(value) <= 1e-9 * scale, (kind, i)
 
 
@@ -156,9 +154,8 @@ def test_criterion_07_symbol_equivalence_desk_scale():
             symbol = boardman_symbol(frozen, ex.Point((x1, 0.0), ()),
                                      max_depth=r + 1)
             pfull = ex.Point((x1, 0.0), (0.0,) * r)
-            memo: dict = {}
             zeros = [abs(v) <= 1e-8 * s for v, s in
-                     (D.b_at(i, (1,) * (i - 1), pfull, memo)
+                     (D.b_at(i, (1,) * (i - 1), pfull)
                       for i in range(1, r + 2))]
             verdict = all(zeros[:r]) and not zeros[r]
             assert (symbol == (1,) * r) == verdict, (r, x1)

@@ -185,9 +185,27 @@ def test_symbol_at_fold_of_reaction_diffusion(rd_field, rd_dets):
 
 
 def test_symbol_cap():
+    # the fifth corank reads the 231-row stage, above the cap
     f = frozen_primary(2, 4)
     with pytest.raises(CapExceededError):
-        boardman_symbol(f, ex.Point((0.0, 0.0), ()), max_depth=4, cap=100)
+        boardman_symbol(f, ex.Point((0.0, 0.0), ()), max_depth=5, cap=100)
+
+
+def test_symbol_builds_no_stage_after_the_last_corank(monkeypatch):
+    """At max_depth 4 the symbol reads stages 0..3 (21 rows) and the cap
+    applies to them alone; no minor of the unread 231-row stage is built."""
+    calls = []
+    sym_det = det.sym_det
+
+    def counting_sym_det(M):
+        calls.append(len(M))
+        return sym_det(M)
+
+    monkeypatch.setattr(det, "sym_det", counting_sym_det)
+    f = frozen_primary(2, 4)
+    assert boardman_symbol(f, ex.Point((0.0, 0.0), ()), max_depth=4,
+                           cap=100) == (1, 1, 1, 1)
+    assert len(calls) == 1 + 3 + 15
 
 
 def test_symbol_rejects_parameterized_field(rd_field):
@@ -213,10 +231,9 @@ def test_symbol_matches_level_determinant_verdict(r):
         p0 = ex.Point((x1, 0.0), ())
         pfull = ex.Point((x1, 0.0), alphas)
         symbol = boardman_symbol(frozen, p0, max_depth=r + 1)
-        memo = {}
         zeros = []
         for i in range(1, r + 2):
-            value, scale = D.b_at(i, (1,) * (i - 1), pfull, memo)
+            value, scale = D.b_at(i, (1,) * (i - 1), pfull)
             zeros.append(abs(value) <= 1e-8 * scale)
         determinant_verdict = all(zeros[:r]) and not zeros[r]
         assert (symbol == (1,) * r) == determinant_verdict, (r, x1, symbol)

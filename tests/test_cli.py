@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,25 @@ def test_count_minors_explicit_sequence(capsys):
     doc = run_json(capsys, ["count-minors", "--dim", "3",
                             "--corank-seq", "1,1,1,1"])
     assert doc["counts"]["table_total"] == 41728
+
+
+def test_count_minors_unprintable_count_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["count-minors", "--dim", "2", "--codim", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err == "error: the stage-16 row count has more than 4300 digits, too many to print\n"
+
+
+def test_count_minors_largest_printable_codim(capsys):
+    # n = 2, corank 1: stage j adds C(rows so far, 2) minors
+    cumulative = [2]
+    for _ in range(15):
+        cumulative.append(cumulative[-1] + math.comb(cumulative[-1], 2))
+    doc = run_json(capsys, ["count-minors", "--dim", "2", "--codim", "15"])
+    assert doc["counts"]["cumulative"] == cumulative
+    assert doc["counts"]["table_total"] == cumulative[-1]
+    assert len(str(cumulative[-1])) == 4227
 
 
 def test_count_minors_requires_some_codim(capsys):
@@ -467,8 +488,18 @@ def test_boardman_negative_max_depth_is_a_usage_error(capsys):
 
 def test_boardman_cap_exit_code(capsys):
     rc, _out, err = run(capsys, ["boardman", "--builtin", "primary:n=2,r=4",
-                                 "--cap", "100"])
+                                 "--max-depth", "5", "--cap", "100"])
     assert rc == 2 and "cap" in err
+
+
+@pytest.mark.parametrize("argv, symbol", [
+    (["--builtin", "primary:n=3,r=4"], [1, 1, 1, 1]),
+    (["--builtin", "primary:n=2,r=5", "--max-depth", "5"], [1, 1, 1, 1, 1]),
+], ids=["n3r4", "n2r5-depth5"])
+def test_boardman_caps_only_the_stages_it_reads(capsys, argv, symbol):
+    # the stage after the last corank (41,728 and 26,796 rows) is never built
+    doc = run_json(capsys, ["boardman", *argv])
+    assert doc["boardman"]["symbol"] == symbol
 
 
 # ---------------------------------------------------------------------------

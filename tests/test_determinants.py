@@ -1,5 +1,6 @@
 """Level determinants, extended determinants, subrank, numeric thresholds."""
 
+import math
 import random
 
 import numpy as np
@@ -195,9 +196,8 @@ def assert_g_at_matches_sym_det(D, r, points):
     determinant of the same matrix, for every index string."""
     for K in det.index_strings(D.field.n, r - 1):
         G = det.sym_det(D.g_matrix(r, K))
-        memo: dict = {}
         for p in points:
-            value, scale = D.g_at(r, K, p, memo)
+            value, scale = D.g_at(r, K, p)
             expect = ex.evaluate(G, p)
             assert abs(value - expect) <= 1e-12 * max(1.0, scale), (r, K, p)
 
@@ -218,12 +218,44 @@ def test_g_at_matches_symbolic_determinant_primary():
 
 
 def test_level_memo_is_keyed_by_point(rd_dets):
-    """One memo shared across points never returns another point's values."""
+    """The levels kept for the last point never serve another Point: not a
+    different point, and not one equal by value whose zeros are -0.0."""
     rng = random.Random(46)
-    memo: dict = {}
-    for p in [rd_point(rng) for _ in range(3)]:
-        assert rd_dets.g_at(2, (2,), p, memo) == rd_dets.g_at(2, (2,), p)
-        assert rd_dets.b_at(3, (2, 1), p, memo) == rd_dets.b_at(3, (2, 1), p)
+    points = [rd_point(rng) for _ in range(3)]
+    for p in points + points[::-1]:
+        fresh = det.DeterminantSet(rd_dets.field)
+        assert rd_dets.g_at(2, (2,), p) == fresh.g_at(2, (2,), p)
+        assert rd_dets.b_at(3, (2, 1), p) == fresh.b_at(3, (2, 1), p)
+    # the component y and B_1 = x carry the sign of the point's zeros
+    D = det.DeterminantSet(
+        ex.parse_vector_field("vars: x y\nparams: a\neq: x^2/2 + a\neq: y"))
+    plus, minus = ex.Point((0.0, 0.0), (0.0,)), ex.Point((-0.0, -0.0), (0.0,))
+    assert plus == minus
+    for p, sign in ((plus, 1.0), (minus, -1.0), (plus, 1.0)):
+        assert math.copysign(1.0, D.field_at(p)[1]) == sign
+        assert math.copysign(1.0, D.b_at(1, (), p)[0]) == sign
+
+
+def test_memo_less_g_at_evaluates_the_level_once(monkeypatch):
+    """g_at over all 243 index strings of primary:n=3,r=6 at one point calls
+    the G level's compiled function once."""
+    calls = []
+    compile_evaluator = ex.compile_evaluator
+
+    def counting_compile(exprs, *args, **kwargs):
+        fn = compile_evaluator(exprs, *args, **kwargs)
+
+        def counted(vals):
+            calls.append(len(exprs))
+            return fn(vals)
+        return counted
+
+    monkeypatch.setattr(ex, "compile_evaluator", counting_compile)
+    D = det.DeterminantSet(make_primary_form(PrimaryFormSpec(3, 6)))
+    p = ex.Point((0.3, -0.2, 0.1), (0.1, -0.4, 0.0, 0.2, 0.0, 0.5))
+    values = [D.g_at(6, K, p) for K in det.index_strings(3, 5)]
+    assert len(values) == 243
+    assert len(calls) == 1
 
 
 def evaluated(exprs, n_vars, p):
@@ -236,18 +268,17 @@ def assert_level_values_are_exact(D, r, points):
     same bits as evaluating each determinant and matrix on its own."""
     n = D.field.n
     for p in points:
-        memo: dict = {}
         for i in range(1, r + 1):
             for K in det.index_strings(n, i - 1):
                 value = evaluated([D.build_B(i, K)], n, p)[0]
                 M = evaluated([e for row in D.b_matrix(i, K) for e in row],
                               n, p).reshape(n, n)
-                assert D.b_at(i, K, p, memo) == (
+                assert D.b_at(i, K, p) == (
                     float(value), det.hadamard_bound(M)), (i, K, p)
         for K in det.index_strings(n, r - 1):
             M = evaluated([e for row in D.g_matrix(r, K) for e in row],
                           n, p).reshape(n + r, n + r)
-            assert D.g_at(r, K, p, memo) == (
+            assert D.g_at(r, K, p) == (
                 float(np.linalg.det(M)), det.hadamard_bound(M)), (K, p)
 
 

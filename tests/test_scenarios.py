@@ -157,9 +157,8 @@ def test_parameterized_sets_annihilate_level_determinants(kind, rd_dets):
     for _ in range(60):
         ref = RdReference(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
         p = random_rd_point(rng, ref, kind)
-        memo = {}
         for i in range(1, m + 1):
-            value, scale = rd_dets.b_at(i, (1,) * (i - 1), p, memo)
+            value, scale = rd_dets.b_at(i, (1,) * (i - 1), p)
             assert abs(value) <= 1e-9 * scale, (kind, i, value, scale)
 
 
@@ -216,10 +215,9 @@ def test_g_values_at_butterfly(rd_field):
     D = det.DeterminantSet(rd_field, param_order=(2, 0, 3, 1))
     k1, k2 = 1.0, 2.0
     p = RdReference(k1, k2).butterfly_point(+1)
-    memo = {}
     for K in det.index_strings(2, 3):
         i, j, k = K
-        value, _scale = D.g_at(4, K, p, memo)
+        value, _scale = D.g_at(4, K, p)
         expect = g_closed_form(i, j, k, k1, k2)
         assert value == pytest.approx(expect, rel=1e-6), K
 
