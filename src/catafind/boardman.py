@@ -14,8 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as ex
 from .expr import Point, VectorField
 from . import determinants as det
@@ -154,7 +152,7 @@ def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
     for depth in range(1, max_depth + 1):
         stage += new
         rows += _gradient_rows(new, D, p)
-        corank = n - det.numeric_rank(np.array(rows), tol)
+        corank = n - det.numeric_rank(rows, tol)
         if corank == 0:
             break
         if symbol and corank > symbol[-1]:

@@ -22,8 +22,6 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str  # = json.dumps(str)
 
-import numpy as np
-
 from . import __version__
 from . import expr as ex
 from . import determinants as det
@@ -41,7 +39,6 @@ class UsageError(ValueError):
 # deterministic serialization
 
 def _fmt_float(v: float) -> str:
-    # math.isfinite: np.isfinite costs about ten times as much per float
     return "%.17g" % v if math.isfinite(v) else "null"
 
 
@@ -104,7 +101,7 @@ def _finite(text: str, message: str) -> float:
         value = float(text)
     except ValueError:
         raise UsageError(message) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise UsageError(f"{message}: not a finite number")
     return value
 
@@ -531,12 +528,12 @@ def main(argv=None) -> int:
     try:
         _check_tolerances(args)
         return args.func(args)
-    except (ex.EvaluationError, bo.ToleranceError, np.linalg.LinAlgError,
+    except (ex.EvaluationError, bo.ToleranceError,
             ArithmeticError) as e:  # division by zero, overflow, FP errors
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (UsageError, ex.ParseError, DomainError, bo.CapExceededError,
-            ValueError, IndexError) as e:
+            ValueError, IndexError, OSError) as e:  # OSError: an --out path
         print(f"error: {e}", file=sys.stderr)
         return 2
 

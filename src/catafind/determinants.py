@@ -4,23 +4,23 @@ Builds, symbolically, the iterated Jacobian determinants in which a chosen
 component of the field is replaced level by level with the previous
 determinant.  The extended (states + unfolding parameters) determinants,
 whose non-vanishing makes the conditions solvable with isolated roots, are
-only ever needed at a point: their matrices are built symbolically, and the
-determinant is taken numerically (LU) from the evaluated matrix.  Gradient
-rows and B determinants are cached by expression and matrix, so index
-strings that share them build them once; Newton systems and Boardman stages
-read the same rows.  Every point value comes from compiled evaluators
-cached on the DeterminantSet: one per determinant level, whose one call
-evaluates the whole level at a point, and one per canonical chain
-B_{i,(1,...,1)}; the set keeps the levels of the last point.  The subrank
-test is here too.
+only ever needed at a point: their rows are built symbolically, and
+evaluated rows are reduced by one elimination on Python floats (_push),
+which gives every determinant and rank, so no value depends on a BLAS
+build.  Gradient rows and B determinants are cached by expression and
+matrix, so index strings that share them build them once; Newton systems
+and Boardman stages read the same rows.  Every point value comes from
+compiled evaluators cached on the DeterminantSet: one per determinant
+level, whose one call evaluates the whole level at a point, and one per
+canonical chain B_{i,(1,...,1)}; the set keeps the levels of the last
+point.  The subrank test is here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
-
-import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Point, VectorField
@@ -159,6 +159,8 @@ class DeterminantSet:
     # -- G determinants ----------------------------------------------------
 
     def g_matrix(self, r: int, K=()):
+        """The (n + r) x (n + r) extended matrix of G_{r,K}: the gradients of
+        the components, then of B_1, B_{2,K[:1]}, ..., B_{r,K[:r-1]}."""
         K = _check_index_string(self.field.n, r, K)
         if r > len(self.param_order):
             raise IndexError(
@@ -173,61 +175,65 @@ class DeterminantSet:
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
     def _level_fn(self, kind: str, level: int):
-        """One compiled function for a level, over all its index strings:
-        ("B", 0) gives the components; ("B", i) gives B_{i,K} then its
-        matrix per K; ("G", r) gives the extended matrix per K; ("chain",
-        r) gives B_{i,(1,...,1)} for i = 1..r alone, without matrices.
-        Entries shared between index strings are compiled once, and the
-        returned index array maps the function's outputs back to the full
-        list: the G level of primary:n=3,r=6 with lam and tau set has
-        19,683 entries but 235 distinct ones, which compile in 2.9 ms
-        against 47 ms for all of them."""
+        """(fn, index, count, width): one compiled function for a level,
+        whose outputs, mapped through index, are count values, then rows of
+        width entries.  ("B", 0) gives the components and ("chain", r)
+        B_{i,(1,...,1)} for i = 1..r, without rows; ("B", i) gives B_{i,K}
+        then its matrix per K; ("G", r) gives the distinct rows of its
+        matrices alone: the components', then every B_{i,K}'s, i = 1..r.
+        Shared entries are compiled once: the G level of primary:n=3,r=6
+        with lam and tau set has 367 rows of 9 entries, 235 distinct."""
         with self._lock:
             got = self._fns.get((kind, level))
             if got is None:
+                n = self.field.n
+                values, rows, width = [], [], n
                 if level == 0:
-                    exprs = list(self.field.components)
+                    values = list(self.field.components)
                 elif kind == "chain":
-                    exprs = [self.build_B(i, (1,) * (i - 1)) for i in range(1, level + 1)]
+                    values = [self.build_B(i, (1,) * (i - 1)) for i in range(1, level + 1)]
+                elif kind == "B":
+                    for K in index_strings(n, level - 1):
+                        values.append(self.build_B(level, K))
+                        rows += self.b_matrix(level, K)
                 else:
-                    exprs = []
-                    for K in index_strings(self.field.n, level - 1):
-                        if kind == "B":
-                            exprs.append(self.build_B(level, K))
-                            mat = self.b_matrix(level, K)
-                        else:
-                            mat = self.g_matrix(level, K)
-                        exprs.extend(e for row in mat for e in row)
+                    self.g_matrix(level, (1,) * (level - 1))  # checks level
+                    width = n + level
+                    rows = [self.row(e, width) for e in self.field.components]
+                    rows += [self.row(self.build_B(i, K), width) for i in range(1, level + 1)
+                             for K in index_strings(n, i - 1)]
+                exprs = values + [e for row in rows for e in row]
                 unique = {e: j for j, e in enumerate(dict.fromkeys(exprs))}
-                got = (ex.compile_evaluator(list(unique), self.field.n),
-                       np.array([unique[e] for e in exprs]))
+                got = (ex.compile_evaluator(list(unique), n),
+                       [unique[e] for e in exprs], len(values), width)
                 self._fns[(kind, level)] = got
             return got
 
     def _level_at(self, kind: str, level: int, p: Point):
         """A level at p from one call of its function: (values, scales,
-        matrices), one entry per index string in index_strings order.  A B
-        value is the determinant's own expression, a G value the LU
-        determinant of its matrix; scales are Hadamard bounds.  Level 0 and
-        the chain give values alone.  The levels of the last Point object
-        are kept; by identity, so a point holding -0.0 never reads one
-        holding 0.0."""
+        rows), one value and scale per index string in index_strings order,
+        rows as _level_fn lists them.  A B value is the determinant's own
+        expression, a G value comes from _trie_dets; scales are Hadamard
+        bounds.  Level 0 and the chain give values alone.  The levels of the
+        last Point object are kept; by identity, so a point holding -0.0
+        never reads one holding 0.0."""
         with self._lock:
             if p is not self._point:
                 self._point, self._levels = p, {}
             got = self._levels.get((kind, level))
             if got is None:
-                fn, index = self._level_fn(kind, level)
-                values = np.array(fn(p.vals()), dtype=float)[index]
-                got = (values, None, None)
-                if level > 0 and kind != "chain":
-                    rows = values.reshape(self.field.n ** (level - 1), -1)
-                    size = self.field.n + (0 if kind == "B" else level)
-                    mats = rows[:, -size * size:].reshape(-1, size, size)
-                    scales = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-                    got = (rows[:, 0] if kind == "B" else np.linalg.det(mats),
-                           scales, mats)
-                self._levels[(kind, level)] = got
+                fn, index, count, width = self._level_fn(kind, level)
+                out = fn(p.vals())
+                flat = [float(out[j]) for j in index]
+                values = flat[:count]
+                rows = [flat[k:k + width] for k in range(count, len(flat), width)]
+                scales = None
+                if kind == "G":
+                    values, scales = _trie_dets(rows, self.field.n, level)
+                elif rows:
+                    n = self.field.n
+                    scales = [hadamard_bound(rows[k:k + n]) for k in range(0, len(rows), n)]
+                got = self._levels[(kind, level)] = (values, scales, rows)
             return got
 
     def _at(self, kind: str, level: int, K, p: Point):
@@ -236,11 +242,11 @@ class DeterminantSet:
         j = 0
         for k in K:
             j = j * self.field.n + k - 1
-        return float(values[j]), float(scales[j])
+        return values[j], scales[j]
 
     def field_at(self, p: Point) -> tuple:
         """Values of the field components at p."""
-        return tuple(self._level_at("B", 0, p)[0].tolist())
+        return tuple(self._level_at("B", 0, p)[0])
 
     def b_at(self, i: int, K, p: Point):
         """(value, Hadamard scale) of the level-i determinant at p (i >= 1)."""
@@ -250,28 +256,83 @@ class DeterminantSet:
         """Values of the canonical chain B_{i,(1,...,1)}, i = 1..r, at p."""
         if r < 1:
             raise IndexError("chain_at needs r >= 1")
-        return tuple(self._level_at("chain", r, p)[0].tolist())
+        return tuple(self._level_at("chain", r, p)[0])
 
     def g_at(self, r: int, K, p: Point):
-        """(value, Hadamard scale) of G_{r,K} at p; the value is the LU
-        determinant of the evaluated extended matrix."""
+        """(value, Hadamard scale) of G_{r,K} at p; the value is the
+        elimination (_push) of the evaluated extended matrix, row by row."""
         return self._at("G", r, _check_index_string(self.field.n, r, K), p)
 
     def subrank(self, p: Point, tol: float = DEFAULT_TOL_B) -> int:
         """Least rank of the Jacobian at p over deletions of one component row."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        n = self.field.n
-        J = self._level_at("B", 1, p)[2][0]
-        scale = float(np.max(np.linalg.norm(J, axis=1)))
-        rows = np.arange(n)[:, None]
-        return min(numeric_rank(np.where(rows == j, 0.0, J), tol, scale=scale)
-                   for j in range(n))
+        J = self._level_at("B", 1, p)[2]  # the one matrix of level 1
+        scale = max(math.hypot(*row) for row in J)
+        return min(numeric_rank(J[:j] + J[j + 1:], tol, scale=scale)
+                   for j in range(len(J)))
 
 
-def hadamard_bound(A: np.ndarray) -> float:
+def _trie_dets(rows, n: int, r: int):
+    """(values, scales) of G_{r,K} per K, in index_strings order, from the
+    G level's rows.  G_{r,K}'s rows are those of the components, B_1,
+    B_{2,K[:1]}, ..., B_{r,K[:r-1]}, so the strings form a prefix trie: the
+    first n + 1 rows are reduced once, and each trie node reduces the one
+    row it adds.  Each value has the bits of numeric_det on its matrix."""
+    states, at = [_eliminate(rows[:n + 1])], n + 1
+    for depth in range(1, r):  # the node of prefix K holds B_{depth+1,K}
+        states = [_push(states[j // n], row)
+                  for j, row in enumerate(rows[at:at + n ** depth])]
+        at += n ** depth
+    return [s[1] for s in states], [s[2] for s in states]
+
+
+def _push(state, row, thresh: float = 0.0):
+    """The elimination state (pivot rows, determinant, Hadamard product)
+    after one more row: Gaussian elimination with partial pivoting on the
+    transpose (Golub & Van Loan, Matrix Computations, section 3.4).  The
+    row takes x -= x[c] * l for each pivot row l (a row over its pivot, so
+    |l| <= 1 on the free columns), then pivots on its first largest free
+    entry above thresh (a NaN wins, to reach the determinant).  The pivot
+    and the parity of its column among the pivot columns enter the
+    determinant; a row without a pivot zeroes it.  The rank is the number
+    of pivot rows."""
+    pivots, value, scale = state
+    scale *= math.hypot(*row)
+    for c, l in pivots:
+        t = row[c]
+        if t:
+            row = [a - t * b for a, b in zip(row, l)]
+    used = [c for c, _ in pivots]
+    best, col = thresh, -1
+    for c, a in enumerate(row):
+        if (abs(a) > best or a != a) and c not in used:
+            best, col = abs(a), c
+    if col < 0:
+        return pivots, value * 0.0, scale
+    p = row[col]
+    value *= p
+    if sum(c > col for c in used) % 2:
+        value = -value
+    return pivots + ((col, [a / p for a in row]),), value, scale
+
+
+def _eliminate(A, thresh: float = 0.0):
+    """The elimination state of the rows of A, pushed in order."""
+    state = ((), 1.0, 1.0)  # no pivot rows, determinant 1, Hadamard product 1
+    for row in A:
+        state = _push(state, row, thresh)
+    return state
+
+
+def numeric_det(A) -> float:
+    """Determinant of a square matrix given as rows, by _push."""
+    return _eliminate(A)[1]
+
+
+def hadamard_bound(A) -> float:
     """Product of row 2-norms; an upper bound for |det A|."""
-    return float(np.prod(np.linalg.norm(A, axis=1)))
+    return math.prod(math.hypot(*row) for row in A)
 
 
 def is_zero(value: float, scale: float, tol: float = DEFAULT_TOL_B) -> bool:
@@ -282,33 +343,17 @@ def is_nonzero(value: float, scale: float, tol: float = DEFAULT_TOL_G) -> bool:
     return abs(value) > tol * scale
 
 
-def numeric_rank(A: np.ndarray, tol: float = DEFAULT_TOL_B,
+def numeric_rank(A, tol: float = DEFAULT_TOL_B,
                  scale: float | None = None) -> int:
-    """Rank as the count of row-echelon pivots above tol x largest row norm.
+    """Rank of a matrix given as rows: the count of rows that _push gives a
+    pivot above tol x largest row norm.
 
     scale overrides the reference row norm; pass the norm of a parent matrix
     when ranking a modified copy so near-zero noise rows stay below threshold.
     """
-    A = np.array(A, dtype=float)
-    if A.size == 0:
-        return 0
     if scale is None:
-        scale = float(np.max(np.linalg.norm(A, axis=1)))
-    thresh = tol * scale
-    m, n = A.shape
-    rank = 0
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot = row + int(np.argmax(np.abs(A[row:, col])))
-        if abs(A[pivot, col]) <= thresh:
-            continue
-        A[[row, pivot]] = A[[pivot, row]]
-        A[row + 1:] -= np.outer(A[row + 1:, col] / A[row, col], A[row])
-        rank += 1
-        row += 1
-    return rank
+        scale = max((math.hypot(*row) for row in A), default=0.0)
+    return len(_eliminate(A, tol * scale)[0])
 
 
 def condition_count(n: int, r: int) -> int:

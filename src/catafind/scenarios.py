@@ -112,11 +112,6 @@ class RdReference:
                 * (self.k2 ** (1.0 / 3.0) * p ** (2.0 / 3.0)
                    + self.k1 ** (1.0 / 3.0) * p ** (-2.0 / 3.0)))
 
-    def butterfly_pq(self):
-        p = (self.k1 / self.k2) ** 0.25
-        q = (self.k1 * self.k2) ** 0.5 / 9.0
-        return p, q
-
     def uv_from_pq(self, p, q, branch=+1):
         if p <= 0 or q <= 0:
             raise DomainError("need p > 0 and q > 0 to reconstruct (u, v)")

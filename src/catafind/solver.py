@@ -5,10 +5,11 @@ parameters, verifies fullness and subrank at each converged point,
 classifies by codimension, and deduplicates roots.  Seeds come from a
 deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
-A Newton iteration runs generated code only, on Python floats: F and its
-flat Jacobian from one compiled function, and the step from a partial-pivot
-elimination generated once per system size, so its bits depend on IEEE
-double arithmetic alone, not on a BLAS build.
+Seeds, Newton iterations and reports are computed on Python floats: F and
+its flat Jacobian come from one compiled function, and the step from a
+partial-pivot elimination generated once per system size, so their bits
+depend on IEEE double arithmetic alone, not on a BLAS build.  Only the
+census's stability labels use numpy, which they import when they run.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import expr as ex
 from .expr import Point, VectorField
@@ -85,11 +84,11 @@ class SteadyStateCensus:
     states: tuple  # of (Point, stability label)
 
 
-def halton(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0, 1)^dim: the Halton
-    sequence in the first dim prime bases, from its point _HALTON_SKIP + 1
-    on."""
-    out = np.empty((count, dim))
+def halton(dim: int, count: int) -> list:
+    """Deterministic low-discrepancy points in [0, 1)^dim, as count lists of
+    dim floats: the Halton sequence in the first dim prime bases, from its
+    point _HALTON_SKIP + 1 on."""
+    out = [[0.0] * dim for _ in range(count)]
     primes = (k for k in itertools.count(2)
               if all(k % q for q in range(2, math.isqrt(k) + 1)))
     for d, base in zip(range(dim), primes):
@@ -100,7 +99,7 @@ def halton(dim: int, count: int) -> np.ndarray:
                 f /= base
                 x += f * (n % base)
                 n //= base
-            out[i, d] = x
+            out[i][d] = x
     return out
 
 
@@ -274,10 +273,8 @@ def _seed_values(box, count):
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"empty seed interval [{lo}, {hi}]")
-    pts = halton(len(box), count)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    return (lo + pts * (hi - lo)).tolist()
+    return [[lo + x * (hi - lo) for x, (lo, hi) in zip(pt, box)]
+            for pt in halton(len(box), count)]
 
 
 def find_catastrophes(field: VectorField, r: int, box,
@@ -364,8 +361,14 @@ def _resolve_fixed(field: VectorField, fixed) -> tuple:
 # ---------------------------------------------------------------------------
 # steady states and stability
 
-def stability_label(J: np.ndarray, tol: float = det.DEFAULT_TOL_B) -> str:
-    eig = np.linalg.eigvals(np.asarray(J, dtype=float))
+def stability_label(J, tol: float = det.DEFAULT_TOL_B) -> str:
+    """A steady state's label from the eigenvalues of its Jacobian J (rows);
+    the package's one numpy call, so numpy is imported here alone."""
+    import numpy as np
+    try:
+        eig = np.linalg.eigvals(np.asarray(J, dtype=float))
+    except np.linalg.LinAlgError as e:  # a numerical failure, for the CLI
+        raise ArithmeticError(f"eigenvalues: {e}") from None
     re = eig.real
     im = eig.imag
     if np.all(re < -tol):
@@ -420,5 +423,6 @@ def count_steady_states(field: VectorField, alpha, box,
         p = Point(tuple(x), alpha)
         _F, J = system.residual_and_jacobian(p.vals())
         m = len(x)
-        states.append((p, stability_label(np.reshape(J, (m, m)), opts.tol_b)))
+        rows = [J[k:k + m] for k in range(0, m * m, m)]
+        states.append((p, stability_label(rows, opts.tol_b)))
     return SteadyStateCensus(count=len(states), states=tuple(states))

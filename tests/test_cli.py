@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -504,6 +507,44 @@ def test_boardman_caps_only_the_stages_it_reads(capsys, argv, symbol):
 
 # ---------------------------------------------------------------------------
 # document plumbing
+
+@pytest.mark.parametrize("argv", [
+    ["count-minors", "--dim", "2", "--codim", "2"],
+    ["find", "--builtin", "rd", "--codim", "1", "--seeds", "4"],
+], ids=["count-minors", "find"])
+def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "x.json"
+    rc, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: ") and "x.json" in err
+
+
+NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import catafind.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = catafind.cli.main(["find", "--builtin", "rd", "--codim", "2"])
+print(rc, "numpy" in sys.modules)
+catafind.cli.main(["scan", "--builtin", "rd", "--axes", "b,d", "--cells", "3,3",
+                   "--range=-1.5:1.5,-1.5:1.5", "--fix", "a=0.2,g=0.2,k1=1,k2=1"])
+"""
+
+
+def test_find_runs_without_numpy_and_scan_labels_still_work():
+    """A fresh process imports the CLI and runs a find without loading
+    numpy; only the scan's stability labels import it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, header, *cells = proc.stdout.splitlines()
+    assert first == "0 False"
+    assert header == "b,d,n_states,n_attracting"
+    assert len(cells) == 9
+    # at b = d = 0 the origin, with Jacobian -[[1, 0.2], [0.2, 1]], is the
+    # one attracting state of three
+    assert cells[4] == "0,0,3,1"
+
 
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "doc.json"

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catafind.expr as ex
 import catafind.determinants as det
@@ -258,28 +259,33 @@ def test_memo_less_g_at_evaluates_the_level_once(monkeypatch):
     assert len(calls) == 1
 
 
-def evaluated(exprs, n_vars, p):
-    """Values of exprs at p through their own compiled function."""
-    return np.array(ex.compile_evaluator(exprs, n_vars)(p.vals()), dtype=float)
+def evaluated(matrix, n_vars, p):
+    """Rows of a matrix of expressions at p, through their own compiled
+    function."""
+    exprs = [e for row in matrix for e in row]
+    flat = [float(v) for v in ex.compile_evaluator(exprs, n_vars)(p.vals())]
+    size = len(matrix[0])
+    return [flat[k:k + size] for k in range(0, len(flat), size)]
 
 
 def assert_level_values_are_exact(D, r, points):
-    """b_at and g_at, read from one stacked evaluation per level, give the
-    same bits as evaluating each determinant and matrix on its own."""
+    """b_at and g_at, read from one evaluation per level (and for G, one
+    elimination over the prefix trie), give the same bits as evaluating each
+    determinant and matrix on its own and, for G, eliminating that matrix
+    alone; G is also within 1e-12 of the Hadamard scale of LAPACK's
+    determinant."""
     n = D.field.n
     for p in points:
         for i in range(1, r + 1):
             for K in det.index_strings(n, i - 1):
-                value = evaluated([D.build_B(i, K)], n, p)[0]
-                M = evaluated([e for row in D.b_matrix(i, K) for e in row],
-                              n, p).reshape(n, n)
-                assert D.b_at(i, K, p) == (
-                    float(value), det.hadamard_bound(M)), (i, K, p)
+                [[value]] = evaluated([[D.build_B(i, K)]], n, p)
+                M = evaluated(D.b_matrix(i, K), n, p)
+                assert D.b_at(i, K, p) == (value, det.hadamard_bound(M)), (i, K, p)
         for K in det.index_strings(n, r - 1):
-            M = evaluated([e for row in D.g_matrix(r, K) for e in row],
-                          n, p).reshape(n + r, n + r)
-            assert D.g_at(r, K, p) == (
-                float(np.linalg.det(M)), det.hadamard_bound(M)), (K, p)
+            M = evaluated(D.g_matrix(r, K), n, p)
+            value, scale = D.g_at(r, K, p)
+            assert (value, scale) == (det.numeric_det(M), det.hadamard_bound(M)), (K, p)
+            assert abs(value - np.linalg.det(M)) <= 1e-12 * scale, (K, p)
 
 
 def test_stacked_level_values_are_exact_rd(rd_dets):
@@ -384,6 +390,71 @@ def test_numeric_rank():
     assert det.numeric_rank(A) == 1
     B = np.array([[1.0, 0.0], [0.0, 1e-12]])
     assert det.numeric_rank(B) == 1  # scaled threshold kills the tiny pivot
+
+
+# dyadic entries: exact in binary, and nonzero ones within a factor 64
+DYADIC = st.integers(-64, 64).map(lambda k: k / 8)
+EXPONENTS = st.integers(-30, 30)  # a power-of-two scale, exact too
+
+
+def _matrix(draw, rows, cols, entries=DYADIC):
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def square_matrices(draw):
+    """m x m, 1 <= m <= 6, of full or any lower rank: B @ C with B m x k and
+    C k x m, or a matrix drawn whole, times 2^e."""
+    m, scale = draw(st.integers(1, 6)), 2.0 ** draw(EXPONENTS)
+    if draw(st.booleans()):
+        return [[scale * v for v in row] for row in _matrix(draw, m, m)]
+    k = draw(st.integers(0, m - 1))
+    B = np.array(_matrix(draw, m, k)).reshape(m, k)
+    C = np.array(_matrix(draw, k, m)).reshape(k, m)
+    return (scale * (B @ C)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=square_matrices())
+def test_elimination_determinant_matches_lapack(A):
+    value, scale = det.numeric_det(A), det.hadamard_bound(A)
+    assert abs(value - np.linalg.det(np.array(A))) <= 1e-12 * scale
+    assert abs(value) <= scale * (1 + 1e-12)
+
+
+@st.composite
+def rank_k_matrices(draw):
+    """(A, k): A = 2^e B Q, B an m x j matrix of integers in -3..3 of rank
+    k <= j <= m, Q j orthonormal rows.  A's nonzero singular values are
+    B's, at least about 5e-4 of its largest row norm, and the others are
+    rounding, so A is well separated from a 1e-8 threshold."""
+    m, scale = draw(st.integers(1, 6)), 2.0 ** draw(EXPONENTS)
+    j = draw(st.integers(0, m))
+    B = np.array(_matrix(draw, m, j, st.integers(-3, 3)), dtype=float).reshape(m, j)
+    Q = np.linalg.qr(np.array(_matrix(draw, m, m)))[0][:j]
+    k = int(np.linalg.matrix_rank(B)) if j else 0
+    return (scale * (B @ Q)).tolist(), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rank_k_matrices())
+def test_elimination_rank_matches_lapack_when_well_separated(case):
+    A, k = case
+    tol = 1e-8
+    scale = max(math.hypot(*row) for row in A)
+    assert det.numeric_rank(A, tol) == k
+    assert np.linalg.matrix_rank(np.array(A), tol=tol * scale) == k
+    assert det.numeric_rank(A + [A[0]], tol) == k  # a copied row adds nothing
+
+
+def test_numeric_det_signs_and_zeros():
+    # column pivots (1, 0, 2) are one transposition: the sign flips once
+    assert det.numeric_det([[0.0, 2.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 5.0]]) == -30.0
+    assert det.numeric_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+    assert det.numeric_det([[0.0, 0.0], [1.0, 1.0]]) == 0.0
+    assert math.isnan(det.numeric_det([[1.0, math.nan], [1.0, 1.0]]))
+    assert det.numeric_det([]) == 1.0
 
 
 def test_hadamard_bound_dominates_det():

@@ -29,14 +29,14 @@ def test_classify():
 
 
 def test_halton_deterministic_and_in_bounds():
-    a = halton(3, 64)
-    b = halton(3, 64)
+    a = np.asarray(halton(3, 64))
+    b = np.asarray(halton(3, 64))
     assert np.array_equal(a, b)
     assert np.all((a >= 0.0) & (a < 1.0))
     # low-discrepancy: each coordinate roughly fills the interval
     assert a[:, 0].min() < 0.1 and a[:, 0].max() > 0.9
     # the bases are the first dim primes, so a column does not depend on dim
-    wide = halton(13, 64)
+    wide = np.asarray(halton(13, 64))
     assert np.array_equal(wide[:, :3], a)
     assert wide[0, 12] == pytest.approx(21 / 41, rel=1e-15)  # point 21, base 41
 
@@ -235,6 +235,11 @@ def test_stability_labels():
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert stability_label(rotation) == "center"
     assert stability_label(np.zeros((2, 2))) == "degenerate"
+    # rows as lists, as the census passes them; a failed eigenvalue
+    # computation is a numerical failure, not numpy's LinAlgError
+    assert stability_label([[-1.0, 0.0], [0.0, -2.0]]) == "attracting"
+    with pytest.raises(ArithmeticError):
+        stability_label([[math.nan, 0.0], [0.0, 1.0]])
 
 
 def test_solve_options_validation():
