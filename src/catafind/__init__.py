@@ -18,18 +18,14 @@ from .expr import (
     compile_evaluator,
     differentiate,
     evaluate,
-    fix_parameters,
     format_vector_field,
     parse_vector_field,
-    simplify,
-    substitute_params,
     to_str,
 )
 from .determinants import (
     DEFAULT_TOL_B,
     DEFAULT_TOL_G,
     DeterminantSet,
-    condition_count,
     hadamard_bound,
     index_strings,
     is_nonzero,
@@ -71,11 +67,9 @@ __all__ = [
     "__version__",
     "EvaluationError", "ExprError", "Expression", "ParseError", "Point",
     "VectorField", "compile_evaluator", "differentiate", "evaluate",
-    "fix_parameters", "format_vector_field", "parse_vector_field",
-    "simplify", "substitute_params", "to_str",
-    "DEFAULT_TOL_B", "DEFAULT_TOL_G", "DeterminantSet", "condition_count",
-    "hadamard_bound", "index_strings", "is_nonzero", "is_zero",
-    "numeric_rank", "sym_det",
+    "format_vector_field", "parse_vector_field", "to_str",
+    "DEFAULT_TOL_B", "DEFAULT_TOL_G", "DeterminantSet", "hadamard_bound",
+    "index_strings", "is_nonzero", "is_zero", "numeric_rank", "sym_det",
     "DomainError", "PrimaryFormSpec", "RD_KINDS", "RdReference",
     "make_primary_form", "make_reaction_diffusion", "rd_catastrophe_point",
     "CatastropheReport", "NewtonResult", "SolveOptions", "SteadyStateCensus",

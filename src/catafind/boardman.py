@@ -4,8 +4,9 @@ The number of minors needed to pin down each successive symbol entry grows
 superfactorially; the counting recurrence here is exact (arbitrary-precision
 integers).  For desk-scale instances the chain of extended maps is also
 built explicitly, each stage appending every full-size minor of the previous
-stage's Jacobian, so the symbol can be read off numerically.  The Jacobian
-rows come from a DeterminantSet of the parameter-free field.
+stage's Jacobian, so the symbol can be read off numerically.  A symbol
+belongs to x -> F(x, alpha) at one alpha: the declared field's Jacobian
+rows come from a DeterminantSet, in the states only, read at (x, alpha).
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def bg_condition_count(n: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class DeltaChain:
-    base: VectorField  # parameter-free
+    base: VectorField  # the declared field; stages differentiate in x only
     corank_seq: tuple
     stages: tuple  # stage j = components of the j-fold extended map
 
@@ -105,10 +106,8 @@ def _stage_minors(stage, D: det.DeterminantSet, size: int):
 
 
 def build_delta_chain(field: VectorField, corank_seq, cap: int = 10_000) -> DeltaChain:
-    """Explicit chain for a parameter-free field: stage j appends every
-    (n - i_j + 1)-size minor of the gradient of stage j-1."""
-    if field.r != 0:
-        raise ValueError("fix the parameters numerically first")
+    """Explicit chain of a field: stage j appends every (n - i_j + 1)-size
+    minor of the state gradient of stage j-1."""
     n = field.n
     counts = minor_count(n, corank_seq)
     predicted = counts.cumulative[-1]
@@ -135,12 +134,12 @@ def _gradient_rows(exprs, D: det.DeterminantSet, p: Point) -> list:
 
 def boardman_symbol(field: VectorField, p: Point, max_depth: int = 4,
                     cap: int = 10_000, tol: float = det.DEFAULT_TOL_B) -> tuple:
-    """Corank sequence of the iterated extended maps at p, terminating at
-    the first zero, over at most max_depth >= 1 stages.  The sequence is
-    non-increasing by construction; an increase is reported as a
-    numerical-tolerance failure."""
-    if field.r != 0:
-        raise ValueError("fix the parameters numerically first")
+    """Corank sequence of the iterated extended maps of x -> F(x, p.alpha)
+    at p.x, terminating at the first zero, over at most max_depth >= 1
+    stages.  The sequence is non-increasing by construction; an increase is
+    reported as a numerical-tolerance failure."""
+    if len(p.x) != field.n or len(p.alpha) != field.r:
+        raise ValueError(f"the point needs {field.n} states and {field.r} parameters")
     if max_depth < 1:
         raise ValueError(f"max depth must be >= 1, got {max_depth}")
     n = field.n

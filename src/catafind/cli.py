@@ -413,13 +413,12 @@ def cmd_boardman(args) -> int:
     field, text = _load_field(args)
     fixed = _parse_fix(field, args.fix)
     alpha = solver._resolve_fixed(field, fixed)
-    frozen = ex.fix_parameters(field, alpha)
     at = _parse_pairs(args.at or "")
     for name in at:
         if name not in field.var_names:
             raise UsageError(f"--at: {name!r} is not a state variable")
-    p = ex.Point(tuple(at.get(nm, 0.0) for nm in field.var_names), ())
-    symbol = bo.boardman_symbol(frozen, p, max_depth=args.max_depth,
+    p = ex.Point(tuple(at.get(nm, 0.0) for nm in field.var_names), alpha)
+    symbol = bo.boardman_symbol(field, p, max_depth=args.max_depth,
                                 cap=args.cap, tol=args.tol_b)
     mc = bo.minor_count(field.n, symbol) if symbol else None
     doc = _document(args._argv, text, boardman={

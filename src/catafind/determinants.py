@@ -5,15 +5,15 @@ component of the field is replaced level by level with the previous
 determinant.  The extended (states + unfolding parameters) determinants,
 whose non-vanishing makes the conditions solvable with isolated roots, are
 only ever needed at a point: their rows are built symbolically, and
-evaluated rows are reduced by one elimination on Python floats (_push),
-which gives every determinant and rank, so no value depends on a BLAS
-build.  Gradient rows and B determinants are cached by expression and
-matrix, so index strings that share them build them once; Newton systems
-and Boardman stages read the same rows.  Every point value comes from
-compiled evaluators cached on the DeterminantSet: one per determinant
-level, whose one call evaluates the whole level at a point, and one per
-canonical chain B_{i,(1,...,1)}; the set keeps the levels of the last
-point.  The subrank test is here too.
+evaluated rows are reduced on Python floats, row by row for determinants
+(_push) and with complete pivoting for ranks (numeric_rank), so no value
+depends on a BLAS build.  Gradient rows and B determinants are cached by
+expression and matrix, so index strings that share them build them once;
+Newton systems and Boardman stages read the same rows.  Every point value
+comes from compiled evaluators cached on the DeterminantSet: one per
+determinant level, whose one call evaluates the whole level at a point,
+and one per canonical chain B_{i,(1,...,1)}; the set keeps the levels of
+the last point.  The subrank test is here too.
 """
 
 from __future__ import annotations
@@ -287,16 +287,15 @@ def _trie_dets(rows, n: int, r: int):
     return [s[1] for s in states], [s[2] for s in states]
 
 
-def _push(state, row, thresh: float = 0.0):
+def _push(state, row):
     """The elimination state (pivot rows, determinant, Hadamard product)
     after one more row: Gaussian elimination with partial pivoting on the
     transpose (Golub & Van Loan, Matrix Computations, section 3.4).  The
     row takes x -= x[c] * l for each pivot row l (a row over its pivot, so
-    |l| <= 1 on the free columns), then pivots on its first largest free
-    entry above thresh (a NaN wins, to reach the determinant).  The pivot
-    and the parity of its column among the pivot columns enter the
-    determinant; a row without a pivot zeroes it.  The rank is the number
-    of pivot rows."""
+    |l| <= 1 on the free columns), then pivots on its first largest nonzero
+    free entry (a NaN wins, to reach the determinant).  The pivot and the
+    parity of its column among the pivot columns enter the determinant; a
+    row without a pivot zeroes it."""
     pivots, value, scale = state
     scale *= math.hypot(*row)
     for c, l in pivots:
@@ -304,7 +303,7 @@ def _push(state, row, thresh: float = 0.0):
         if t:
             row = [a - t * b for a, b in zip(row, l)]
     used = [c for c, _ in pivots]
-    best, col = thresh, -1
+    best, col = 0.0, -1
     for c, a in enumerate(row):
         if (abs(a) > best or a != a) and c not in used:
             best, col = abs(a), c
@@ -317,11 +316,11 @@ def _push(state, row, thresh: float = 0.0):
     return pivots + ((col, [a / p for a in row]),), value, scale
 
 
-def _eliminate(A, thresh: float = 0.0):
+def _eliminate(A):
     """The elimination state of the rows of A, pushed in order."""
     state = ((), 1.0, 1.0)  # no pivot rows, determinant 1, Hadamard product 1
     for row in A:
-        state = _push(state, row, thresh)
+        state = _push(state, row)
     return state
 
 
@@ -345,17 +344,28 @@ def is_nonzero(value: float, scale: float, tol: float = DEFAULT_TOL_G) -> bool:
 
 def numeric_rank(A, tol: float = DEFAULT_TOL_B,
                  scale: float | None = None) -> int:
-    """Rank of a matrix given as rows: the count of rows that _push gives a
-    pivot above tol x largest row norm.
+    """Rank of a matrix given as rows: the count of pivots above tol x
+    largest row norm in Gaussian elimination with complete pivoting (Golub
+    & Van Loan, section 3.4.8; a NaN wins), which reveals the rank where
+    _push's row-by-row pivots can overstate it.
 
     scale overrides the reference row norm; pass the norm of a parent matrix
     when ranking a modified copy so near-zero noise rows stay below threshold.
     """
     if scale is None:
         scale = max((math.hypot(*row) for row in A), default=0.0)
-    return len(_eliminate(A, tol * scale)[0])
-
-
-def condition_count(n: int, r: int) -> int:
-    """Number of distinct (level, index string) pairs for levels 1..r."""
-    return sum(n ** (i - 1) for i in range(1, r + 1))
+    rows, rank = list(A), 0
+    while rows:
+        best, i, col = tol * scale, -1, -1
+        for k, row in enumerate(rows):
+            for c, a in enumerate(row):
+                if abs(a) > best or a != a:
+                    best, i, col = abs(a), k, c
+        if i < 0:
+            return rank
+        l = rows.pop(i)
+        l = [a / l[col] for a in l]
+        rows = [[a - row[col] * b for a, b in zip(row, l)] if row[col] else row
+                for row in rows]
+        rank += 1
+    return rank

@@ -260,37 +260,6 @@ def _postorder(roots, done):
                     stack.append(c)
 
 
-def _rebuild(e: Expression, leaf, memo: dict) -> Expression:
-    """Rebuild e bottom-up through the canonicalizing constructors, mapping
-    each leaf (const/var/par node) through leaf(node)."""
-    for node in _postorder((e,), memo):
-        k = node.kind
-        cs = node.children
-        if not cs:
-            out = leaf(node)
-        elif k == SUM:
-            out = add(*[memo[c] for c in cs])
-        elif k == PROD:
-            out = mul(*[memo[c] for c in cs])
-        elif k == NEG:
-            out = neg(memo[cs[0]])
-        elif k == QUOT:
-            out = div(memo[cs[0]], memo[cs[1]])
-        else:  # POW
-            out = pow_(memo[cs[0]], node.exponent)
-        memo[node] = out
-    return memo[e]
-
-
-def simplify(e: Expression) -> Expression:
-    """Rebuild a tree through the canonicalizing constructors.
-
-    Trees built by this module are canonical already, so this is the
-    identity for them; it normalizes externally assembled trees.
-    """
-    return _rebuild(e, lambda node: node, {})
-
-
 def differentiate(e: Expression, wrt: Expression, _memo=None) -> Expression:
     """Exact symbolic derivative of e with respect to a var/par node."""
     if wrt.kind not in (VAR, PAR):
@@ -383,23 +352,6 @@ def evaluate(e: Expression, p: Point) -> float:
     except IndexError:
         raise EvaluationError(
             f"point has too few values ({len(p.alpha)} parameters)", e) from None
-
-
-def substitute_params(e: Expression, values, _memo=None) -> Expression:
-    """Replace every parameter reference with a numeric constant."""
-    return _rebuild(
-        e, lambda node: const(values[node.index]) if node.kind == PAR else node,
-        {} if _memo is None else _memo)
-
-
-def fix_parameters(field: VectorField, alpha) -> VectorField:
-    """A parameter-free copy of the field with alpha substituted numerically."""
-    alpha = tuple(float(a) for a in alpha)
-    if len(alpha) != field.r:
-        raise ExprError(f"expected {field.r} parameter values, got {len(alpha)}")
-    memo: dict = {}
-    comps = tuple(substitute_params(c, alpha, memo) for c in field.components)
-    return VectorField(field.name, field.var_names, (), comps)
 
 
 # ---------------------------------------------------------------------------

@@ -94,24 +94,32 @@ def test_bg_condition_count_table_bottom():
 # ---------------------------------------------------------------------------
 # explicit chains
 
-def frozen_primary(n, r):
-    f = make_primary_form(PrimaryFormSpec(n, r))
-    return ex.fix_parameters(f, (0.0,) * r)
+def primary(n, r):
+    return make_primary_form(PrimaryFormSpec(n, r))
+
+
+def origin(r):
+    """The primary form's codimension-r point: x = 0 at alpha = 0."""
+    return ex.Point((0.0, 0.0), (0.0,) * r)
 
 
 def test_chain_stage_sizes_match_prediction():
-    chain = build_delta_chain(frozen_primary(2, 3), (1, 1, 1))
+    # the declared field, parameters kept: stages differentiate in x only
+    f = primary(2, 3)
+    chain = build_delta_chain(f, (1, 1, 1))
+    assert chain.base is f
     assert chain.stage_sizes == (2, 3, 6, 21)
 
 
 def test_chain_first_stage_is_jacobian_determinant():
-    f = frozen_primary(2, 1)
+    f = primary(2, 1)
     chain = build_delta_chain(f, (1,))
     appended = chain.stages[1][-1]
     direct = det.sym_det(det.DeterminantSet(f).b_matrix(1))
     rng = random.Random(8)
     for _ in range(20):
-        p = ex.Point((rng.uniform(-1, 1), rng.uniform(-1, 1)), ())
+        p = ex.Point((rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                     (rng.uniform(-1, 1),))
         assert ex.evaluate(appended, p) == pytest.approx(
             ex.evaluate(direct, p), rel=1e-12, abs=1e-12)
 
@@ -120,9 +128,8 @@ def test_chain_cusp_minors_match_level_determinants():
     """The three new stage-2 minors of the cusp chain agree, as a set of
     absolute values, with the level-2 determinant family and the Jacobian
     determinant, and all vanish at the cusp point."""
-    full = make_primary_form(PrimaryFormSpec(2, 2))
-    f0 = ex.fix_parameters(full, (0.0, 0.0))
-    chain = build_delta_chain(f0, (1, 1))
+    full = primary(2, 2)
+    chain = build_delta_chain(full, (1, 1))
     new_minors = chain.stages[2][len(chain.stages[1]):]
     assert len(new_minors) == 3
 
@@ -130,27 +137,20 @@ def test_chain_cusp_minors_match_level_determinants():
     dets = [D.build_B(1), D.build_B(2, (1,)), D.build_B(2, (2,))]
     rng = random.Random(14)
     for _ in range(20):
-        x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        p0 = ex.Point(x, ())
-        p2 = ex.Point(x, (0.0, 0.0))
-        got = sorted(abs(ex.evaluate(m, p0)) for m in new_minors)
-        expect = sorted(abs(ex.evaluate(e, p2)) for e in dets)
+        p = ex.Point((rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                     (rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        got = sorted(abs(ex.evaluate(m, p)) for m in new_minors)
+        expect = sorted(abs(ex.evaluate(e, p)) for e in dets)
         for g, e in zip(got, expect):
             assert g == pytest.approx(e, rel=1e-11, abs=1e-11)
 
-    origin = ex.Point((0.0, 0.0), ())
     for m in new_minors:
-        assert abs(ex.evaluate(m, origin)) <= 1e-12
-
-
-def test_chain_requires_fixed_parameters():
-    with pytest.raises(ValueError):
-        build_delta_chain(make_primary_form(PrimaryFormSpec(2, 2)), (1, 1))
+        assert abs(ex.evaluate(m, origin(2))) <= 1e-12
 
 
 def test_chain_cap():
     with pytest.raises(CapExceededError) as err:
-        build_delta_chain(frozen_primary(2, 4), (1, 1, 1, 1), cap=100)
+        build_delta_chain(primary(2, 4), (1, 1, 1, 1), cap=100)
     assert err.value.predicted == 231
 
 
@@ -164,14 +164,12 @@ def test_symbol_identity_field():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_symbol_of_primary_form_catastrophes(r):
-    f = frozen_primary(2, r)
-    assert boardman_symbol(f, ex.Point((0.0, 0.0), ())) == (1,) * r
+    assert boardman_symbol(primary(2, r), origin(r)) == (1,) * r
 
 
 def test_symbol_away_from_catastrophe():
-    f = frozen_primary(2, 3)
     # f' = 4 x1^3 is nonzero here, so only the zero-set membership survives
-    assert boardman_symbol(f, ex.Point((0.9, 0.0), ())) == ()
+    assert boardman_symbol(primary(2, 3), ex.Point((0.9, 0.0), (0.0,) * 3)) == ()
 
 
 def test_symbol_at_fold_of_reaction_diffusion(rd_field, rd_dets):
@@ -180,15 +178,13 @@ def test_symbol_at_fold_of_reaction_diffusion(rd_field, rd_dets):
     # sanity: a genuine fold, not a cusp, at this sample
     v2, s2 = rd_dets.b_at(2, (1,), p)
     assert abs(v2) > 1e-6 * s2
-    frozen = ex.fix_parameters(rd_field, p.alpha)
-    assert boardman_symbol(frozen, ex.Point(p.x, ())) == (1,)
+    assert boardman_symbol(rd_field, p) == (1,)
 
 
 def test_symbol_cap():
     # the fifth corank reads the 231-row stage, above the cap
-    f = frozen_primary(2, 4)
     with pytest.raises(CapExceededError):
-        boardman_symbol(f, ex.Point((0.0, 0.0), ()), max_depth=5, cap=100)
+        boardman_symbol(primary(2, 4), origin(4), max_depth=5, cap=100)
 
 
 def test_symbol_builds_no_stage_after_the_last_corank(monkeypatch):
@@ -202,15 +198,17 @@ def test_symbol_builds_no_stage_after_the_last_corank(monkeypatch):
         return sym_det(M)
 
     monkeypatch.setattr(det, "sym_det", counting_sym_det)
-    f = frozen_primary(2, 4)
-    assert boardman_symbol(f, ex.Point((0.0, 0.0), ()), max_depth=4,
+    assert boardman_symbol(primary(2, 4), origin(4), max_depth=4,
                            cap=100) == (1, 1, 1, 1)
     assert len(calls) == 1 + 3 + 15
 
 
-def test_symbol_rejects_parameterized_field(rd_field):
-    with pytest.raises(ValueError):
-        boardman_symbol(rd_field, ex.Point((0.0, 0.0), (0.0,) * 6))
+@pytest.mark.parametrize("x,alpha", [((0.0, 0.0), ()), ((0.0, 0.0), (0.0,) * 5),
+                                     ((0.0,), (0.0,) * 6), ((0.0,) * 3, (0.0,) * 6)],
+                         ids=["no-parameters", "five-parameters", "one-state", "three-states"])
+def test_symbol_rejects_a_point_of_the_wrong_size(rd_field, x, alpha):
+    with pytest.raises(ValueError, match="the point needs 2 states and 6 parameters"):
+        boardman_symbol(rd_field, ex.Point(x, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +218,17 @@ def test_symbol_rejects_parameterized_field(rd_field):
 def test_symbol_matches_level_determinant_verdict(r):
     """Symbol (1,)*r at a point iff the first r level determinants vanish
     and the (r+1)-st does not, sampled over catastrophe and generic points."""
-    full = make_primary_form(PrimaryFormSpec(2, r))
+    full = primary(2, r)
     D = det.DeterminantSet(full)
     rng = random.Random(100 + r)
-    alphas = (0.0,) * r
-    frozen = ex.fix_parameters(full, alphas)
     # x1 = 0 is the codim-r point of f = x1^(r+1); generic x1 are regular
     samples = [0.0] + [rng.uniform(0.3, 1.0) for _ in range(5)]
     for x1 in samples:
-        p0 = ex.Point((x1, 0.0), ())
-        pfull = ex.Point((x1, 0.0), alphas)
-        symbol = boardman_symbol(frozen, p0, max_depth=r + 1)
+        p = ex.Point((x1, 0.0), (0.0,) * r)
+        symbol = boardman_symbol(full, p, max_depth=r + 1)
         zeros = []
         for i in range(1, r + 2):
-            value, scale = D.b_at(i, (1,) * (i - 1), pfull)
+            value, scale = D.b_at(i, (1,) * (i - 1), p)
             zeros.append(abs(value) <= 1e-8 * scale)
         determinant_verdict = all(zeros[:r]) and not zeros[r]
         assert (symbol == (1,) * r) == determinant_verdict, (r, x1, symbol)

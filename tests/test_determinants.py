@@ -156,17 +156,6 @@ def test_canonical_reduction(rd_field):
         prev = direct
 
 
-def test_condition_count():
-    # 1 + n + ... + n^(r-1) distinct (level, string) pairs
-    for n in (2, 3, 4):
-        for r in (1, 2, 3, 4):
-            expected = (1 - n ** r) // (1 - n)
-            assert det.condition_count(n, r) == expected
-            enumerated = sum(len(det.index_strings(n, i - 1))
-                             for i in range(1, r + 1))
-            assert enumerated == expected
-
-
 # ---------------------------------------------------------------------------
 # extended determinants
 
@@ -390,6 +379,19 @@ def test_numeric_rank():
     assert det.numeric_rank(A) == 1
     B = np.array([[1.0, 0.0], [0.0, 1e-12]])
     assert det.numeric_rank(B) == 1  # scaled threshold kills the tiny pivot
+
+
+def test_numeric_rank_reveals_a_rank_that_row_pivoting_overstates():
+    """Pivoting row by row takes 6.76e-4 as the first row's pivot and
+    counts three rows; its third singular value is 6.0e-10, 1e-12 of the
+    largest row norm, so at tol 1e-8 the rank is 2."""
+    A = [(0, 0, 0, 0, 0, 6.76e-4), (0, 0, 0, 0, 598, 0),
+         (0, 0, 0, 6.1e-5, 0, 69)] + [(0,) * 6] * 3
+    sigma = np.linalg.svd(np.array(A, dtype=float), compute_uv=False)
+    assert sigma[2] < 1e-8 * 598 < sigma[1]
+    assert np.linalg.matrix_rank(np.array(A, dtype=float), tol=1e-8 * 598) == 2
+    assert det.numeric_rank(A, 1e-8) == 2
+    assert det.numeric_rank(A[::-1], 1e-8) == 2
 
 
 # dyadic entries: exact in binary, and nonzero ones within a factor 64

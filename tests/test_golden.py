@@ -1,0 +1,37 @@
+"""Golden documents: the CLI's stdout and exit code, byte for byte.
+
+Each line of ``tests/golden/COMMANDS`` is a name and a ``catafind``
+argument list; ``tests/golden/<name>.out`` holds that command's stdout
+followed by a line ``exit: <code>``.  Every command runs in a fresh
+interpreter, because a document's bytes may depend on what the process
+computed before it.
+
+A change that alters printed bytes on purpose regenerates the files from
+the repository root with a POSIX shell, and names each changed file::
+
+    cd tests/golden && set -f
+    while read -r name args; do
+        { PYTHONPATH=../../src python -m catafind.cli $args; echo "exit: $?"; } > "$name.out"
+    done < COMMANDS
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+COMMANDS = [line.split(maxsplit=1)
+            for line in (GOLDEN / "COMMANDS").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name,args", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_golden_document(name, args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "catafind.cli", *args.split()],
+                          env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    got = proc.stdout + b"exit: %d\n" % proc.returncode
+    assert got == (GOLDEN / f"{name}.out").read_bytes(), proc.stderr.decode()

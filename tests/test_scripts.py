@@ -8,6 +8,7 @@ from pathlib import Path
 
 import catafind
 from catafind import determinants as det
+from catafind import expr as ex
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,11 +48,17 @@ def test_public_names_resolve():
 
 def test_removed_names_are_gone():
     # DeterminantSet(f).b_matrix(1) and DeterminantSet(f).subrank(p, tol)
-    # replace the module functions
-    for name in ("jacobian", "subrank"):
+    # replace the module functions; condition_count had no caller
+    for name in ("jacobian", "subrank", "condition_count"):
         assert name not in catafind.__all__
         assert not hasattr(catafind, name)
         assert not hasattr(det, name)
+    # boardman_symbol evaluates the declared field at (x, alpha), so no
+    # parameter-free copy of a field is built
+    for name in ("fix_parameters", "substitute_params", "simplify"):
+        assert name not in catafind.__all__
+        assert not hasattr(catafind, name)
+        assert not hasattr(ex, name)
     assert not hasattr(catafind.VectorField, "point")
     fields = [f.name for f in dataclasses.fields(catafind.SolveOptions)]
     assert fields == ["seed_count", "dedup_radius", "tol_b", "tol_g"]
