@@ -3,32 +3,30 @@
 for a range of diffusion constants and compare each numerically found
 point against the closed-form coordinates.
 
+--k1 and --k2 take comma-separated lists, and every (k1, k2) pair of the
+two lists is solved in one process, which reuses the field's compiled
+system from pair to pair.
+
 Usage:
-    python scripts/butterfly_hunt.py [--k1 1.0] [--k2 2.0] [--seeds 256]
+    python scripts/butterfly_hunt.py [--k1 1.0[,k1,...]] [--k2 2.0[,k2,...]] [--seeds 256]
 """
 
 import argparse
+import itertools
 
 from catafind import (RdReference, SolveOptions, find_catastrophes,
                       make_reaction_diffusion)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k1", type=float, default=1.0)
-    ap.add_argument("--k2", type=float, default=2.0)
-    ap.add_argument("--seeds", type=int, default=256)
-    args = ap.parse_args()
-
-    field = make_reaction_diffusion()
-    ref = RdReference(args.k1, args.k2)
-    span = 1.5 * max(1.0, args.k1, args.k2)
+def hunt(field, k1, k2, seeds):
+    """Print the codimension-4 reports at (k1, k2) against the closed form."""
+    ref = RdReference(k1, k2)
+    span = 1.5 * max(1.0, k1, k2)
     box = [(-span, span)] * 4 + [(0.0, span)] * 2
-    opts = SolveOptions(seed_count=args.seeds)
-    reports = find_catastrophes(field, 4, box, opts,
-                                fixed={"k1": args.k1, "k2": args.k2})
+    opts = SolveOptions(seed_count=seeds)
+    reports = find_catastrophes(field, 4, box, opts, fixed={"k1": k1, "k2": k2})
 
-    print(f"k1={args.k1} k2={args.k2}: {len(reports)} codim-4 report(s)")
+    print(f"k1={k1} k2={k2}: {len(reports)} codim-4 report(s)")
     targets = {+1: ref.butterfly_point(+1), -1: ref.butterfly_point(-1)}
     for rep in reports:
         u, v = rep.point.x
@@ -39,6 +37,22 @@ def main():
         print(f"  branch {branch:+d}: (u,v)=({u:+.12f},{v:+.12f})  "
               f"residual={rep.residual:.2e}  full={rep.full}  "
               f"subrank_ok={rep.subrank_ok}  |closed-form err|={err:.2e}")
+
+
+def floats(text):
+    return [float(t) for t in text.split(",")]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--k1", type=floats, default=[1.0])
+    ap.add_argument("--k2", type=floats, default=[2.0])
+    ap.add_argument("--seeds", type=int, default=256)
+    args = ap.parse_args()
+
+    field = make_reaction_diffusion()
+    for k1, k2 in itertools.product(args.k1, args.k2):
+        hunt(field, k1, k2, args.seeds)
 
 
 if __name__ == "__main__":

@@ -298,7 +298,7 @@ def cmd_check(args) -> int:
     p = _parse_point(field, args.at)
     r = args.codim
     unfold = _parse_unfold(field, args.unfold)
-    D = det.DeterminantSet(field, param_order=unfold)
+    D = solver._system(field, unfold)[0]
     f_values = list(D.field_at(p))
     b_entries = []
     zero_by_key = {}

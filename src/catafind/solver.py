@@ -10,6 +10,9 @@ its flat Jacobian come from one compiled function, and the step from a
 partial-pivot elimination generated once per system size, so their bits
 depend on IEEE double arithmetic alone, not on a BLAS build.  Only the
 census's stability labels use numpy, which they import when they run.
+A call on a field equal to the last one's reuses its DeterminantSet, Newton
+systems and Halton points, so a scan's cells and a sweep over fixed values
+build them once; one field's work is kept, and a fresh process has none.
 """
 
 from __future__ import annotations
@@ -268,13 +271,39 @@ def _dedup(solutions, radius):
     return kept
 
 
+# One field's work, reused by calls on an equal field (compared by value, so
+# a rebuilt or re-parsed field hits): (key, DeterminantSet, a dict of the
+# NewtonSystem per codimension r, 0 being the census's F alone, and the unit
+# Halton points per (dim, count)).  Dropped before another field's is built.
+_memo = None
+
+
+def _system(field: VectorField, param_order=None, r: int | None = None):
+    """(D, the NewtonSystem of F, B_1, ..., B_{r,(1,...,1)}) from the memo;
+    the system is None when r is None."""
+    global _memo
+    key = (field, tuple(range(field.r)) if param_order is None else tuple(param_order))
+    if _memo is None or _memo[0] != key:
+        _memo = None
+        _memo = (key, det.DeterminantSet(field, param_order=key[1]), {})
+    _key, D, cache = _memo
+    if r is not None and r not in cache:
+        cache[r] = NewtonSystem(D, list(field.components) + [
+            D.build_B(i, (1,) * (i - 1)) for i in range(1, r + 1)])
+    return D, cache.get(r)
+
+
 def _seed_values(box, count):
+    """The seeds of box, from the unit Halton points of the memo entry
+    that _system set up."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"empty seed interval [{lo}, {hi}]")
-    return [[lo + x * (hi - lo) for x, (lo, hi) in zip(pt, box)]
-            for pt in halton(len(box), count)]
+    points = _memo[2].get((len(box), count))
+    if points is None:
+        points = _memo[2][len(box), count] = halton(len(box), count)
+    return [[lo + x * (hi - lo) for x, (lo, hi) in zip(pt, box)] for pt in points]
 
 
 def find_catastrophes(field: VectorField, r: int, box,
@@ -294,12 +323,9 @@ def find_catastrophes(field: VectorField, r: int, box,
     if r > field.r:
         raise ValueError(
             f"codimension {r} exceeds the field's {field.r} parameters")
-    D = det.DeterminantSet(field, param_order=param_order)
     if len(box) != field.n + r:
         raise ValueError(f"box needs {field.n + r} intervals, got {len(box)}")
-    eqs = list(field.components)
-    eqs += [D.build_B(i, (1,) * (i - 1)) for i in range(1, r + 1)]
-    system = NewtonSystem(D, eqs)
+    D, system = _system(field, param_order, r)
 
     alpha0 = _resolve_fixed(field, fixed)
     template = list(tuple(0.0 for _ in range(field.n)) + alpha0)
@@ -382,22 +408,6 @@ def stability_label(J, tol: float = det.DEFAULT_TOL_B) -> str:
     return "degenerate"
 
 
-# The last census's Newton system and seeds: a scan asks for the same field,
-# box and seed count in every cell.  One entry, so a session does not grow it.
-_census_memo = None
-
-
-def _census_setup(field: VectorField, box, count):
-    global _census_memo
-    key = (tuple((float(lo), float(hi)) for lo, hi in box), count)
-    memo = _census_memo
-    if memo is None or memo[0] is not field or memo[1] != key:
-        memo = (field, key, NewtonSystem(det.DeterminantSet(field), field.components),
-                _seed_values(box, count))
-        _census_memo = memo
-    return memo[2], memo[3]
-
-
 def count_steady_states(field: VectorField, alpha, box,
                         opts: SolveOptions | None = None) -> SteadyStateCensus:
     """Multistart Newton on F = 0 in x alone, at fixed parameter values,
@@ -408,9 +418,9 @@ def count_steady_states(field: VectorField, alpha, box,
         raise ValueError(f"expected {field.r} parameter values")
     if len(box) != field.n:
         raise ValueError(f"box needs {field.n} intervals")
-    system, seeds = _census_setup(field, box, opts.seed_count)
+    _D, system = _system(field, r=0)
     hits = []
-    for seed in seeds:
+    for seed in _seed_values(box, opts.seed_count):
         vals = seed + list(alpha)
         result = system.solve(vals)
         if result.ok:

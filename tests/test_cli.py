@@ -546,6 +546,65 @@ def test_find_runs_without_numpy_and_scan_labels_still_work():
     assert cells[4] == "0,0,3,1"
 
 
+REPEATED_FINDS = """
+import contextlib, gc, io, json, sys, weakref
+import catafind.cli, catafind.expr as ex, catafind.solver as solver
+calls = {"systems": 0, "derivatives": 0}
+init, differentiate = solver.NewtonSystem.__init__, ex.differentiate
+
+def counted_init(*args):
+    calls["systems"] += 1
+    init(*args)
+
+def counted_differentiate(*args):
+    calls["derivatives"] += 1
+    return differentiate(*args)
+
+solver.NewtonSystem.__init__, ex.differentiate = counted_init, counted_differentiate
+runs = []
+for argv in json.loads(sys.argv[1]):
+    before = dict(calls)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = catafind.cli.main(argv)
+    runs.append([out.getvalue() + "exit: %d\\n" % rc,
+                 {k: calls[k] - before[k] for k in calls}])
+    if len(runs) == 1:
+        first = weakref.ref(solver._memo[1])
+gc.collect()
+print(json.dumps({"runs": runs, "first_set_alive": first() is not None}))
+"""
+
+
+def test_repeated_finds_reuse_one_field_system():
+    """In one process, a second find on an equal field builds no Newton
+    system and takes no derivative; a find on another field drops the first
+    field's set; every document keeps its golden bytes but one hash."""
+    golden = Path(__file__).resolve().parent / "golden"
+    commands = dict(line.split(maxsplit=1)
+                    for line in (golden / "COMMANDS").read_text().splitlines())
+    names = ["find-readme", "find-readme", "find-primary-n2r4", "find-readme"]
+    argv = json.dumps([commands[name].split() for name in names])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", REPEATED_FINDS, argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    for name, (text, _calls) in zip(names, got["runs"]):
+        want = (golden / f"{name}.out").read_text()
+        if name == "find-primary-n2r4":
+            # term order follows what the process built before (here the
+            # rd field), so the primary field's canonical input text, and
+            # with it the input_sha256 line, differs from a fresh process's
+            text, want = ([line for line in t.splitlines()
+                           if '"input_sha256"' not in line] for t in (text, want))
+        assert text == want, name
+    calls = [c for _text, c in got["runs"]]
+    assert calls[0]["systems"] == 1 and calls[0]["derivatives"] > 0
+    assert calls[1] == {"systems": 0, "derivatives": 0}
+    assert calls[2]["systems"] == 1 and calls[3]["systems"] == 1
+    assert not got["first_set_alive"]
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "doc.json"
     rc, stdout, _err = run(capsys, ["count-minors", "--dim", "1",

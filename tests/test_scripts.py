@@ -26,6 +26,19 @@ def test_butterfly_hunt():
     assert "2 codim-4 report(s)" in out
 
 
+def test_butterfly_hunt_sweeps_every_pair_in_one_process():
+    out = run_script("butterfly_hunt.py", "--k1", "1,0.5", "--k2", "1.5",
+                     "--seeds", "64")
+    headers = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert headers == ["k1=1.0 k2=1.5: 2 codim-4 report(s)",
+                       "k1=0.5 k2=1.5: 2 codim-4 report(s)"]
+    # the second pair reuses the first pair's system and prints what a
+    # process of its own prints
+    alone = run_script("butterfly_hunt.py", "--k1", "0.5", "--k2", "1.5",
+                       "--seeds", "64")
+    assert out.endswith(alone)
+
+
 def test_minor_growth():
     out = run_script("minor_growth.py", "--max-dim", "2", "--max-codim", "2")
     assert out.startswith("minors (corank-1 chain):")

@@ -8,6 +8,7 @@ import pytest
 
 import catafind.expr as ex
 import catafind.determinants as det
+import catafind.solver as solver
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
                                 make_primary_form)
 from catafind.solver import (NewtonSystem, SolveOptions, _newton_step,
@@ -338,7 +339,8 @@ def test_newton_unknowns_stay_python_floats(rd_field, monkeypatch):
     assert counters.trial_types == {float}
 
 
-def test_census_builds_one_system_per_field_box_and_seed_count(monkeypatch):
+def test_census_builds_one_system_per_field(monkeypatch):
+    monkeypatch.setattr(solver, "_memo", None)
     f = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - a")
     builds = []
     init = NewtonSystem.__init__
@@ -352,12 +354,15 @@ def test_census_builds_one_system_per_field_box_and_seed_count(monkeypatch):
     counts = [count_steady_states(f, (a,), [(-2.0, 2.0)], opts).count
               for a in (1.0, 0.25, -1.0)]
     assert counts == [2, 2, 0]
-    assert len(builds) == 1
     count_steady_states(f, (1.0,), [(-3.0, 3.0)], opts)  # another box
     count_steady_states(f, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
     g = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - a")
-    count_steady_states(g, (1.0,), [(-3.0, 3.0)], SolveOptions(seed_count=8))
-    assert len(builds) == 4 and builds[-1].field is g
+    assert g == f and g is not f
+    count_steady_states(g, (1.0,), [(-3.0, 3.0)], opts)  # an equal field
+    assert len(builds) == 1 and builds[0].field is f
+    h = ex.parse_vector_field("vars: x\nparams: a\neq: x^2 - 2*a")
+    assert count_steady_states(h, (1.0,), [(-3.0, 3.0)], opts).count == 2
+    assert len(builds) == 2 and builds[1].field is h
 
 
 # ---------------------------------------------------------------------------
