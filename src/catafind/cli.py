@@ -299,29 +299,28 @@ def cmd_check(args) -> int:
     r = args.codim
     unfold = _parse_unfold(field, args.unfold)
     D = solver._system(field, unfold)[0]
-    f_values = list(D.field_at(p))
+    # the report reads level r (once r is checked against the unfolding
+    # parameters), which serves F and every B; it prints F, not a residual
+    rep = solver.build_report(D, r, p, math.nan, _solve_options(args))
     b_entries = []
-    zero_by_key = {}
     for i in range(1, r + 1):
         for K in det.index_strings(field.n, i - 1):
             value, scale = D.b_at(i, K, p)
-            zero = det.is_zero(value, scale, args.tol_b)
-            zero_by_key[(i, K)] = zero
-            b_entries.append({"level": i, "index": list(K),
-                              "value": value, "scale": scale, "zero": zero})
-    # the residual is not printed: check reports F itself
-    rep = solver.build_report(D, r, p, math.nan, _solve_options(args))
+            b_entries.append({"level": i, "index": list(K), "value": value,
+                              "scale": scale,
+                              "zero": det.is_zero(value, scale, args.tol_b)})
     g_entries = [{"index": list(K), "value": value, "scale": rep.g_scales[K],
                   "nonzero": det.is_nonzero(value, rep.g_scales[K], args.tol_g)}
                  for K, value in rep.g_values.items()]
-    canonical_zero = all(zero_by_key[(i, (1,) * (i - 1))] for i in range(1, r + 1))
+    canonical_zero = all(e["zero"] for e in b_entries
+                         if e["index"] == [1] * (e["level"] - 1))
     verdict = _check_verdict(canonical_zero, rep.full, rep.subrank_ok,
-                             zero_by_key[(1, ())], r, field.n)
+                             b_entries[0]["zero"], r, field.n)
     report = {
         "x": list(p.x),
         "alpha": list(p.alpha),
         "codim": r,
-        "f_values": f_values,
+        "f_values": list(D.field_at(p)),
         "b_values": b_entries,
         "g_values": g_entries,
         "full": rep.full,
@@ -341,9 +340,12 @@ def cmd_scan(args) -> int:
         raise UsageError("--axes needs exactly two parameter names")
     if axes[0] == axes[1]:
         raise UsageError(f"--axes names {axes[0]!r} twice")
+    fixed = _parse_fix(field, args.fix)
     for a in axes:
         if a not in field.param_names:
             raise UsageError(f"--axes: {a!r} is not a declared parameter")
+        if a in fixed:
+            raise UsageError(f"--fix: {a!r} is a scan axis, swept over its range")
     ranges = _parse_intervals(args.range)
     if len(ranges) != 2:
         raise UsageError("--range needs two intervals lo:hi,lo:hi")
@@ -353,7 +355,6 @@ def cmd_scan(args) -> int:
         raise UsageError(f"bad --cells {args.cells!r}") from None
     if len(cells) != 2 or min(cells) < 1:
         raise UsageError("--cells needs two positive integers")
-    fixed = _parse_fix(field, args.fix)
     box = (_parse_intervals(args.box_x) if args.box_x
            else [(-3.0, 3.0)] * field.n)
     if len(box) != field.n:

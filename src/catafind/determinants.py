@@ -10,10 +10,12 @@ evaluated rows are reduced on Python floats, row by row for determinants
 depends on a BLAS build.  Gradient rows and B determinants are cached by
 expression and matrix, so index strings that share them build them once;
 Newton systems and Boardman stages read the same rows.  Every point value
-comes from compiled evaluators cached on the DeterminantSet: one per
-determinant level, whose one call evaluates the whole level at a point,
-and one per canonical chain B_{i,(1,...,1)}; the set keeps the levels of
-the last point.  The subrank test is here too.
+comes from one compiled function per codimension r, cached on the
+DeterminantSet: one call at a point gives F, each B_{i,K} with i <= r and
+the gradient rows of all of them, and those rows give the B Hadamard
+scales, G_{r,K} and the Jacobian that the subrank test ranks.  The set
+keeps the levels of the last point, and the highest kept level serves
+every read but G_{r,K}, which comes from level r alone.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class DeterminantSet:
         self._rows: dict = {}  # expression -> its gradient row so far
         self._dets: dict = {}  # b_matrix -> its symbolic determinant
         self._point = None  # the last Point evaluated, held so its id stays unique
-        self._levels: dict = {}  # (kind, level) -> _level_at's result at _point
+        self._levels: dict = {}  # codimension -> _level's result at _point
         self._cols = (tuple(ex.var(j) for j in range(field.n))
                       + tuple(ex.par(j) for j in self.param_order))
 
@@ -158,14 +160,20 @@ class DeterminantSet:
 
     # -- G determinants ----------------------------------------------------
 
-    def g_matrix(self, r: int, K=()):
-        """The (n + r) x (n + r) extended matrix of G_{r,K}: the gradients of
-        the components, then of B_1, B_{2,K[:1]}, ..., B_{r,K[:r-1]}."""
+    def _g_index(self, r: int, K) -> tuple:
+        """K checked as the index string of a G_{r,K}, and r against the
+        unfolding parameters."""
         K = _check_index_string(self.field.n, r, K)
         if r > len(self.param_order):
             raise IndexError(
                 f"codimension {r} exceeds the {len(self.param_order)} "
                 "available unfolding parameters")
+        return K
+
+    def g_matrix(self, r: int, K=()):
+        """The (n + r) x (n + r) extended matrix of G_{r,K}: the gradients of
+        the components, then of B_1, B_{2,K[:1]}, ..., B_{r,K[:r-1]}."""
+        K = self._g_index(r, K)
         with self._lock:
             rows_src = list(self.field.components)
             for i in range(1, r + 1):
@@ -174,108 +182,84 @@ class DeterminantSet:
 
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
-    def _level_fn(self, kind: str, level: int):
-        """(fn, index, count, width): one compiled function for a level,
-        whose outputs, mapped through index, are count values, then rows of
-        width entries.  ("B", 0) gives the components and ("chain", r)
-        B_{i,(1,...,1)} for i = 1..r, without rows; ("B", i) gives B_{i,K}
-        then its matrix per K; ("G", r) gives the distinct rows of its
-        matrices alone: the components', then every B_{i,K}'s, i = 1..r.
-        Shared entries are compiled once: the G level of primary:n=3,r=6
-        with lam and tau set has 367 rows of 9 entries, 235 distinct."""
+    def _level_fn(self, r: int):
+        """(fn, exprs, rows): the one compiled function of codimension
+        r >= 0, whose outputs are the values of exprs, each distinct entry
+        once: the nodes (the components, then B_{i,K} for i = 1..r in
+        index_strings order) and the entries of rows, each node's gradient
+        row over the states and the first min(r, unfolding count)
+        parameters.  Level 6 of primary:n=3,r=6 with lam and tau set has
+        367 nodes and 367 rows of 9 entries: 356 distinct expressions."""
         with self._lock:
-            got = self._fns.get((kind, level))
+            got = self._fns.get(r)
             if got is None:
                 n = self.field.n
-                values, rows, width = [], [], n
-                if level == 0:
-                    values = list(self.field.components)
-                elif kind == "chain":
-                    values = [self.build_B(i, (1,) * (i - 1)) for i in range(1, level + 1)]
-                elif kind == "B":
-                    for K in index_strings(n, level - 1):
-                        values.append(self.build_B(level, K))
-                        rows += self.b_matrix(level, K)
-                else:
-                    self.g_matrix(level, (1,) * (level - 1))  # checks level
-                    width = n + level
-                    rows = [self.row(e, width) for e in self.field.components]
-                    rows += [self.row(self.build_B(i, K), width) for i in range(1, level + 1)
-                             for K in index_strings(n, i - 1)]
-                exprs = values + [e for row in rows for e in row]
-                unique = {e: j for j, e in enumerate(dict.fromkeys(exprs))}
-                got = (ex.compile_evaluator(list(unique), n),
-                       [unique[e] for e in exprs], len(values), width)
-                self._fns[(kind, level)] = got
+                width = n + min(r, len(self.param_order))
+                nodes = list(self.field.components) + [
+                    self.build_B(i, K) for i in range(1, r + 1)
+                    for K in index_strings(n, i - 1)]
+                rows = [self.row(e, width) for e in nodes]
+                exprs = list(dict.fromkeys(nodes + [e for row in rows for e in row]))
+                got = self._fns[r] = (ex.compile_evaluator(exprs, n), exprs, rows)
             return got
 
-    def _level_at(self, kind: str, level: int, p: Point):
-        """A level at p from one call of its function: (values, scales,
-        rows), one value and scale per index string in index_strings order,
-        rows as _level_fn lists them.  A B value is the determinant's own
-        expression, a G value comes from _trie_dets; scales are Hadamard
-        bounds.  Level 0 and the chain give values alone.  The levels of the
-        last Point object are kept; by identity, so a point holding -0.0
-        never reads one holding 0.0."""
+    def _level(self, r: int, p: Point, exact: bool = False):
+        """(value, G) of a level at p from one call of its function: value
+        maps each expression of the level to its float, and G maps K to
+        G_{r,K}'s (value, Hadamard scale) from _trie_dets over the level's
+        rows, None above the unfolding parameters.  The levels of the last
+        Point object are kept, by identity, so a point holding -0.0 never
+        reads one holding 0.0; unless exact, the highest kept level serves
+        any lower r, since it holds the lower level's expressions and their
+        bits."""
         with self._lock:
             if p is not self._point:
                 self._point, self._levels = p, {}
-            got = self._levels.get((kind, level))
+            if not exact and self._levels:
+                r = max(r, *self._levels)
+            got = self._levels.get(r)
             if got is None:
-                fn, index, count, width = self._level_fn(kind, level)
-                out = fn(p.vals())
-                flat = [float(out[j]) for j in index]
-                values = flat[:count]
-                rows = [flat[k:k + width] for k in range(count, len(flat), width)]
-                scales = None
-                if kind == "G":
-                    values, scales = _trie_dets(rows, self.field.n, level)
-                elif rows:
-                    n = self.field.n
-                    scales = [hadamard_bound(rows[k:k + n]) for k in range(0, len(rows), n)]
-                got = self._levels[(kind, level)] = (values, scales, rows)
+                fn, exprs, rows = self._level_fn(r)
+                value = dict(zip(exprs, map(float, fn(p.vals()))))
+                g = (_trie_dets([[value[e] for e in row] for row in rows],
+                                self.field.n, r)
+                     if 1 <= r <= len(self.param_order) else None)
+                got = self._levels[r] = (value, g)
             return got
-
-    def _at(self, kind: str, level: int, K, p: Point):
-        """(value, Hadamard scale) of index string K of a level at p."""
-        values, scales, _ = self._level_at(kind, level, p)
-        j = 0
-        for k in K:
-            j = j * self.field.n + k - 1
-        return values[j], scales[j]
 
     def field_at(self, p: Point) -> tuple:
         """Values of the field components at p."""
-        return tuple(self._level_at("B", 0, p)[0])
+        value = self._level(0, p)[0]
+        return tuple(value[c] for c in self.field.components)
 
     def b_at(self, i: int, K, p: Point):
-        """(value, Hadamard scale) of the level-i determinant at p (i >= 1)."""
-        return self._at("B", i, _check_index_string(self.field.n, i, K), p)
-
-    def chain_at(self, r: int, p: Point) -> tuple:
-        """Values of the canonical chain B_{i,(1,...,1)}, i = 1..r, at p."""
-        if r < 1:
-            raise IndexError("chain_at needs r >= 1")
-        return tuple(self._level_at("chain", r, p)[0])
+        """(value, Hadamard scale) of the level-i determinant at p (i >= 1);
+        the scale is that of b_matrix(i, K) at p."""
+        K = _check_index_string(self.field.n, i, K)
+        value = self._level(i, p)[0]
+        M = [[value[e] for e in row] for row in self.b_matrix(i, K)]
+        return value[self.build_B(i, K)], hadamard_bound(M)
 
     def g_at(self, r: int, K, p: Point):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the
         elimination (_push) of the evaluated extended matrix, row by row."""
-        return self._at("G", r, _check_index_string(self.field.n, r, K), p)
+        K = self._g_index(r, K)  # before the level is built
+        return self._level(r, p, exact=True)[1][K]
 
     def subrank(self, p: Point, tol: float = DEFAULT_TOL_B) -> int:
         """Least rank of the Jacobian at p over deletions of one component row."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        J = self._level_at("B", 1, p)[2]  # the one matrix of level 1
+        value = self._level(0, p)[0]
+        J = [[value[e] for e in row] for row in self.b_matrix(1)]
         scale = max(math.hypot(*row) for row in J)
         return min(numeric_rank(J[:j] + J[j + 1:], tol, scale=scale)
                    for j in range(len(J)))
 
 
-def _trie_dets(rows, n: int, r: int):
-    """(values, scales) of G_{r,K} per K, in index_strings order, from the
-    G level's rows.  G_{r,K}'s rows are those of the components, B_1,
+def _trie_dets(rows, n: int, r: int) -> dict:
+    """{K: (value, Hadamard scale)} of G_{r,K} from the rows of level r.
+    G_{r,K}'s rows are those of the components, B_1,
     B_{2,K[:1]}, ..., B_{r,K[:r-1]}, so the strings form a prefix trie: the
     first n + 1 rows are reduced once, and each trie node reduces the one
     row it adds.  Each value has the bits of numeric_det on its matrix."""
@@ -284,7 +268,7 @@ def _trie_dets(rows, n: int, r: int):
         states = [_push(states[j // n], row)
                   for j, row in enumerate(rows[at:at + n ** depth])]
         at += n ** depth
-    return [s[1] for s in states], [s[2] for s in states]
+    return {K: s[1:] for K, s in zip(index_strings(n, r - 1), states)}
 
 
 def _push(state, row):

@@ -314,8 +314,8 @@ def find_catastrophes(field: VectorField, r: int, box,
 
     box: (lo, hi) per unknown, variables first then the r unfolding
     parameters.  fixed: values for the non-unfolding parameters (by name or
-    index; unlisted ones stay at 0).  Non-full solutions are returned
-    flagged, not discarded.
+    index; unlisted ones stay at 0; naming an unfolding one is a
+    ValueError).  Non-full solutions are returned flagged, not discarded.
     """
     opts = opts or SolveOptions()
     if r < 1:
@@ -325,6 +325,11 @@ def find_catastrophes(field: VectorField, r: int, box,
             f"codimension {r} exceeds the field's {field.r} parameters")
     if len(box) != field.n + r:
         raise ValueError(f"box needs {field.n + r} intervals, got {len(box)}")
+    solved = tuple(range(field.r) if param_order is None else param_order)[:r]
+    for key in fixed or ():
+        if _param_index(field, key) in solved:
+            raise ValueError(f"parameter {key!r} is one of the {r} unfolding "
+                             "parameters, which are solved for, not fixed")
     D, system = _system(field, param_order, r)
 
     alpha0 = _resolve_fixed(field, fixed)
@@ -352,13 +357,11 @@ def build_report(D: det.DeterminantSet, r: int, p: Point, residual: float,
     """Evaluate every fullness and degeneracy check at a solved point."""
     opts = opts or SolveOptions()
     field = D.field
-    b_values = D.chain_at(r, p)
     g_values = {}
     g_scales = {}
-    for K in det.index_strings(field.n, r - 1):
-        gv, gs = D.g_at(r, K, p)
-        g_values[K] = gv
-        g_scales[K] = gs
+    for K in det.index_strings(field.n, r - 1):  # level r, which serves the rest
+        g_values[K], g_scales[K] = D.g_at(r, K, p)
+    b_values = tuple(D.b_at(i, (1,) * (i - 1), p)[0] for i in range(1, r + 1))
     full = all(
         det.is_nonzero(g_values[K], g_scales[K], opts.tol_g) for K in g_values)
     sr = D.subrank(p, opts.tol_b)
@@ -368,19 +371,22 @@ def build_report(D: det.DeterminantSet, r: int, p: Point, residual: float,
         full=full, subrank=sr, subrank_ok=(sr == field.n - 1))
 
 
+def _param_index(field: VectorField, key) -> int:
+    """The declared index of a parameter given by name or index."""
+    if isinstance(key, str):
+        if key not in field.param_names:
+            raise ValueError(f"unknown parameter {key!r}")
+        return field.param_names.index(key)
+    idx = int(key)
+    if not 0 <= idx < field.r:
+        raise ValueError(f"parameter index {idx} out of range")
+    return idx
+
+
 def _resolve_fixed(field: VectorField, fixed) -> tuple:
     alpha = [0.0] * field.r
-    if fixed:
-        for key, value in fixed.items():
-            if isinstance(key, str):
-                if key not in field.param_names:
-                    raise ValueError(f"unknown parameter {key!r}")
-                idx = field.param_names.index(key)
-            else:
-                idx = int(key)
-                if not 0 <= idx < field.r:
-                    raise ValueError(f"parameter index {idx} out of range")
-            alpha[idx] = float(value)
+    for key, value in (fixed or {}).items():
+        alpha[_param_index(field, key)] = float(value)
     return tuple(alpha)
 
 

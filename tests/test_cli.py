@@ -322,6 +322,59 @@ def test_check_numerical_failure_exit_code(capsys, tmp_path):
     assert rc == 3 and "numerical" in err
 
 
+def test_check_rejects_excess_codimension_before_building(capsys, monkeypatch):
+    """A codimension above the unfolding parameters is a usage error before
+    any determinant of the nest is built."""
+    from catafind import determinants as det
+    built = []
+    build_B = det.DeterminantSet.build_B
+
+    def counted_build_B(D, *args):
+        built.append(args)
+        return build_B(D, *args)
+
+    monkeypatch.setattr(det.DeterminantSet, "build_B", counted_build_B)
+    rc, out, err = run(capsys, ["check", "--builtin", "rd", "--codim", "7",
+                                "--at", "u=0"])
+    assert (rc, out) == (2, "")
+    assert "codimension 7 exceeds the 6 available unfolding parameters" in err
+    assert built == []
+
+
+def compile_count(monkeypatch, capsys, argv):
+    """compile_evaluator calls of one CLI run without the field's memo."""
+    from catafind import expr, solver
+    calls = []
+    compile_evaluator = expr.compile_evaluator
+
+    def counting_compile(exprs, *args, **kwargs):
+        calls.append(len(exprs))
+        return compile_evaluator(exprs, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_memo", None)
+    monkeypatch.setattr(expr, "compile_evaluator", counting_compile)
+    assert run(capsys, argv)[0] == 0
+    return len(calls)
+
+
+PRIMARY_N3R6 = "primary:n=3,r=6,lam=1.3:-0.7,tau=0.9:-1.6"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", PRIMARY_N3R6, "--codim", "6",
+     "--at", "x1=0.3,x2=-0.2,a1=0.1"],
+    ["check", "--builtin", "rd", "--codim", "4",
+     "--at", "u=0.3,v=0.3,b=-0.6,d=-0.6,a=0.7,g=0.7,k1=1,k2=1"],
+])
+def test_cold_check_compiles_one_level(capsys, monkeypatch, argv):
+    assert compile_count(monkeypatch, capsys, argv) == 1
+
+
+def test_cold_find_compiles_the_newton_system_and_one_level(capsys, monkeypatch):
+    argv = ["find", "--builtin", PRIMARY_N3R6, "--codim", "6", "--seeds", "64"]
+    assert compile_count(monkeypatch, capsys, argv) == 3
+
+
 def test_check_unknown_coordinate(capsys):
     rc, _out, err = run(capsys, ["check", "--builtin", "rd", "--codim", "1",
                                  "--at", "w=1"])
@@ -395,9 +448,9 @@ FLAG_VALUES = st.one_of(
 def test_every_field_text_ends_in_a_documented_exit_code(tmp_path_factory, body,
                                                           command, value):
     path = tmp_path_factory.mktemp("field") / "f.field"
-    path.write_text(f"vars: x\nparams: a\neq: {body}\n")
+    path.write_text(f"vars: x\nparams: a b\neq: {body}\n")
     argv = [command, str(path), "--codim", "1"]
-    argv += (["--seeds", "2", "--fix", f"a={value}"] if command == "find"
+    argv += (["--seeds", "2", "--fix", f"b={value}"] if command == "find"
              else ["--at", f"x={value}"])
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -453,6 +506,16 @@ def test_scan_axes_must_differ(capsys):
     rc, out, err = run(capsys, ["scan", "--builtin", "rd", "--axes", "b,b",
                                 "--range=-1:1,-1:1", "--cells", "1,1"])
     assert rc == 2 and out == "" and "twice" in err
+
+
+def test_fixing_a_solved_parameter_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "4",
+                                "--fix", "b=5,k1=1,k2=1"])
+    assert rc == 2 and out == "" and "'b'" in err and "unfolding" in err
+    rc, out, err = run(capsys, ["scan", "--builtin", "rd", "--axes", "b,d",
+                                "--range=-1:1,-1:1", "--cells", "1,1",
+                                "--fix", "b=3,k1=1,k2=1"])
+    assert rc == 2 and out == "" and "'b' is a scan axis" in err
 
 
 def test_scan_axis_must_be_parameter(capsys):

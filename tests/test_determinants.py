@@ -248,6 +248,38 @@ def test_memo_less_g_at_evaluates_the_level_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_highest_kept_level_serves_every_read_but_g(monkeypatch, rd_field):
+    """After G at level 4, F, every B value and scale and the subrank are
+    read from that level's one evaluation, with the bits that each lower
+    level gives on its own; G at a lower level evaluates that level."""
+    calls = []
+    compile_evaluator = ex.compile_evaluator
+
+    def counting_compile(exprs, *args, **kwargs):
+        fn = compile_evaluator(exprs, *args, **kwargs)
+
+        def counted(vals):
+            calls.append(len(exprs))
+            return fn(vals)
+        return counted
+
+    monkeypatch.setattr(ex, "compile_evaluator", counting_compile)
+    p = RdReference(1.0, 2.0).butterfly_point(+1)
+    D = det.DeterminantSet(rd_field)
+    D.g_at(4, (1, 2, 1), p)
+    reads = ([D.field_at(p), D.subrank(p)]
+             + [D.b_at(i, K, p) for i in range(1, 5)
+                for K in det.index_strings(2, i - 1)])
+    assert len(calls) == 1
+    alone = [det.DeterminantSet(rd_field) for _ in range(6)]
+    expect = ([alone[0].field_at(p), alone[1].subrank(p)]
+              + [alone[i + 1].b_at(i, K, p) for i in range(1, 5)
+                 for K in det.index_strings(2, i - 1)])
+    assert reads == expect
+    D.g_at(2, (2,), p)
+    assert len(calls) == 1 + 6 + 1
+
+
 def evaluated(matrix, n_vars, p):
     """Rows of a matrix of expressions at p, through their own compiled
     function."""

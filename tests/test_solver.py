@@ -185,6 +185,19 @@ def test_find_rejects_unknown_fixed_name(rd_field):
         find_catastrophes(rd_field, 1, [(-1, 1)] * 3, fixed={"zz": 1.0})
 
 
+@pytest.mark.parametrize("fixed,param_order", [
+    ({"b": 5.0, "k1": 1.0}, None),  # b is the first of the default order
+    ({3: 5.0}, None),  # g, by index
+    ({"a": 1.0}, (2, 3)),
+    ({"k2": 1.0, 2: 1.0}, (2, 3)),
+])
+def test_find_rejects_fixing_an_unfolding_parameter(rd_field, fixed, param_order):
+    with pytest.raises(ValueError, match="unfolding"):
+        find_catastrophes(rd_field, 4 if param_order is None else 2,
+                          [(-1, 1)] * (6 if param_order is None else 4),
+                          fixed=fixed, param_order=param_order)
+
+
 # ---------------------------------------------------------------------------
 # steady states
 
