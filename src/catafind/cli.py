@@ -299,13 +299,15 @@ def cmd_check(args) -> int:
     r = args.codim
     unfold = _parse_unfold(field, args.unfold)
     D = solver._system(field, unfold)[0]
-    # the report reads level r (once r is checked against the unfolding
-    # parameters), which serves F and every B; it prints F, not a residual
-    rep = solver.build_report(D, r, p, math.nan, _solve_options(args))
+    # one level serves the report, every B and F (printed, not a residual);
+    # r above the unfolding parameters fails before any of it is built
+    D._g_index(r, (1,) * (r - 1))
+    level = D.level(r, p)
+    rep = solver.build_report(level, math.nan, _solve_options(args))
     b_entries = []
     for i in range(1, r + 1):
         for K in det.index_strings(field.n, i - 1):
-            value, scale = D.b_at(i, K, p)
+            value, scale = level.b(i, K)
             b_entries.append({"level": i, "index": list(K), "value": value,
                               "scale": scale,
                               "zero": det.is_zero(value, scale, args.tol_b)})
@@ -320,7 +322,7 @@ def cmd_check(args) -> int:
         "x": list(p.x),
         "alpha": list(p.alpha),
         "codim": r,
-        "f_values": list(D.field_at(p)),
+        "f_values": list(level.field()),
         "b_values": b_entries,
         "g_values": g_entries,
         "full": rep.full,

@@ -9,13 +9,13 @@ evaluated rows are reduced on Python floats, row by row for determinants
 (_push) and with complete pivoting for ranks (numeric_rank), so no value
 depends on a BLAS build.  Gradient rows and B determinants are cached by
 expression and matrix, so index strings that share them build them once;
-Newton systems and Boardman stages read the same rows.  Every point value
-comes from one compiled function per codimension r, cached on the
-DeterminantSet: one call at a point gives F, each B_{i,K} with i <= r and
-the gradient rows of all of them, and those rows give the B Hadamard
-scales, G_{r,K} and the Jacobian that the subrank test ranks.  The set
-keeps the levels of the last point, and the highest kept level serves
-every read but G_{r,K}, which comes from level r alone.
+Newton systems and Boardman stages read the same rows.  Point values come
+from one compiled function per codimension r, cached on the
+DeterminantSet: DeterminantSet.level(r, p) calls it once and returns a
+Level, which holds F, each B_{i,K} with i <= r and the gradient rows of
+all of them at p, and from those rows gives the B Hadamard scales,
+G_{r,K} and the Jacobian that the subrank test ranks.  The set keeps no
+value of any point.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from dataclasses import dataclass
 
 from . import expr as ex
 from .expr import Expression, Point, VectorField
@@ -110,8 +111,6 @@ class DeterminantSet:
         self._diff_memo: dict = {}
         self._rows: dict = {}  # expression -> its gradient row so far
         self._dets: dict = {}  # b_matrix -> its symbolic determinant
-        self._point = None  # the last Point evaluated, held so its id stays unique
-        self._levels: dict = {}  # codimension -> _level's result at _point
         self._cols = (tuple(ex.var(j) for j in range(field.n))
                       + tuple(ex.par(j) for j in self.param_order))
 
@@ -142,11 +141,8 @@ class DeterminantSet:
             return tuple(self.row(c, self.field.n) for c in comps)
 
     def build_B(self, i: int, K=()) -> Expression:
-        """Level-i determinant; level 0 is the first component itself."""
-        if i == 0:
-            if tuple(K):
-                raise IndexError("level 0 takes an empty index string")
-            return self.field.components[0]
+        """The level-i determinant B_{i,K} (i >= 1): the determinant of
+        b_matrix(i, K)."""
         K = _check_index_string(self.field.n, i, K)
         with self._lock:
             got = self._b.get((i, K))
@@ -203,55 +199,54 @@ class DeterminantSet:
                 got = self._fns[r] = (ex.compile_evaluator(exprs, n), exprs, rows)
             return got
 
-    def _level(self, r: int, p: Point, exact: bool = False):
-        """(value, G) of a level at p from one call of its function: value
-        maps each expression of the level to its float, and G maps K to
-        G_{r,K}'s (value, Hadamard scale) from _trie_dets over the level's
-        rows, None above the unfolding parameters.  The levels of the last
-        Point object are kept, by identity, so a point holding -0.0 never
-        reads one holding 0.0; unless exact, the highest kept level serves
-        any lower r, since it holds the lower level's expressions and their
-        bits."""
-        with self._lock:
-            if p is not self._point:
-                self._point, self._levels = p, {}
-            if not exact and self._levels:
-                r = max(r, *self._levels)
-            got = self._levels.get(r)
-            if got is None:
-                fn, exprs, rows = self._level_fn(r)
-                value = dict(zip(exprs, map(float, fn(p.vals()))))
-                g = (_trie_dets([[value[e] for e in row] for row in rows],
-                                self.field.n, r)
-                     if 1 <= r <= len(self.param_order) else None)
-                got = self._levels[r] = (value, g)
-            return got
+    def level(self, r: int, p: Point) -> Level:
+        """The values of codimension r >= 0 at p, from one call of its
+        compiled function; G_{r,K} is eliminated over the level's rows when
+        1 <= r <= the unfolding parameter count."""
+        if r < 0:
+            raise IndexError(f"codimension {r} is below 0")
+        fn, exprs, rows = self._level_fn(r)
+        value = dict(zip(exprs, map(float, fn(p.vals()))))
+        g = (_trie_dets([[value[e] for e in row] for row in rows], self.field.n, r)
+             if 1 <= r <= len(self.param_order) else None)
+        return Level(r, p, self, value, g)
 
-    def field_at(self, p: Point) -> tuple:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Level:
+    """The values of codimension r at the point p, from one call of the
+    level's compiled function: every read below comes from them, so a point
+    holding -0.0 reads its own signed zeros."""
+
+    r: int
+    p: Point
+    _set: DeterminantSet
+    _value: dict  # expression -> its float at p
+    _g: dict | None  # K -> G_{r,K}'s (value, Hadamard scale); None outside 1..count
+
+    def field(self) -> tuple:
         """Values of the field components at p."""
-        value = self._level(0, p)[0]
-        return tuple(value[c] for c in self.field.components)
+        return tuple(self._value[c] for c in self._set.field.components)
 
-    def b_at(self, i: int, K, p: Point):
-        """(value, Hadamard scale) of the level-i determinant at p (i >= 1);
-        the scale is that of b_matrix(i, K) at p."""
-        K = _check_index_string(self.field.n, i, K)
-        value = self._level(i, p)[0]
-        M = [[value[e] for e in row] for row in self.b_matrix(i, K)]
-        return value[self.build_B(i, K)], hadamard_bound(M)
+    def b(self, i: int, K=()):
+        """(value, Hadamard scale) of B_{i,K} at p (1 <= i <= r); the scale
+        is that of b_matrix(i, K) at p."""
+        K = _check_index_string(self._set.field.n, i, K)
+        if i > self.r:
+            raise IndexError(f"level {i} is above the codimension {self.r}")
+        M = [[self._value[e] for e in row] for row in self._set.b_matrix(i, K)]
+        return self._value[self._set.build_B(i, K)], hadamard_bound(M)
 
-    def g_at(self, r: int, K, p: Point):
+    def g(self, K=()):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the
         elimination (_push) of the evaluated extended matrix, row by row."""
-        K = self._g_index(r, K)  # before the level is built
-        return self._level(r, p, exact=True)[1][K]
+        return self._g[self._set._g_index(self.r, K)]
 
-    def subrank(self, p: Point, tol: float = DEFAULT_TOL_B) -> int:
+    def subrank(self, tol: float = DEFAULT_TOL_B) -> int:
         """Least rank of the Jacobian at p over deletions of one component row."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        value = self._level(0, p)[0]
-        J = [[value[e] for e in row] for row in self.b_matrix(1)]
+        J = [[self._value[e] for e in row] for row in self._set.b_matrix(1)]
         scale = max(math.hypot(*row) for row in J)
         return min(numeric_rank(J[:j] + J[j + 1:], tol, scale=scale)
                    for j in range(len(J)))

@@ -348,27 +348,28 @@ def find_catastrophes(field: VectorField, r: int, box,
     reports = []
     for vals, res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(vals[:field.n]), tuple(vals[field.n:]))
-        reports.append(build_report(D, r, p, res, opts))
+        reports.append(build_report(D.level(r, p), res, opts))
     return reports
 
 
-def build_report(D: det.DeterminantSet, r: int, p: Point, residual: float,
+def build_report(level: det.Level, residual: float,
                  opts: SolveOptions | None = None) -> CatastropheReport:
-    """Evaluate every fullness and degeneracy check at a solved point."""
+    """Evaluate every fullness and degeneracy check of a solved point, all
+    read from its level."""
     opts = opts or SolveOptions()
-    field = D.field
+    r, n = level.r, len(level.p.x)
     g_values = {}
     g_scales = {}
-    for K in det.index_strings(field.n, r - 1):  # level r, which serves the rest
-        g_values[K], g_scales[K] = D.g_at(r, K, p)
-    b_values = tuple(D.b_at(i, (1,) * (i - 1), p)[0] for i in range(1, r + 1))
+    for K in det.index_strings(n, r - 1):
+        g_values[K], g_scales[K] = level.g(K)
+    b_values = tuple(level.b(i, (1,) * (i - 1))[0] for i in range(1, r + 1))
     full = all(
         det.is_nonzero(g_values[K], g_scales[K], opts.tol_g) for K in g_values)
-    sr = D.subrank(p, opts.tol_b)
+    sr = level.subrank(opts.tol_b)
     return CatastropheReport(
-        point=p, codim=r, label=classify(r), residual=residual,
+        point=level.p, codim=r, label=classify(r), residual=residual,
         b_values=b_values, g_values=g_values, g_scales=g_scales,
-        full=full, subrank=sr, subrank_ok=(sr == field.n - 1))
+        full=full, subrank=sr, subrank_ok=(sr == n - 1))
 
 
 def _param_index(field: VectorField, key) -> int:

@@ -74,9 +74,9 @@ def test_criterion_03_extended_determinant_formula():
     field = make_reaction_diffusion()
     D = det.DeterminantSet(field, param_order=(2, 0, 3, 1))
     k1, k2 = 1.0, 2.0
-    p = RdReference(k1, k2).butterfly_point(+1)
+    level = D.level(4, RdReference(k1, k2).butterfly_point(+1))
     for K in det.index_strings(2, 3):
-        value, _scale = D.g_at(4, K, p)
+        value, _scale = level.g(K)
         expect = g_closed_form(*K, k1, k2)
         assert abs(value - expect) <= 1e-6 * abs(expect), K
 
@@ -136,9 +136,9 @@ def test_criterion_06_parameterization_oracle():
         rng = random.Random(60 + m)
         for _ in range(200):
             ref = RdReference(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
-            p = random_rd_point(rng, ref, kind)
+            level = D.level(m, random_rd_point(rng, ref, kind))
             for i in range(1, m + 1):
-                value, scale = D.b_at(i, (1,) * (i - 1), p)
+                value, scale = level.b(i, (1,) * (i - 1))
                 assert abs(value) <= 1e-9 * scale, (kind, i)
 
 
@@ -152,9 +152,9 @@ def test_criterion_07_symbol_equivalence_desk_scale():
         for x1 in (0.0, -0.8, 0.5, 1.1):
             p = ex.Point((x1, 0.0), (0.0,) * r)
             symbol = boardman_symbol(full, p, max_depth=r + 1)
+            level = D.level(r + 1, p)
             zeros = [abs(v) <= 1e-8 * s for v, s in
-                     (D.b_at(i, (1,) * (i - 1), p)
-                      for i in range(1, r + 2))]
+                     (level.b(i, (1,) * (i - 1)) for i in range(1, r + 2))]
             verdict = all(zeros[:r]) and not zeros[r]
             assert (symbol == (1,) * r) == verdict, (r, x1)
             if x1 == 0.0:

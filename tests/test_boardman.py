@@ -176,7 +176,7 @@ def test_symbol_at_fold_of_reaction_diffusion(rd_field, rd_dets):
     ref = RdReference(1.0, 1.0)
     p = rd_catastrophe_point(ref, "fold", u=0.2, v=0.1, gamma=1.0)
     # sanity: a genuine fold, not a cusp, at this sample
-    v2, s2 = rd_dets.b_at(2, (1,), p)
+    v2, s2 = rd_dets.level(2, p).b(2, (1,))
     assert abs(v2) > 1e-6 * s2
     assert boardman_symbol(rd_field, p) == (1,)
 
@@ -227,8 +227,9 @@ def test_symbol_matches_level_determinant_verdict(r):
         p = ex.Point((x1, 0.0), (0.0,) * r)
         symbol = boardman_symbol(full, p, max_depth=r + 1)
         zeros = []
+        level = D.level(r + 1, p)
         for i in range(1, r + 2):
-            value, scale = D.b_at(i, (1,) * (i - 1), p)
+            value, scale = level.b(i, (1,) * (i - 1))
             zeros.append(abs(value) <= 1e-8 * scale)
         determinant_verdict = all(zeros[:r]) and not zeros[r]
         assert (symbol == (1,) * r) == determinant_verdict, (r, x1, symbol)

@@ -111,30 +111,33 @@ def test_b2_through_b4_closed_forms(rd_dets):
                 expect, rel=1e-11, abs=1e-10)
 
 
-def test_b0_is_first_component(rd_field, rd_dets):
-    assert rd_dets.build_B(0) is rd_field.components[0]
-
-
 def test_index_string_validation(rd_dets):
     with pytest.raises(IndexError):
         rd_dets.build_B(2, (3,))   # entry outside 1..n
     with pytest.raises(IndexError):
         rd_dets.build_B(3, (1,))   # wrong length
     with pytest.raises(IndexError):
+        rd_dets.build_B(0)         # level below 1
+    with pytest.raises(IndexError):
         rd_dets.g_matrix(7)        # more codimensions than parameters
     p = ex.Point((0.1, 0.2), (0.3, -0.4, 0.5, 0.6, 1.0, 1.0))
+    level = rd_dets.level(3, p)
     with pytest.raises(IndexError):
-        rd_dets.b_at(2, (3,), p)   # entry outside 1..n
+        level.b(2, (3,))           # entry outside 1..n
     with pytest.raises(IndexError):
-        rd_dets.g_at(2, (0,), p)
+        level.g((0, 1))
     with pytest.raises(IndexError):
-        rd_dets.b_at(3, (1,), p)   # wrong length
+        level.b(3, (1,))           # wrong length
     with pytest.raises(IndexError):
-        rd_dets.g_at(2, (1, 1), p)
+        level.g((1,))
     with pytest.raises(IndexError):
-        rd_dets.b_at(0, (), p)     # level below 1
+        level.b(0, ())             # level below 1
     with pytest.raises(IndexError):
-        rd_dets.g_at(7, (1,) * 6, p)  # more codimensions than parameters
+        level.b(4, (1, 1, 1))      # above the level's codimension
+    with pytest.raises(IndexError):
+        rd_dets.level(-1, p)       # codimension below 0
+    with pytest.raises(IndexError):  # more codimensions than parameters
+        det.DeterminantSet(rd_dets.field, param_order=(0, 1)).level(3, p).g((1, 1))
 
 
 def test_canonical_reduction(rd_field):
@@ -163,16 +166,17 @@ def test_g1_of_translation_field_vanishes():
     f = ex.parse_vector_field("vars: x\nparams: a\neq: x + a")
     D = det.DeterminantSet(f)
     # B1 is constant 1, so the extended determinant row is zero everywhere
-    value, _scale = D.g_at(1, (), ex.Point((0.3,), (0.7,)))
+    value, _scale = D.level(1, ex.Point((0.3,), (0.7,))).g(())
     assert value == 0.0
 
 
 def test_g1_nonzero_on_fold_sheet(rd_dets):
     ref = RdReference(1.0, 1.0)
     p = rd_catastrophe_point(ref, "fold", u=0.2, v=0.1, gamma=1.0)
-    value, scale = rd_dets.g_at(1, (), p)
+    level = rd_dets.level(1, p)
+    value, scale = level.g(())
     assert det.is_nonzero(value, scale)
-    bval, bscale = rd_dets.b_at(1, (), p)
+    bval, bscale = level.b(1, ())
     assert det.is_zero(bval, bscale)
 
 
@@ -181,13 +185,16 @@ def test_g_matrix_shape(rd_dets):
     assert len(mat) == 6 and all(len(row) == 6 for row in mat)
 
 
-def assert_g_at_matches_sym_det(D, r, points):
-    """g_at (LU on the evaluated matrix) against the expanded symbolic
-    determinant of the same matrix, for every index string."""
+def assert_g_matches_sym_det(D, r, points):
+    """G read from a level (elimination of the evaluated matrix) against
+    the expanded symbolic determinant of the same matrix, for every index
+    string."""
+    levels = [D.level(r, p) for p in points]
     for K in det.index_strings(D.field.n, r - 1):
         G = det.sym_det(D.g_matrix(r, K))
-        for p in points:
-            value, scale = D.g_at(r, K, p)
+        for level in levels:
+            p = level.p
+            value, scale = level.g(K)
             expect = ex.evaluate(G, p)
             assert abs(value - expect) <= 1e-12 * max(1.0, scale), (r, K, p)
 
@@ -195,7 +202,7 @@ def assert_g_at_matches_sym_det(D, r, points):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_g_at_matches_symbolic_determinant_rd(rd_dets, r):
     rng = random.Random(40 + r)
-    assert_g_at_matches_sym_det(rd_dets, r, [rd_point(rng) for _ in range(20)])
+    assert_g_matches_sym_det(rd_dets, r, [rd_point(rng) for _ in range(20)])
 
 
 def test_g_at_matches_symbolic_determinant_primary():
@@ -204,80 +211,73 @@ def test_g_at_matches_symbolic_determinant_primary():
     points = [ex.Point(tuple(rng.uniform(-1.5, 1.5) for _ in range(3)),
                        tuple(rng.uniform(-1.5, 1.5) for _ in range(3)))
               for _ in range(20)]
-    assert_g_at_matches_sym_det(D, 3, points)
+    assert_g_matches_sym_det(D, 3, points)
 
 
-def test_level_memo_is_keyed_by_point(rd_dets):
-    """The levels kept for the last point never serve another Point: not a
-    different point, and not one equal by value whose zeros are -0.0."""
-    rng = random.Random(46)
-    points = [rd_point(rng) for _ in range(3)]
-    for p in points + points[::-1]:
-        fresh = det.DeterminantSet(rd_dets.field)
-        assert rd_dets.g_at(2, (2,), p) == fresh.g_at(2, (2,), p)
-        assert rd_dets.b_at(3, (2, 1), p) == fresh.b_at(3, (2, 1), p)
-    # the component y and B_1 = x carry the sign of the point's zeros
+def test_one_level_serves_every_lower_read(rd_field):
+    """One level(4, p) gives F, the subrank and every B value and scale of
+    levels 1..4 with the bits that each lower level gives on its own; it
+    holds no level above 4."""
+    D = det.DeterminantSet(rd_field)
+    for p in (RdReference(1.0, 2.0).butterfly_point(+1),
+              ex.Point((0.3, -0.7), (0.1, 0.2, -0.4, 0.5, 1.0, 2.0))):
+        top = D.level(4, p)
+        assert top.field() == D.level(0, p).field()
+        assert top.subrank() == D.level(0, p).subrank()
+        for i in range(1, 5):
+            alone = D.level(i, p)
+            for K in det.index_strings(2, i - 1):
+                assert top.b(i, K) == alone.b(i, K), (i, K, p)
+        with pytest.raises(IndexError):
+            top.b(5, (1, 1, 1, 1))
+
+
+def count_level_calls(monkeypatch):
+    """The codimensions of the level functions called from now on."""
+    calls = []
+    level_fn = det.DeterminantSet._level_fn
+
+    def counting_level_fn(D, r):
+        fn, exprs, rows = level_fn(D, r)
+
+        def counted(vals):
+            calls.append(r)
+            return fn(vals)
+        return counted, exprs, rows
+
+    monkeypatch.setattr(det.DeterminantSet, "_level_fn", counting_level_fn)
+    return calls
+
+
+def test_cold_report_and_check_each_evaluate_one_level(monkeypatch, capsys,
+                                                       rd_field):
+    """With no field memo, each find report and a check call the level-r
+    function once, at level r."""
+    from catafind import cli, solver
+    monkeypatch.setattr(solver, "_memo", None)
+    calls = count_level_calls(monkeypatch)
+    box = [(-1.2, 1.2)] * 4 + [(0.0, 1.2)] * 2
+    reports = solver.find_catastrophes(rd_field, 4, box,
+                                       fixed={"k1": 1.0, "k2": 1.0})
+    assert len(reports) >= 2 and calls == [4] * len(reports)
+    monkeypatch.setattr(solver, "_memo", None)
+    calls.clear()
+    assert cli.main(["check", "--builtin", "rd", "--codim", "3",
+                     "--at", "u=0.2,v=0.1,b=0.3,k1=1,k2=1"]) == 0
+    capsys.readouterr()
+    assert calls == [3]
+
+
+def test_a_point_holding_negative_zeros_reads_them_back():
+    """The component y and B_1 = x carry the sign of the point's zeros."""
     D = det.DeterminantSet(
         ex.parse_vector_field("vars: x y\nparams: a\neq: x^2/2 + a\neq: y"))
     plus, minus = ex.Point((0.0, 0.0), (0.0,)), ex.Point((-0.0, -0.0), (0.0,))
     assert plus == minus
     for p, sign in ((plus, 1.0), (minus, -1.0), (plus, 1.0)):
-        assert math.copysign(1.0, D.field_at(p)[1]) == sign
-        assert math.copysign(1.0, D.b_at(1, (), p)[0]) == sign
-
-
-def test_memo_less_g_at_evaluates_the_level_once(monkeypatch):
-    """g_at over all 243 index strings of primary:n=3,r=6 at one point calls
-    the G level's compiled function once."""
-    calls = []
-    compile_evaluator = ex.compile_evaluator
-
-    def counting_compile(exprs, *args, **kwargs):
-        fn = compile_evaluator(exprs, *args, **kwargs)
-
-        def counted(vals):
-            calls.append(len(exprs))
-            return fn(vals)
-        return counted
-
-    monkeypatch.setattr(ex, "compile_evaluator", counting_compile)
-    D = det.DeterminantSet(make_primary_form(PrimaryFormSpec(3, 6)))
-    p = ex.Point((0.3, -0.2, 0.1), (0.1, -0.4, 0.0, 0.2, 0.0, 0.5))
-    values = [D.g_at(6, K, p) for K in det.index_strings(3, 5)]
-    assert len(values) == 243
-    assert len(calls) == 1
-
-
-def test_the_highest_kept_level_serves_every_read_but_g(monkeypatch, rd_field):
-    """After G at level 4, F, every B value and scale and the subrank are
-    read from that level's one evaluation, with the bits that each lower
-    level gives on its own; G at a lower level evaluates that level."""
-    calls = []
-    compile_evaluator = ex.compile_evaluator
-
-    def counting_compile(exprs, *args, **kwargs):
-        fn = compile_evaluator(exprs, *args, **kwargs)
-
-        def counted(vals):
-            calls.append(len(exprs))
-            return fn(vals)
-        return counted
-
-    monkeypatch.setattr(ex, "compile_evaluator", counting_compile)
-    p = RdReference(1.0, 2.0).butterfly_point(+1)
-    D = det.DeterminantSet(rd_field)
-    D.g_at(4, (1, 2, 1), p)
-    reads = ([D.field_at(p), D.subrank(p)]
-             + [D.b_at(i, K, p) for i in range(1, 5)
-                for K in det.index_strings(2, i - 1)])
-    assert len(calls) == 1
-    alone = [det.DeterminantSet(rd_field) for _ in range(6)]
-    expect = ([alone[0].field_at(p), alone[1].subrank(p)]
-              + [alone[i + 1].b_at(i, K, p) for i in range(1, 5)
-                 for K in det.index_strings(2, i - 1)])
-    assert reads == expect
-    D.g_at(2, (2,), p)
-    assert len(calls) == 1 + 6 + 1
+        level = D.level(1, p)
+        assert math.copysign(1.0, level.field()[1]) == sign
+        assert math.copysign(1.0, level.b(1, ())[0]) == sign
 
 
 def evaluated(matrix, n_vars, p):
@@ -290,21 +290,22 @@ def evaluated(matrix, n_vars, p):
 
 
 def assert_level_values_are_exact(D, r, points):
-    """b_at and g_at, read from one evaluation per level (and for G, one
+    """B and G read from level r, one evaluation (and for G, one
     elimination over the prefix trie), give the same bits as evaluating each
     determinant and matrix on its own and, for G, eliminating that matrix
     alone; G is also within 1e-12 of the Hadamard scale of LAPACK's
     determinant."""
     n = D.field.n
     for p in points:
+        level = D.level(r, p)
         for i in range(1, r + 1):
             for K in det.index_strings(n, i - 1):
                 [[value]] = evaluated([[D.build_B(i, K)]], n, p)
                 M = evaluated(D.b_matrix(i, K), n, p)
-                assert D.b_at(i, K, p) == (value, det.hadamard_bound(M)), (i, K, p)
+                assert level.b(i, K) == (value, det.hadamard_bound(M)), (i, K, p)
         for K in det.index_strings(n, r - 1):
             M = evaluated(D.g_matrix(r, K), n, p)
-            value, scale = D.g_at(r, K, p)
+            value, scale = level.g(K)
             assert (value, scale) == (det.numeric_det(M), det.hadamard_bound(M)), (K, p)
             assert abs(value - np.linalg.det(M)) <= 1e-12 * scale, (K, p)
 
@@ -347,7 +348,7 @@ def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
     monkeypatch.setattr(det, "sym_det", counting_sym_det)
     field = make_primary_form(PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6)))
     D = det.DeterminantSet(field)
-    rep = solver.build_report(D, 6, ex.Point((0.0,) * 3, (0.0,) * 6), 0.0)
+    rep = solver.build_report(D.level(6, ex.Point((0.0,) * 3, (0.0,) * 6)), 0.0)
     assert rep.full
     assert len(matrices) == 184
     assert len(pairs) == 1089 and len(set(pairs)) == 1089
@@ -369,19 +370,19 @@ def test_cusp_set_kills_both_level2_strings(rd_dets):
         u = rng.uniform(0.05, 1.0)
         v = u * rng.uniform(0.1, 3.0)  # same sign keeps the domain valid
         ref = RdReference(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
-        p = rd_catastrophe_point(ref, "cusp", u=u, v=v)
+        level = rd_dets.level(2, rd_catastrophe_point(ref, "cusp", u=u, v=v))
         for (i, K) in ((1, ()), (2, (1,)), (2, (2,))):
-            value, scale = rd_dets.b_at(i, K, p)
+            value, scale = level.b(i, K)
             assert abs(value) <= 1e-8 * scale, (i, K, value, scale)
 
 
 def test_butterfly_kills_every_index_string(rd_dets):
     ref = RdReference(1.0, 2.0)
     for branch in (+1, -1):
-        p = ref.butterfly_point(branch)
+        level = rd_dets.level(4, ref.butterfly_point(branch))
         for i in range(1, 5):
             for K in det.index_strings(2, i - 1):
-                value, scale = rd_dets.b_at(i, K, p)
+                value, scale = level.b(i, K)
                 assert abs(value) <= 1e-9 * scale, (i, K, value)
 
 
@@ -390,18 +391,18 @@ def test_butterfly_kills_every_index_string(rd_dets):
 
 def test_subrank_reaction_diffusion_origin(rd_field):
     p = ex.Point((0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0, 1.0))
-    assert det.DeterminantSet(rd_field).subrank(p, 1e-8) == 1
+    assert det.DeterminantSet(rd_field).level(0, p).subrank(1e-8) == 1
 
 
 def test_subrank_corank_collapse(corank_zero_field):
     p = ex.Point((0.0, 0.0), (0.0, 0.0))
-    assert det.DeterminantSet(corank_zero_field).subrank(p, 1e-8) == 0
+    assert det.DeterminantSet(corank_zero_field).level(0, p).subrank(1e-8) == 0
 
 
 def test_subrank_identity_3d():
     f = ex.parse_vector_field("vars: x y z\nparams:\neq: x\neq: y\neq: z")
     p = ex.Point((0.4, -0.2, 1.1), ())
-    assert det.DeterminantSet(f).subrank(p, 1e-8) == 2
+    assert det.DeterminantSet(f).level(0, p).subrank(1e-8) == 2
 
 
 def test_numeric_rank():
@@ -517,12 +518,13 @@ eq: -7*(k2*v + d + g*u + u^3)
            rd_catastrophe_point(ref, "fold", u=0.2, v=0.1, gamma=1.0),
            ex.Point((0.5, 0.5), (0.1, 0.2, 0.3, 0.4, 1.0, 1.0))]
     for p in pts:
+        level, scaled_level = D.level(4, p), Ds.level(4, p)
         for i in range(1, 5):
             for K in det.index_strings(2, i - 1):
-                v1, s1 = D.b_at(i, K, p)
-                v2, s2 = Ds.b_at(i, K, p)
+                v1, s1 = level.b(i, K)
+                v2, s2 = scaled_level.b(i, K)
                 assert det.is_zero(v1, s1) == det.is_zero(v2, s2), (i, K, p)
         for K in det.index_strings(2, 3):
-            v1, s1 = D.g_at(4, K, p)
-            v2, s2 = Ds.g_at(4, K, p)
+            v1, s1 = level.g(K)
+            v2, s2 = scaled_level.g(K)
             assert det.is_nonzero(v1, s1) == det.is_nonzero(v2, s2), (K, p)

@@ -156,16 +156,16 @@ def test_parameterized_sets_annihilate_level_determinants(kind, rd_dets):
     rng = random.Random(hash(kind) & 0xFFFF)
     for _ in range(60):
         ref = RdReference(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
-        p = random_rd_point(rng, ref, kind)
+        level = rd_dets.level(m, random_rd_point(rng, ref, kind))
         for i in range(1, m + 1):
-            value, scale = rd_dets.b_at(i, (1,) * (i - 1), p)
+            value, scale = level.b(i, (1,) * (i - 1))
             assert abs(value) <= 1e-9 * scale, (kind, i, value, scale)
 
 
 def test_fold_points_generically_not_cusps(rd_dets):
     ref = RdReference(1.0, 1.0)
     p = rd_catastrophe_point(ref, "fold", u=0.2, v=0.1, gamma=1.0)
-    v2, s2 = rd_dets.b_at(2, (1,), p)
+    v2, s2 = rd_dets.level(2, p).b(2, (1,))
     assert abs(v2) > 1e-6 * s2
 
 
@@ -214,10 +214,10 @@ def test_g_values_at_butterfly(rd_field):
     the closed form, with unfolding order (a, b, g, d)."""
     D = det.DeterminantSet(rd_field, param_order=(2, 0, 3, 1))
     k1, k2 = 1.0, 2.0
-    p = RdReference(k1, k2).butterfly_point(+1)
+    level = D.level(4, RdReference(k1, k2).butterfly_point(+1))
     for K in det.index_strings(2, 3):
         i, j, k = K
-        value, _scale = D.g_at(4, K, p)
+        value, _scale = level.g(K)
         expect = g_closed_form(i, j, k, k1, k2)
         assert value == pytest.approx(expect, rel=1e-6), K
 
@@ -228,8 +228,9 @@ def test_g_magnitudes_order_independent(rd_field):
     D_decl = det.DeterminantSet(rd_field)                       # (b, d, a, g)
     D_paper = det.DeterminantSet(rd_field, param_order=(2, 0, 3, 1))
     p = RdReference(1.0, 2.0).butterfly_point(+1)
+    decl, paper = D_decl.level(4, p), D_paper.level(4, p)
     for K in det.index_strings(2, 3):
-        v1, s1 = D_decl.g_at(4, K, p)
-        v2, s2 = D_paper.g_at(4, K, p)
+        v1, s1 = decl.g(K)
+        v2, s2 = paper.g(K)
         assert abs(v1) == pytest.approx(abs(v2), rel=1e-9)
         assert det.is_nonzero(v1, s1) and det.is_nonzero(v2, s2)

@@ -60,7 +60,7 @@ def test_public_names_resolve():
 
 
 def test_removed_names_are_gone():
-    # DeterminantSet(f).b_matrix(1) and DeterminantSet(f).subrank(p, tol)
+    # DeterminantSet(f).b_matrix(1) and DeterminantSet(f).level(r, p).subrank(tol)
     # replace the module functions; condition_count had no caller
     for name in ("jacobian", "subrank", "condition_count"):
         assert name not in catafind.__all__
