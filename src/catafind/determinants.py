@@ -15,14 +15,15 @@ DeterminantSet: DeterminantSet.level(r, p) calls it once and returns a
 Level, which holds F, each B_{i,K} with i <= r and the gradient rows of
 all of them at p, and from those rows gives the B Hadamard scales,
 G_{r,K} and the Jacobian that the subrank test ranks.  The set keeps no
-value of any point.
+value of any point.  The package runs on one thread: the set's caches
+take no lock, nor does expr's intern table, so use one DeterminantSet per
+thread and build expressions on one thread only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -92,7 +93,7 @@ class DeterminantSet:
 
     param_order selects which declared parameters act as the unfolding
     parameters (in order); by default the first r declared parameters.
-    The caches are lock-protected; produced expressions are immutable.
+    The caches take no lock; produced expressions are immutable.
     """
 
     def __init__(self, field: VectorField, param_order=None):
@@ -105,7 +106,6 @@ class DeterminantSet:
                 raise IndexError(f"parameter index {j} outside declared range")
         if len(set(self.param_order)) != len(self.param_order):
             raise ValueError("param_order has repeated entries")
-        self._lock = threading.RLock()
         self._b: dict = {}
         self._fns: dict = {}
         self._diff_memo: dict = {}
@@ -121,38 +121,35 @@ class DeterminantSet:
         package takes every derivative here."""
         if width > len(self._cols):
             raise IndexError(f"row width {width} exceeds the {len(self._cols)} columns")
-        with self._lock:
-            row = self._rows.get(e, ())
-            if len(row) < width:
-                row += tuple(ex.differentiate(e, c, self._diff_memo)
-                             for c in self._cols[len(row):width])
-                self._rows[e] = row
-            return row[:width]
+        row = self._rows.get(e, ())
+        if len(row) < width:
+            row += tuple(ex.differentiate(e, c, self._diff_memo)
+                         for c in self._cols[len(row):width])
+            self._rows[e] = row
+        return row[:width]
 
     # -- B determinants ----------------------------------------------------
 
     def b_matrix(self, i: int, K=()):
         """The n x n Jacobian under the level-i determinant (i >= 1)."""
         K = _check_index_string(self.field.n, i, K)
-        with self._lock:
-            comps = list(self.field.components)
-            if i >= 2:
-                comps[K[-1] - 1] = self.build_B(i - 1, K[:-1])
-            return tuple(self.row(c, self.field.n) for c in comps)
+        comps = list(self.field.components)
+        if i >= 2:
+            comps[K[-1] - 1] = self.build_B(i - 1, K[:-1])
+        return tuple(self.row(c, self.field.n) for c in comps)
 
     def build_B(self, i: int, K=()) -> Expression:
         """The level-i determinant B_{i,K} (i >= 1): the determinant of
         b_matrix(i, K)."""
         K = _check_index_string(self.field.n, i, K)
-        with self._lock:
-            got = self._b.get((i, K))
-            if got is None:
-                mat = self.b_matrix(i, K)
-                got = self._dets.get(mat)
-                if got is None:  # interned entries: equal matrices, equal det
-                    got = self._dets[mat] = sym_det(mat)
-                self._b[(i, K)] = got
-            return got
+        got = self._b.get((i, K))
+        if got is None:
+            mat = self.b_matrix(i, K)
+            got = self._dets.get(mat)
+            if got is None:  # interned entries: equal matrices, equal det
+                got = self._dets[mat] = sym_det(mat)
+            self._b[(i, K)] = got
+        return got
 
     # -- G determinants ----------------------------------------------------
 
@@ -170,11 +167,10 @@ class DeterminantSet:
         """The (n + r) x (n + r) extended matrix of G_{r,K}: the gradients of
         the components, then of B_1, B_{2,K[:1]}, ..., B_{r,K[:r-1]}."""
         K = self._g_index(r, K)
-        with self._lock:
-            rows_src = list(self.field.components)
-            for i in range(1, r + 1):
-                rows_src.append(self.build_B(i, K[:i - 1]))
-            return tuple(self.row(e, self.field.n + r) for e in rows_src)
+        rows_src = list(self.field.components)
+        for i in range(1, r + 1):
+            rows_src.append(self.build_B(i, K[:i - 1]))
+        return tuple(self.row(e, self.field.n + r) for e in rows_src)
 
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
@@ -186,18 +182,17 @@ class DeterminantSet:
         row over the states and the first min(r, unfolding count)
         parameters.  Level 6 of primary:n=3,r=6 with lam and tau set has
         367 nodes and 367 rows of 9 entries: 356 distinct expressions."""
-        with self._lock:
-            got = self._fns.get(r)
-            if got is None:
-                n = self.field.n
-                width = n + min(r, len(self.param_order))
-                nodes = list(self.field.components) + [
-                    self.build_B(i, K) for i in range(1, r + 1)
-                    for K in index_strings(n, i - 1)]
-                rows = [self.row(e, width) for e in nodes]
-                exprs = list(dict.fromkeys(nodes + [e for row in rows for e in row]))
-                got = self._fns[r] = (ex.compile_evaluator(exprs, n), exprs, rows)
-            return got
+        got = self._fns.get(r)
+        if got is None:
+            n = self.field.n
+            width = n + min(r, len(self.param_order))
+            nodes = list(self.field.components) + [
+                self.build_B(i, K) for i in range(1, r + 1)
+                for K in index_strings(n, i - 1)]
+            rows = [self.row(e, width) for e in nodes]
+            exprs = list(dict.fromkeys(nodes + [e for row in rows for e in row]))
+            got = self._fns[r] = (ex.compile_evaluator(exprs, n), exprs, rows)
+        return got
 
     def level(self, r: int, p: Point) -> Level:
         """The values of codimension r >= 0 at p, from one call of its

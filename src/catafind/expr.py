@@ -7,13 +7,13 @@ order, with like terms and like factors merged, which keeps the nested
 determinant constructions from swelling.
 
 The grammar is restricted to polynomial/rational operations with integer
-powers; there are no transcendental functions.
+powers; there are no transcendental functions.  The intern table takes no
+lock: build expressions on one thread only.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 
 CONST = "const"
@@ -65,23 +65,21 @@ class Expression:
         return f"<expr {to_str(self)}>"
 
 
-_intern_lock = threading.Lock()
 _intern_table: dict = {}
 
 
 def _node(kind, value=None, index=None, children=(), exponent=None) -> Expression:
     key = (kind, value, index, children, exponent)
-    with _intern_lock:
-        node = _intern_table.get(key)
-        if node is None:
-            node = object.__new__(Expression)
-            node.kind = kind
-            node.value = value
-            node.index = index
-            node.children = children
-            node.exponent = exponent
-            node.order_id = len(_intern_table)
-            _intern_table[key] = node
+    node = _intern_table.get(key)
+    if node is None:
+        node = object.__new__(Expression)
+        node.kind = kind
+        node.value = value
+        node.index = index
+        node.children = children
+        node.exponent = exponent
+        node.order_id = len(_intern_table)
+        _intern_table[key] = node
     return node
 
 

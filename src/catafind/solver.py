@@ -6,8 +6,9 @@ classifies by codimension, and deduplicates roots.  Seeds come from a
 deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
 Seeds, Newton iterations and reports are computed on Python floats: F and
-its flat Jacobian come from one compiled function, and the step from a
-partial-pivot elimination generated once per system size, so their bits
+its flat Jacobian come from one compiled function, the step from a
+partial-pivot elimination generated once per system size, and the damped
+line search from one generated per layout of the unknowns, so their bits
 depend on IEEE double arithmetic alone, not on a BLAS build.  Only the
 census's stability labels use numpy, which they import when they run.
 A call on a field equal to the last one's reuses its DeterminantSet, Newton
@@ -112,13 +113,14 @@ class NewtonSystem:
     the first m columns of the DeterminantSet D (states, then unfolding
     parameters in D.param_order), and the Jacobian rows are D's rows.
 
-    Each Newton iteration makes one residual_and_jacobian call, which
-    returns F and the flat row-major J as tuples of floats, and one call of
-    the generated elimination for the system's size (_newton_step); each
-    line-search trial makes one residual call, which runs a generated
-    function that returns F's max-norm itself (inf when a component is not
-    finite).  No iteration calls numpy, and every unknown stays a Python
-    float."""
+    Each Newton iteration makes one residual_and_jacobian call (F and the
+    flat row-major J as tuples of floats), one call of the elimination
+    generated for the system's size (_newton_step) and one call of the line
+    search generated for its unknowns' layout (_line_search), whose every
+    trial makes one residual call: F's max-norm from a generated function
+    (inf when a component is not finite).  solve takes a value vector of
+    all n states and declared parameters.  No iteration calls numpy, and
+    every unknown stays a Python float."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -133,6 +135,8 @@ class NewtonSystem:
         self._m = m
         self._step = _newton_step(m)
         self._slots = slots[:m]  # positions of the unknowns in a value vector
+        self._width = n + D.field.r
+        self._search = _line_search(self._slots, self._width)
 
     def residual_and_jacobian(self, vals):
         """F and the row-major m x m J, each a flat tuple of floats."""
@@ -146,11 +150,14 @@ class NewtonSystem:
 
     def solve(self, start_vals) -> NewtonResult:
         vals = [float(v) for v in start_vals]
+        if len(vals) != self._width:
+            raise ValueError(f"start vector has {len(vals)} values, not {self._width}")
         slots = self._slots
         n = self.field.n
         residual = self.residual  # looked up once per seed, not per trial
         residual_and_jacobian = self.residual_and_jacobian
         newton_step = self._step
+        search = self._search
 
         def as_point(v):
             return Point(tuple(v[:n]), tuple(v[n:]))
@@ -163,38 +170,23 @@ class NewtonSystem:
             res = _max_norm(F)
             if res == math.inf:
                 return NewtonResult("evaluation-error", None, math.inf, it)
-            scale = 1.0 + max(abs(vals[s]) for s in slots)
+            scale = 1.0 + max([abs(vals[s]) for s in slots])
             if res <= _RESIDUAL_TOL * scale:
                 return NewtonResult("converged", as_point(vals), res, it)
             try:
                 step = newton_step(F, J)
             except ZeroDivisionError:  # a zero pivot: J is singular
+                step = None
+            if step is None or not all(map(math.isfinite, step)):
                 return NewtonResult("singular-jacobian", as_point(vals), res, it)
-            if not all(map(math.isfinite, step)):
-                return NewtonResult("singular-jacobian", as_point(vals), res, it)
-            moves = tuple(zip(slots, step))
-            t = 1.0
-            while t >= _MIN_STEP:
-                trial = vals[:]
-                for s, d in moves:
-                    trial[s] += t * d
-                try:
-                    if residual(trial) < res:
-                        vals = trial
-                        break
-                except (ZeroDivisionError, OverflowError):
-                    pass
-                t *= _DAMPING
-            else:
+            trial = search(vals, step, res, residual)
+            if trial is None:
                 return NewtonResult("step-underflow", as_point(vals), res, it)
-        try:
-            res = residual(vals)
-        except (ZeroDivisionError, OverflowError):
-            return NewtonResult("evaluation-error", None, math.inf, _MAX_ITERATIONS)
-        scale = 1.0 + max(abs(vals[s]) for s in slots)
-        if res <= _RESIDUAL_TOL * scale:
-            return NewtonResult("converged", as_point(vals), res, _MAX_ITERATIONS)
-        return NewtonResult("max-iterations", as_point(vals), res, _MAX_ITERATIONS)
+            vals = trial
+        res = residual(vals)  # an accepted trial's: it does not raise
+        scale = 1.0 + max([abs(vals[s]) for s in slots])
+        status = "converged" if res <= _RESIDUAL_TOL * scale else "max-iterations"
+        return NewtonResult(status, as_point(vals), res, _MAX_ITERATIONS)
 
 
 @functools.cache  # one generated function per system size
@@ -211,12 +203,6 @@ def _newton_step(m: int):
     substitution computes x_k = (b_k - a_k,k+1*x_k+1 - ...) / a_kk left to
     right.  A zero pivot raises ZeroDivisionError; a NaN in J gives a
     non-finite x."""
-    namespace: dict = {}
-    exec(_step_source(m), namespace)
-    return namespace["_step"]
-
-
-def _step_source(m: int) -> str:
     a = [[f"a{i}_{j}" for j in range(m)] for i in range(m)]
     b = [f"b{i}" for i in range(m)]
 
@@ -243,7 +229,37 @@ def _step_source(m: int) -> str:
         terms = "".join(f" - {a[k][j]}*x{j}" for j in range(k + 1, m))
         lines.append(f"    x{k} = ({b[k]}{terms}) / {a[k][k]}")
     xs = ", ".join(f"x{k}" for k in range(m))
-    return "def _step(F, J):\n" + "\n".join(lines) + f"\n    return ({xs},)\n"
+    namespace: dict = {}
+    exec("def _step(F, J):\n" + "\n".join(lines) + f"\n    return ({xs},)\n",
+         namespace)
+    return namespace["_step"]
+
+
+@functools.cache  # one generated function per unknown layout
+def _line_search(slots: tuple, width: int):
+    """The function (vals, step, res, residual) -> the first trial whose
+    residual is below res, or None on step-underflow, for unknowns at slots
+    of a value vector of this width.  Each trial, t = 1, _DAMPING, ... while
+    t >= _MIN_STEP, is one list display of locals, [v0 + t*d0, ..., vj];
+    a trial that raises ZeroDivisionError or OverflowError is rejected."""
+    trial = ", ".join(f"v{j} + t*d{j}" if j in slots else f"v{j}"
+                      for j in range(width))
+    namespace: dict = {}
+    exec(f"""def _search(vals, step, res, residual):
+    {', '.join(f"v{j}" for j in range(width))}, = vals
+    {', '.join(f"d{s}" for s in slots)}, = step
+    t = 1.0
+    while t >= {_MIN_STEP!r}:
+        trial = [{trial}]
+        try:
+            if residual(trial) < res:
+                return trial
+        except (ZeroDivisionError, OverflowError):
+            pass
+        t *= {_DAMPING!r}
+    return None
+""", namespace)
+    return namespace["_search"]
 
 
 def _max_norm(F) -> float:

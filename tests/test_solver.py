@@ -379,6 +379,159 @@ def test_census_builds_one_system_per_field(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the generated line search: the same trials as a plain per-trial loop
+
+def _reference_solve(system, start_vals):
+    """NewtonSystem.solve written with a plain per-trial line search: each
+    trial copies the value vector and adds t*d at each unknown's slot."""
+    vals = [float(v) for v in start_vals]
+    slots = system._slots
+    n = system.field.n
+
+    def as_point(v):
+        return ex.Point(tuple(v[:n]), tuple(v[n:]))
+
+    for it in range(solver._MAX_ITERATIONS):
+        try:
+            F, J = system.residual_and_jacobian(vals)
+        except (ZeroDivisionError, OverflowError):
+            return solver.NewtonResult("evaluation-error", None, math.inf, it)
+        res = solver._max_norm(F)
+        if res == math.inf:
+            return solver.NewtonResult("evaluation-error", None, math.inf, it)
+        scale = 1.0 + max(abs(vals[s]) for s in slots)
+        if res <= solver._RESIDUAL_TOL * scale:
+            return solver.NewtonResult("converged", as_point(vals), res, it)
+        try:
+            step = system._step(F, J)
+        except ZeroDivisionError:
+            return solver.NewtonResult("singular-jacobian", as_point(vals), res, it)
+        if not all(map(math.isfinite, step)):
+            return solver.NewtonResult("singular-jacobian", as_point(vals), res, it)
+        moves = tuple(zip(slots, step))
+        t = 1.0
+        while t >= solver._MIN_STEP:
+            trial = vals[:]
+            for s, d in moves:
+                trial[s] += t * d
+            try:
+                if system.residual(trial) < res:
+                    vals = trial
+                    break
+            except (ZeroDivisionError, OverflowError):
+                pass
+            t *= solver._DAMPING
+        else:
+            return solver.NewtonResult("step-underflow", as_point(vals), res, it)
+    try:
+        res = system.residual(vals)
+    except (ZeroDivisionError, OverflowError):
+        return solver.NewtonResult("evaluation-error", None, math.inf,
+                                   solver._MAX_ITERATIONS)
+    scale = 1.0 + max(abs(vals[s]) for s in slots)
+    status = ("converged" if res <= solver._RESIDUAL_TOL * scale
+              else "max-iterations")
+    return solver.NewtonResult(status, as_point(vals), res, solver._MAX_ITERATIONS)
+
+
+def _outcome(result):
+    """A result as status, iterations and the float.hex of the residual and
+    of every point coordinate."""
+    point = None if result.point is None else [
+        float.hex(v) for v in result.point.vals()]
+    return result.status, result.iterations, float.hex(result.residual), point
+
+
+class _TwinSolves:
+    """Replaces NewtonSystem.solve so that every seed also runs
+    _reference_solve, and checks that both give the same outcome with the
+    same number of residual and residual_and_jacobian calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"residual": 0, "fj": 0, "raised": 0}
+        self.statuses: dict = {}
+        residual = NewtonSystem.residual
+        residual_and_jacobian = NewtonSystem.residual_and_jacobian
+        solve = NewtonSystem.solve
+
+        def counted_residual(system, vals):
+            self.calls["residual"] += 1
+            try:
+                return residual(system, vals)
+            except ZeroDivisionError:
+                self.calls["raised"] += 1
+                raise
+
+        def counted_residual_and_jacobian(system, vals):
+            self.calls["fj"] += 1
+            return residual_and_jacobian(system, vals)
+
+        def twin_solve(system, vals):
+            before = dict(self.calls)
+            want = _reference_solve(system, vals)
+            mid = dict(self.calls)
+            got = solve(system, vals)
+            ref_calls = {k: mid[k] - before[k] for k in mid}
+            new_calls = {k: self.calls[k] - mid[k] for k in mid}
+            assert _outcome(got) == _outcome(want), list(vals)
+            assert new_calls == ref_calls, list(vals)
+            self.statuses[got.status] = self.statuses.get(got.status, 0) + 1
+            return got
+
+        monkeypatch.setattr(NewtonSystem, "residual", counted_residual)
+        monkeypatch.setattr(NewtonSystem, "residual_and_jacobian",
+                            counted_residual_and_jacobian)
+        monkeypatch.setattr(NewtonSystem, "solve", twin_solve)
+
+
+def test_line_search_matches_plain_loop_on_rd_seeds(rd_field, monkeypatch):
+    twins = _TwinSolves(monkeypatch)
+    _readme_box_find(rd_field)
+    assert twins.statuses == {"converged": 255, "step-underflow": 1}
+    _census_cell(rd_field)
+    centres = [-1.5 + (k + 0.5) * 3.0 / 5 for k in range(5)]
+    assert 0.0 in centres  # the degenerate b = d = 0 cell
+    twins.statuses.clear()
+    for b in centres:
+        for d in centres:
+            census = count_steady_states(rd_field, [b, d, -1, -1, 1, 1],
+                                         [(-3.0, 3.0)] * 2,
+                                         SolveOptions(seed_count=64))
+            assert census.count >= 1
+    assert twins.statuses["step-underflow"] > 0
+    assert sum(twins.statuses.values()) == 25 * 64
+
+
+def test_line_search_matches_plain_loop_on_edge_cases(monkeypatch):
+    twins = _TwinSolves(monkeypatch)
+    # from x = 3 the full step lands on the pole x = 2: that trial raises
+    f = ex.parse_vector_field("vars: x\nparams:\neq: x - 1/(x - 2)")
+    system = NewtonSystem(det.DeterminantSet(f), f.components)
+    for x in (3.0, 2.5, 2.0, 1.0, 0.0, -4.0, 2.0 + 2.0 ** -40):
+        system.solve([x])
+    assert twins.calls["raised"] >= 1
+    assert twins.statuses == {"converged": 6, "evaluation-error": 1}  # x = 2
+    # a singular Jacobian at the start, with a nonzero residual
+    f = ex.parse_vector_field("vars: x y\nparams:\neq: x + y - 1\neq: 2*x + 2*y - 3")
+    NewtonSystem(det.DeterminantSet(f), f.components).solve([0.0, 0.0])
+    assert twins.statuses["singular-jacobian"] == 1
+    # from x = 1 the full step lands on x = -1 with the same residual 4:
+    # a tie is rejected, so t = 1/2 reaches x = 0, where J = 0
+    f = ex.parse_vector_field("vars: x\nparams:\neq: x^2 + 3")
+    result = NewtonSystem(det.DeterminantSet(f), f.components).solve([1.0])
+    assert (result.status, result.point.x) == ("singular-jacobian", (0.0,))
+
+
+def test_solve_rejects_a_start_vector_of_the_wrong_length(rd_field):
+    D = det.DeterminantSet(rd_field)
+    system = NewtonSystem(D, list(rd_field.components))
+    for size in (0, 2, 7, 9):
+        with pytest.raises(ValueError, match=f"has {size} values, not 8$"):
+            system.solve([0.5] * size)
+    assert system.solve([0.5] * 8).status == "converged"
+
+
+# ---------------------------------------------------------------------------
 # the generated Newton step: partial-pivot elimination on Python floats
 
 def _plain_step(F, J):
