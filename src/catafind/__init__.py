@@ -54,12 +54,10 @@ from .solver import (
 )
 from .boardman import (
     CapExceededError,
-    DeltaChain,
     MinorCount,
     ToleranceError,
     bg_condition_count,
     boardman_symbol,
-    build_delta_chain,
     minor_count,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "make_primary_form", "make_reaction_diffusion", "rd_catastrophe_point",
     "CatastropheReport", "NewtonResult", "SolveOptions", "SteadyStateCensus",
     "classify", "count_steady_states", "find_catastrophes", "stability_label",
-    "CapExceededError", "DeltaChain", "MinorCount", "ToleranceError",
-    "bg_condition_count", "boardman_symbol", "build_delta_chain",
-    "minor_count",
+    "CapExceededError", "MinorCount", "ToleranceError",
+    "bg_condition_count", "boardman_symbol", "minor_count",
 ]

@@ -1,10 +1,10 @@
-"""Singularity-symbol machinery: minor counting and explicit chains.
+"""Singularity-symbol machinery: minor counting and singularity symbols.
 
 The number of minors needed to pin down each successive symbol entry grows
 superfactorially; the counting recurrence here is exact (arbitrary-precision
-integers).  For desk-scale instances the chain of extended maps is also
-built explicitly, each stage appending every full-size minor of the previous
-stage's Jacobian, so the symbol can be read off numerically.  A symbol
+integers).  At desk scale boardman_symbol builds the chain of extended maps
+stage by stage, each stage appending every full-size minor of the previous
+stage's Jacobian, and reads the symbol off numerically.  A symbol
 belongs to x -> F(x, alpha) at one alpha: the declared field's Jacobian
 rows come from a DeterminantSet, in the states only, read at (x, alpha).
 """
@@ -83,18 +83,8 @@ def bg_condition_count(n: int, r: int) -> int:
     return n + r
 
 
-@dataclass(frozen=True)
-class DeltaChain:
-    base: VectorField  # the declared field; stages differentiate in x only
-    corank_seq: tuple
-    stages: tuple  # stage j = components of the j-fold extended map
-
-    @property
-    def stage_sizes(self) -> tuple:
-        return tuple(len(s) for s in self.stages)
-
-
 def _stage_minors(stage, D: det.DeterminantSet, size: int):
+    """Every size x size minor of the state gradient of the stage."""
     n = D.field.n
     rows = [D.row(c, n) for c in stage]
     minors = []
@@ -103,25 +93,6 @@ def _stage_minors(stage, D: det.DeterminantSet, size: int):
             sub = [[rows[i][j] for j in cidx] for i in ridx]
             minors.append(det.sym_det(sub))
     return minors
-
-
-def build_delta_chain(field: VectorField, corank_seq, cap: int = 10_000) -> DeltaChain:
-    """Explicit chain of a field: stage j appends every (n - i_j + 1)-size
-    minor of the state gradient of stage j-1."""
-    n = field.n
-    counts = minor_count(n, corank_seq)
-    predicted = counts.cumulative[-1]
-    if predicted > cap:
-        raise CapExceededError(predicted, cap)
-    stages = [tuple(field.components)]
-    D = det.DeterminantSet(field)
-    for i in corank_seq:
-        size = n - i + 1
-        minors = _stage_minors(stages[-1], D, size)
-        stages.append(stages[-1] + tuple(minors))
-    chain = DeltaChain(field, tuple(corank_seq), tuple(stages))
-    assert chain.stage_sizes == counts.cumulative
-    return chain
 
 
 def _gradient_rows(exprs, D: det.DeterminantSet, p: Point) -> list:

@@ -163,15 +163,6 @@ class DeterminantSet:
                 "available unfolding parameters")
         return K
 
-    def g_matrix(self, r: int, K=()):
-        """The (n + r) x (n + r) extended matrix of G_{r,K}: the gradients of
-        the components, then of B_1, B_{2,K[:1]}, ..., B_{r,K[:r-1]}."""
-        K = self._g_index(r, K)
-        rows_src = list(self.field.components)
-        for i in range(1, r + 1):
-            rows_src.append(self.build_B(i, K[:i - 1]))
-        return tuple(self.row(e, self.field.n + r) for e in rows_src)
-
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
     def _level_fn(self, r: int):
@@ -252,7 +243,7 @@ def _trie_dets(rows, n: int, r: int) -> dict:
     G_{r,K}'s rows are those of the components, B_1,
     B_{2,K[:1]}, ..., B_{r,K[:r-1]}, so the strings form a prefix trie: the
     first n + 1 rows are reduced once, and each trie node reduces the one
-    row it adds.  Each value has the bits of numeric_det on its matrix."""
+    row it adds.  Each value has the bits of _eliminate on its matrix."""
     states, at = [_eliminate(rows[:n + 1])], n + 1
     for depth in range(1, r):  # the node of prefix K holds B_{depth+1,K}
         states = [_push(states[j // n], row)
@@ -296,11 +287,6 @@ def _eliminate(A):
     for row in A:
         state = _push(state, row)
     return state
-
-
-def numeric_det(A) -> float:
-    """Determinant of a square matrix given as rows, by _push."""
-    return _eliminate(A)[1]
 
 
 def hadamard_bound(A) -> float:

@@ -1,16 +1,18 @@
-"""Minor counting, explicit extension chains, and singularity symbols."""
+"""Minor counting, the stages of the extension chain, and singularity
+symbols."""
 
 import random
 
 import pytest
 
+import catafind.boardman as bo
 import catafind.expr as ex
 import catafind.determinants as det
 from catafind.boardman import (CapExceededError, bg_condition_count,
-                               boardman_symbol, build_delta_chain,
-                               minor_count)
+                               boardman_symbol, minor_count)
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
-                                make_primary_form, rd_catastrophe_point)
+                                make_primary_form, make_reaction_diffusion,
+                                rd_catastrophe_point)
 
 
 TABLE_TOP = {
@@ -92,7 +94,7 @@ def test_bg_condition_count_table_bottom():
 
 
 # ---------------------------------------------------------------------------
-# explicit chains
+# chain stages, built as boardman_symbol builds them
 
 def primary(n, r):
     return make_primary_form(PrimaryFormSpec(n, r))
@@ -103,18 +105,40 @@ def origin(r):
     return ex.Point((0.0, 0.0), (0.0,) * r)
 
 
+def chain_stages(field, corank_seq):
+    """Stages 0..len(corank_seq) of the field's chain: stage j appends every
+    (n - i_j + 1)-size minor of the state gradient of stage j-1, through
+    the _stage_minors call that boardman_symbol makes for each stage."""
+    D = det.DeterminantSet(field)
+    stages = [tuple(field.components)]
+    for i in corank_seq:
+        stages.append(stages[-1] + tuple(
+            bo._stage_minors(stages[-1], D, field.n - i + 1)))
+    return stages
+
+
+def assert_stage_sizes(field, seq, sizes):
+    """The stage sizes are the counting recurrence's cumulative row counts."""
+    got = tuple(map(len, chain_stages(field, seq)))
+    assert got == minor_count(field.n, seq).cumulative == sizes
+
+
 def test_chain_stage_sizes_match_prediction():
     # the declared field, parameters kept: stages differentiate in x only
-    f = primary(2, 3)
-    chain = build_delta_chain(f, (1, 1, 1))
-    assert chain.base is f
-    assert chain.stage_sizes == (2, 3, 6, 21)
+    assert_stage_sizes(primary(2, 3), (1, 1, 1), (2, 3, 6, 21))
+
+
+@pytest.mark.parametrize("make,seq,sizes", [
+    (lambda: primary(3, 3), (2, 1), (3, 12, 232)),
+    (make_reaction_diffusion, (2, 1), (2, 6, 21)),
+], ids=["primary-3-3", "rd"])
+def test_chain_stage_sizes_past_corank_1(make, seq, sizes):
+    assert_stage_sizes(make(), seq, sizes)
 
 
 def test_chain_first_stage_is_jacobian_determinant():
     f = primary(2, 1)
-    chain = build_delta_chain(f, (1,))
-    appended = chain.stages[1][-1]
+    appended = chain_stages(f, (1,))[1][-1]
     direct = det.sym_det(det.DeterminantSet(f).b_matrix(1))
     rng = random.Random(8)
     for _ in range(20):
@@ -129,8 +153,8 @@ def test_chain_cusp_minors_match_level_determinants():
     absolute values, with the level-2 determinant family and the Jacobian
     determinant, and all vanish at the cusp point."""
     full = primary(2, 2)
-    chain = build_delta_chain(full, (1, 1))
-    new_minors = chain.stages[2][len(chain.stages[1]):]
+    stages = chain_stages(full, (1, 1))
+    new_minors = stages[2][len(stages[1]):]
     assert len(new_minors) == 3
 
     D = det.DeterminantSet(full)
@@ -146,12 +170,6 @@ def test_chain_cusp_minors_match_level_determinants():
 
     for m in new_minors:
         assert abs(ex.evaluate(m, origin(2))) <= 1e-12
-
-
-def test_chain_cap():
-    with pytest.raises(CapExceededError) as err:
-        build_delta_chain(primary(2, 4), (1, 1, 1, 1), cap=100)
-    assert err.value.predicted == 231
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +201,9 @@ def test_symbol_at_fold_of_reaction_diffusion(rd_field, rd_dets):
 
 def test_symbol_cap():
     # the fifth corank reads the 231-row stage, above the cap
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as err:
         boardman_symbol(primary(2, 4), origin(4), max_depth=5, cap=100)
+    assert err.value.predicted == 231
 
 
 def test_symbol_builds_no_stage_after_the_last_corank(monkeypatch):

@@ -118,8 +118,6 @@ def test_index_string_validation(rd_dets):
         rd_dets.build_B(3, (1,))   # wrong length
     with pytest.raises(IndexError):
         rd_dets.build_B(0)         # level below 1
-    with pytest.raises(IndexError):
-        rd_dets.g_matrix(7)        # more codimensions than parameters
     p = ex.Point((0.1, 0.2), (0.3, -0.4, 0.5, 0.6, 1.0, 1.0))
     level = rd_dets.level(3, p)
     with pytest.raises(IndexError):
@@ -180,9 +178,12 @@ def test_g1_nonzero_on_fold_sheet(rd_dets):
     assert det.is_zero(bval, bscale)
 
 
-def test_g_matrix_shape(rd_dets):
-    mat = rd_dets.g_matrix(4, (1, 1, 1))
-    assert len(mat) == 6 and all(len(row) == 6 for row in mat)
+def g_matrix(D, r, K):
+    """The (n + r) x (n + r) extended matrix of G_{r,K}: the gradients of
+    the components, then of B_1, B_{2,K[:1]}, ..., B_{r,K[:r-1]}."""
+    nodes = [*D.field.components,
+             *(D.build_B(i, K[:i - 1]) for i in range(1, r + 1))]
+    return [D.row(e, D.field.n + r) for e in nodes]
 
 
 def assert_g_matches_sym_det(D, r, points):
@@ -191,7 +192,7 @@ def assert_g_matches_sym_det(D, r, points):
     string."""
     levels = [D.level(r, p) for p in points]
     for K in det.index_strings(D.field.n, r - 1):
-        G = det.sym_det(D.g_matrix(r, K))
+        G = det.sym_det(g_matrix(D, r, K))
         for level in levels:
             p = level.p
             value, scale = level.g(K)
@@ -304,9 +305,9 @@ def assert_level_values_are_exact(D, r, points):
                 M = evaluated(D.b_matrix(i, K), n, p)
                 assert level.b(i, K) == (value, det.hadamard_bound(M)), (i, K, p)
         for K in det.index_strings(n, r - 1):
-            M = evaluated(D.g_matrix(r, K), n, p)
+            M = evaluated(g_matrix(D, r, K), n, p)
             value, scale = level.g(K)
-            assert (value, scale) == (det.numeric_det(M), det.hadamard_bound(M)), (K, p)
+            assert (value, scale) == (det._eliminate(M)[1], det.hadamard_bound(M)), (K, p)
             assert abs(value - np.linalg.det(M)) <= 1e-12 * scale, (K, p)
 
 
@@ -453,7 +454,7 @@ def square_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(A=square_matrices())
 def test_elimination_determinant_matches_lapack(A):
-    value, scale = det.numeric_det(A), det.hadamard_bound(A)
+    value, scale = det._eliminate(A)[1], det.hadamard_bound(A)
     assert abs(value - np.linalg.det(np.array(A))) <= 1e-12 * scale
     assert abs(value) <= scale * (1 + 1e-12)
 
@@ -483,13 +484,15 @@ def test_elimination_rank_matches_lapack_when_well_separated(case):
     assert det.numeric_rank(A + [A[0]], tol) == k  # a copied row adds nothing
 
 
-def test_numeric_det_signs_and_zeros():
+def test_eliminate_signs_and_zeros():
+    def value(A):
+        return det._eliminate(A)[1]
     # column pivots (1, 0, 2) are one transposition: the sign flips once
-    assert det.numeric_det([[0.0, 2.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 5.0]]) == -30.0
-    assert det.numeric_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
-    assert det.numeric_det([[0.0, 0.0], [1.0, 1.0]]) == 0.0
-    assert math.isnan(det.numeric_det([[1.0, math.nan], [1.0, 1.0]]))
-    assert det.numeric_det([]) == 1.0
+    assert value([[0.0, 2.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 5.0]]) == -30.0
+    assert value([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+    assert value([[0.0, 0.0], [1.0, 1.0]]) == 0.0
+    assert math.isnan(value([[1.0, math.nan], [1.0, 1.0]]))
+    assert value([]) == 1.0
 
 
 def test_hadamard_bound_dominates_det():

@@ -403,7 +403,11 @@ def test_compile_evaluator_is_bit_exact_on_newton_and_g_systems():
     _assert_bit_exact(eqs + jac, rd.n, [[0.0, -0.0] * 4, [-0.0] * 8])
     primary = make_primary_form(PrimaryFormSpec(3, 4))
     P = DeterminantSet(primary)
-    entries = [e for K in index_strings(3, 3) for row in P.g_matrix(4, K) for e in row]
+    # each G_{4,K}'s nodes, then their 7-wide rows, as the G matrices list them
+    entries = [e for K in index_strings(3, 3)
+               for node in [*primary.components,
+                            *(P.build_B(i, K[:i - 1]) for i in range(1, 5))]
+               for e in P.row(node, 7)]
     _assert_bit_exact(entries, 3, _points(rng, 3 + 4, 50))
 
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import catafind
+from catafind import boardman as bo
 from catafind import determinants as det
 from catafind import expr as ex
 
@@ -73,5 +74,13 @@ def test_removed_names_are_gone():
         assert not hasattr(catafind, name)
         assert not hasattr(ex, name)
     assert not hasattr(catafind.VectorField, "point")
+    # boardman_symbol builds the only chain stages; a level's G values are
+    # eliminated over its rows, so no G matrix or matrix determinant is public
+    for name, owner in (("DeltaChain", bo), ("build_delta_chain", bo),
+                        ("numeric_det", det)):
+        assert name not in catafind.__all__
+        assert not hasattr(catafind, name)
+        assert not hasattr(owner, name)
+    assert not hasattr(catafind.DeterminantSet, "g_matrix")
     fields = [f.name for f in dataclasses.fields(catafind.SolveOptions)]
     assert fields == ["seed_count", "dedup_radius", "tol_b", "tol_g"]
