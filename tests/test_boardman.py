@@ -172,6 +172,16 @@ def test_chain_cusp_minors_match_level_determinants():
         assert abs(ex.evaluate(m, origin(2))) <= 1e-12
 
 
+def test_chain_cap():
+    """The cap refuses the chain's fourth stage (231 rows for corank 1
+    throughout) before building it, and reports the predicted size."""
+    assert minor_count(2, (1, 1, 1, 1)).cumulative[-1] == 231
+    with pytest.raises(CapExceededError) as err:
+        boardman_symbol(primary(2, 4), origin(4), max_depth=5, cap=100)
+    assert err.value.predicted == 231
+    assert err.value.cap == 100
+
+
 # ---------------------------------------------------------------------------
 # symbols
 
@@ -201,9 +211,8 @@ def test_symbol_at_fold_of_reaction_diffusion(rd_field, rd_dets):
 
 def test_symbol_cap():
     # the fifth corank reads the 231-row stage, above the cap
-    with pytest.raises(CapExceededError) as err:
+    with pytest.raises(CapExceededError):
         boardman_symbol(primary(2, 4), origin(4), max_depth=5, cap=100)
-    assert err.value.predicted == 231
 
 
 def test_symbol_builds_no_stage_after_the_last_corank(monkeypatch):
