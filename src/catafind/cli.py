@@ -532,7 +532,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ex.EvaluationError, bo.ToleranceError,
             ArithmeticError) as e:  # division by zero, overflow, FP errors
-        print(f"numerical failure: {e}", file=sys.stderr)
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except (UsageError, ex.ParseError, DomainError, bo.CapExceededError,
             ValueError, IndexError, OSError) as e:  # OSError: an --out path

@@ -7,8 +7,9 @@ deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
 Seeds, Newton iterations and reports are computed on Python floats: F and
 its flat Jacobian come from one compiled function, the step from a
-partial-pivot elimination generated once per system size, and the damped
-line search from one generated per layout of the unknowns, so their bits
+partial-pivot elimination generated once per system size, and the whole
+damped Newton iteration, its convergence tests and line search included,
+from one function generated per layout of the unknowns, so their bits
 depend on IEEE double arithmetic alone, not on a BLAS build.  Only the
 census's stability labels use numpy, which they import when they run.
 A call on a field equal to the last one's reuses its DeterminantSet, Newton
@@ -113,14 +114,13 @@ class NewtonSystem:
     the first m columns of the DeterminantSet D (states, then unfolding
     parameters in D.param_order), and the Jacobian rows are D's rows.
 
-    Each Newton iteration makes one residual_and_jacobian call (F and the
-    flat row-major J as tuples of floats), one call of the elimination
-    generated for the system's size (_newton_step) and one call of the line
-    search generated for its unknowns' layout (_line_search), whose every
-    trial makes one residual call: F's max-norm from a generated function
-    (inf when a component is not finite).  solve takes a value vector of
-    all n states and declared parameters.  No iteration calls numpy, and
-    every unknown stays a Python float."""
+    solve takes a value vector of all n states and declared parameters and
+    runs the Newton iteration generated per layout of the unknowns
+    (_newton_solve): per iteration one residual_and_jacobian call (F and
+    the flat row-major J as tuples of floats) and one call of the
+    elimination generated per system size (_newton_step), per line-search
+    trial one residual call (F's max-norm by a generated function, inf when
+    a component is not finite).  No numpy; unknowns stay Python floats."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -136,7 +136,7 @@ class NewtonSystem:
         self._step = _newton_step(m)
         self._slots = slots[:m]  # positions of the unknowns in a value vector
         self._width = n + D.field.r
-        self._search = _line_search(self._slots, self._width)
+        self._solve = _newton_solve(self._slots, self._width)
 
     def residual_and_jacobian(self, vals):
         """F and the row-major m x m J, each a flat tuple of floats."""
@@ -152,41 +152,11 @@ class NewtonSystem:
         vals = [float(v) for v in start_vals]
         if len(vals) != self._width:
             raise ValueError(f"start vector has {len(vals)} values, not {self._width}")
-        slots = self._slots
+        status, vals, res, iterations = self._solve(
+            vals, self.residual_and_jacobian, self.residual, self._step)
         n = self.field.n
-        residual = self.residual  # looked up once per seed, not per trial
-        residual_and_jacobian = self.residual_and_jacobian
-        newton_step = self._step
-        search = self._search
-
-        def as_point(v):
-            return Point(tuple(v[:n]), tuple(v[n:]))
-
-        for it in range(_MAX_ITERATIONS):
-            try:
-                F, J = residual_and_jacobian(vals)
-            except (ZeroDivisionError, OverflowError):
-                return NewtonResult("evaluation-error", None, math.inf, it)
-            res = _max_norm(F)
-            if res == math.inf:
-                return NewtonResult("evaluation-error", None, math.inf, it)
-            scale = 1.0 + max([abs(vals[s]) for s in slots])
-            if res <= _RESIDUAL_TOL * scale:
-                return NewtonResult("converged", as_point(vals), res, it)
-            try:
-                step = newton_step(F, J)
-            except ZeroDivisionError:  # a zero pivot: J is singular
-                step = None
-            if step is None or not all(map(math.isfinite, step)):
-                return NewtonResult("singular-jacobian", as_point(vals), res, it)
-            trial = search(vals, step, res, residual)
-            if trial is None:
-                return NewtonResult("step-underflow", as_point(vals), res, it)
-            vals = trial
-        res = residual(vals)  # an accepted trial's: it does not raise
-        scale = 1.0 + max([abs(vals[s]) for s in slots])
-        status = "converged" if res <= _RESIDUAL_TOL * scale else "max-iterations"
-        return NewtonResult(status, as_point(vals), res, _MAX_ITERATIONS)
+        point = None if vals is None else Point(tuple(vals[:n]), tuple(vals[n:]))
+        return NewtonResult(status, point, res, iterations)
 
 
 @functools.cache  # one generated function per system size
@@ -236,36 +206,65 @@ def _newton_step(m: int):
 
 
 @functools.cache  # one generated function per unknown layout
-def _line_search(slots: tuple, width: int):
-    """The function (vals, step, res, residual) -> the first trial whose
-    residual is below res, or None on step-underflow, for unknowns at slots
-    of a value vector of this width.  Each trial, t = 1, _DAMPING, ... while
-    t >= _MIN_STEP, is one list display of locals, [v0 + t*d0, ..., vj];
-    a trial that raises ZeroDivisionError or OverflowError is rejected."""
-    trial = ", ".join(f"v{j} + t*d{j}" if j in slots else f"v{j}"
+def _newton_solve(slots: tuple, width: int):
+    """The function (vals, residual_and_jacobian, residual, step) ->
+    (status, vals or None, max-norm of F, iterations) that runs solve's
+    damped Newton iteration for unknowns at slots of a value vector of this
+    width, as straight-line code on locals.  Max-norms keep max()'s first
+    maximum; F and the step are finite when each component compares below
+    inf; each line-search trial is one list display [v0 + t*x0, ..., vj]."""
+    vs = ", ".join(f"v{j}" for j in range(width))
+    m = len(slots)
+    trial = ", ".join(f"v{j} + t*x{j}" if j in slots else f"v{j}"
                       for j in range(width))
-    namespace: dict = {}
-    exec(f"""def _search(vals, step, res, residual):
-    {', '.join(f"v{j}" for j in range(width))}, = vals
-    {', '.join(f"d{s}" for s in slots)}, = step
-    t = 1.0
-    while t >= {_MIN_STEP!r}:
-        trial = [{trial}]
+
+    def first_max(out, names):  # out = max(names), by max()'s strict >
+        return "; ".join([f"{out} = {names[0]}"] + [
+            f"{out} = {a} if {a} > {out} else {out}" for a in names[1:]])
+
+    get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
+        first_max("scale", [f"w{s}" for s in slots])])
+    src = f"""def _solve(vals, residual_and_jacobian, residual, step):
+    {vs}, = vals
+    for it in range({_MAX_ITERATIONS}):
         try:
-            if residual(trial) < res:
-                return trial
+            F, J = residual_and_jacobian(vals)
         except (ZeroDivisionError, OverflowError):
-            pass
-        t *= {_DAMPING!r}
-    return None
-""", namespace)
-    return namespace["_search"]
-
-
-def _max_norm(F) -> float:
-    """Max-norm of F, or inf when any component is not finite (Python's
-    max drops a NaN that is not first)."""
-    return max(map(abs, F)) if all(map(math.isfinite, F)) else math.inf
+            return "evaluation-error", None, inf, it
+        {", ".join(f"f{i}" for i in range(m))}, = F
+        {"; ".join(f"a{i} = abs(f{i})" for i in range(m))}
+        if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
+            return "evaluation-error", None, inf, it
+        {first_max("res", [f"a{i}" for i in range(m)])}
+        {get_scale}
+        if res <= {_RESIDUAL_TOL!r} * (1.0 + scale):
+            return "converged", vals, res, it
+        try:
+            {", ".join(f"x{s}" for s in slots)}, = step(F, J)
+        except ZeroDivisionError:
+            return "singular-jacobian", vals, res, it
+        if not ({" and ".join(f"-inf < x{s} < inf" for s in slots)}):
+            return "singular-jacobian", vals, res, it
+        t = 1.0
+        while t >= {_MIN_STEP!r}:
+            trial = [{trial}]
+            try:
+                if residual(trial) < res:
+                    break
+            except (ZeroDivisionError, OverflowError):
+                pass
+            t *= {_DAMPING!r}
+        else:
+            return "step-underflow", vals, res, it
+        {vs}, = vals = trial
+    res = residual(vals)  # an accepted trial's: it does not raise
+    {get_scale}
+    return ("converged" if res <= {_RESIDUAL_TOL!r} * (1.0 + scale)
+            else "max-iterations"), vals, res, {_MAX_ITERATIONS}
+"""
+    namespace: dict = {"inf": math.inf}
+    exec(src, namespace)
+    return namespace["_solve"]
 
 
 def _dedup(solutions, radius):

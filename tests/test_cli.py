@@ -322,6 +322,13 @@ def test_check_numerical_failure_exit_code(capsys, tmp_path):
     assert rc == 3 and "numerical" in err
 
 
+def test_check_numerical_failure_names_the_exception(capsys):
+    rc, out, err = run(capsys, ["check", "--builtin", "rd", "--codim", "2",
+                                "--at", "u=1e200"])
+    assert (rc, out) == (3, "")
+    assert "numerical failure: OverflowError" in err
+
+
 def test_check_rejects_excess_codimension_before_building(capsys, monkeypatch):
     """A codimension above the unfolding parameters is a usage error before
     any determinant of the nest is built."""

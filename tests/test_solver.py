@@ -379,11 +379,12 @@ def test_census_builds_one_system_per_field(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the generated line search: the same trials as a plain per-trial loop
+# the generated Newton solve: the same trials as a plain per-trial loop
 
 def _reference_solve(system, start_vals):
-    """NewtonSystem.solve written with a plain per-trial line search: each
-    trial copies the value vector and adds t*d at each unknown's slot."""
+    """NewtonSystem.solve written as a plain loop with a per-trial line
+    search: each trial copies the value vector and adds t*d at each
+    unknown's slot."""
     vals = [float(v) for v in start_vals]
     slots = system._slots
     n = system.field.n
@@ -396,7 +397,8 @@ def _reference_solve(system, start_vals):
             F, J = system.residual_and_jacobian(vals)
         except (ZeroDivisionError, OverflowError):
             return solver.NewtonResult("evaluation-error", None, math.inf, it)
-        res = solver._max_norm(F)
+        res = (max(map(abs, F)) if all(map(math.isfinite, F))
+               else math.inf)  # Python's max drops a NaN that is not first
         if res == math.inf:
             return solver.NewtonResult("evaluation-error", None, math.inf, it)
         scale = 1.0 + max(abs(vals[s]) for s in slots)
@@ -445,26 +447,29 @@ def _outcome(result):
 class _TwinSolves:
     """Replaces NewtonSystem.solve so that every seed also runs
     _reference_solve, and checks that both give the same outcome with the
-    same number of residual and residual_and_jacobian calls."""
+    same number of residual and residual_and_jacobian calls, and of
+    ZeroDivisionError and OverflowError raises."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"residual": 0, "fj": 0, "raised": 0}
+        self.calls = {"residual": 0, "fj": 0, "ZeroDivisionError": 0,
+                      "OverflowError": 0}
         self.statuses: dict = {}
         residual = NewtonSystem.residual
         residual_and_jacobian = NewtonSystem.residual_and_jacobian
         solve = NewtonSystem.solve
 
-        def counted_residual(system, vals):
-            self.calls["residual"] += 1
-            try:
-                return residual(system, vals)
-            except ZeroDivisionError:
-                self.calls["raised"] += 1
-                raise
+        def counted(key, method):
+            def call(system, vals):
+                self.calls[key] += 1
+                try:
+                    return method(system, vals)
+                except (ZeroDivisionError, OverflowError) as e:
+                    self.calls[type(e).__name__] += 1
+                    raise
+            return call
 
-        def counted_residual_and_jacobian(system, vals):
-            self.calls["fj"] += 1
-            return residual_and_jacobian(system, vals)
+        counted_residual = counted("residual", residual)
+        counted_residual_and_jacobian = counted("fj", residual_and_jacobian)
 
         def twin_solve(system, vals):
             before = dict(self.calls)
@@ -502,14 +507,14 @@ def test_line_search_matches_plain_loop_on_rd_seeds(rd_field, monkeypatch):
     assert sum(twins.statuses.values()) == 25 * 64
 
 
-def test_line_search_matches_plain_loop_on_edge_cases(monkeypatch):
+def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
     twins = _TwinSolves(monkeypatch)
     # from x = 3 the full step lands on the pole x = 2: that trial raises
     f = ex.parse_vector_field("vars: x\nparams:\neq: x - 1/(x - 2)")
     system = NewtonSystem(det.DeterminantSet(f), f.components)
     for x in (3.0, 2.5, 2.0, 1.0, 0.0, -4.0, 2.0 + 2.0 ** -40):
         system.solve([x])
-    assert twins.calls["raised"] >= 1
+    assert twins.calls["ZeroDivisionError"] >= 1
     assert twins.statuses == {"converged": 6, "evaluation-error": 1}  # x = 2
     # a singular Jacobian at the start, with a nonzero residual
     f = ex.parse_vector_field("vars: x y\nparams:\neq: x + y - 1\neq: 2*x + 2*y - 3")
@@ -520,6 +525,24 @@ def test_line_search_matches_plain_loop_on_edge_cases(monkeypatch):
     f = ex.parse_vector_field("vars: x\nparams:\neq: x^2 + 3")
     result = NewtonSystem(det.DeterminantSet(f), f.components).solve([1.0])
     assert (result.status, result.point.x) == ("singular-jacobian", (0.0,))
+    f = ex.parse_vector_field("vars: x\nparams:\neq: x^3 - 1")
+    system = NewtonSystem(det.DeterminantSet(f), f.components)
+    # x^3 overflows in F+J: an evaluation-error before any iteration
+    result = system.solve([1e200])
+    assert (result.status, result.iterations) == ("evaluation-error", 0)
+    assert twins.calls["OverflowError"] == 2  # once per twin
+    # J = 3e-220 gives a step near 3e219, whose cube overflows down to
+    # t = 2^-39: all 40 trials raise, so the step underflows
+    result = system.solve([1e-110])
+    assert (result.status, result.iterations, result.residual) == (
+        "step-underflow", 0, 1.0)
+    assert twins.calls["OverflowError"] == 2 + 2 * 40
+    # rd's codim-4 system wanders for all 100 iterations from this start
+    _D, system = solver._system(rd_field, r=4)
+    result = system.solve([0.3, -0.2, 0.1, 0.2, -1.0, -1.0, 1.0, 1.0])
+    assert (result.status, result.iterations, result.residual) == (
+        "max-iterations", 100, 12.424064370273006)
+    assert twins.statuses["max-iterations"] == 1
 
 
 def test_solve_rejects_a_start_vector_of_the_wrong_length(rd_field):
