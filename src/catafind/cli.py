@@ -27,8 +27,7 @@ from . import expr as ex
 from . import determinants as det
 from . import solver
 from . import boardman as bo
-from .scenarios import (DomainError, PrimaryFormSpec, make_primary_form,
-                        make_reaction_diffusion)
+from .scenarios import PrimaryFormSpec, make_primary_form, make_reaction_diffusion
 
 
 class UsageError(ValueError):
@@ -104,18 +103,6 @@ def _finite(text: str, message: str) -> float:
     if not math.isfinite(value):
         raise UsageError(f"{message}: not a finite number")
     return value
-
-
-def _check_tolerances(args):
-    """--tol-b and --tol-g must be finite and > 0, --dedup-radius finite
-    and >= 0, on every subcommand that takes them."""
-    for flag, positive in (("tol_b", True), ("tol_g", True), ("dedup_radius", False)):
-        if hasattr(args, flag):
-            name = "--" + flag.replace("_", "-")
-            value = _finite(getattr(args, flag), f"bad {name}")
-            if value < 0 or (positive and value == 0):
-                bound = "> 0" if positive else ">= 0"
-                raise UsageError(f"{name} must be {bound}, got {value!r}")
 
 
 def _parse_pairs(text: str) -> dict:
@@ -528,14 +515,14 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     args._argv = argv
     try:
-        _check_tolerances(args)
+        solver._check_tolerances(args, lambda name: "--" + name.replace("_", "-"))
         return args.func(args)
     except (ex.EvaluationError, bo.ToleranceError,
             ArithmeticError) as e:  # division by zero, overflow, FP errors
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except (UsageError, ex.ParseError, DomainError, bo.CapExceededError,
-            ValueError, IndexError, OSError) as e:  # OSError: an --out path
+    except (bo.CapExceededError, ValueError, IndexError,
+            OSError) as e:  # OSError: an --out path
         print(f"error: {e}", file=sys.stderr)
         return 2
 

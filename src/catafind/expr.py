@@ -595,11 +595,10 @@ def format_vector_field(field: VectorField) -> str:
 _LINE_OPERANDS = 100
 
 
-def compile_evaluator(exprs, n_vars: int, *, max_norm: bool = False):
+def compile_evaluator(exprs, n_vars: int):
     """Compile a list of expressions into one fast function of a flat value
     vector (variables first, then parameters), returning their values as a
-    tuple; with max_norm, it returns their max-norm instead, or inf when
-    any value is not finite.
+    tuple.
 
     The generated code does the tree's floating-point operations in the
     tree's order, so its values are bit-identical to a plain tree walk.
@@ -611,7 +610,7 @@ def compile_evaluator(exprs, n_vars: int, *, max_norm: bool = False):
     index at or above n_vars raises ExprError here; division by zero
     raises ZeroDivisionError when the function runs."""
     names: dict = {}
-    consts: dict = {"inf": float("inf")}
+    consts: dict = {}
     lines = []
     for i, node in enumerate(_postorder(exprs, names)):
         k = node.kind
@@ -651,15 +650,7 @@ def compile_evaluator(exprs, n_vars: int, *, max_norm: bool = False):
             raise ExprError(f"unknown node kind {k!r}")
         lines.append(f"    {nm} = {rhs}")
         names[node] = nm
-    outs = [names[e] for e in exprs]
-    if max_norm:  # comparisons, not a call of max(), which is slower
-        lines += [f"    a{j} = abs({o})" for j, o in enumerate(outs)]
-        finite = " and ".join(f"a{j} < inf" for j in range(len(outs)))
-        lines.append(f"    if not ({finite}):\n        return inf")
-        lines += [f"    a0 = a0 if a0 >= a{j} else a{j}" for j in range(1, len(outs))]
-        ret = "a0"
-    else:
-        ret = f"({', '.join(outs)},)"
-    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return {ret}\n"
+    outs = ", ".join(names[e] for e in exprs)
+    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return ({outs},)\n"
     exec(src, consts)
     return consts["_compiled"]

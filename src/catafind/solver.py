@@ -5,13 +5,13 @@ parameters, verifies fullness and subrank at each converged point,
 classifies by codimension, and deduplicates roots.  Seeds come from a
 deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
-Seeds, Newton iterations and reports are computed on Python floats: F and
-its flat Jacobian come from one compiled function, the step from a
-partial-pivot elimination generated once per system size, and the whole
-damped Newton iteration, its convergence tests and line search included,
-from one function generated per layout of the unknowns, so their bits
-depend on IEEE double arithmetic alone, not on a BLAS build.  Only the
-census's stability labels use numpy, which they import when they run.
+Seeds, Newton iterations and reports are computed on Python floats: F
+and J come from one compiled function, a line-search trial's F from
+another, the step from an elimination generated once per system size, and
+the damped Newton iteration, with F's max-norm, its convergence tests and
+line search, from one function generated per layout of the unknowns, so
+their bits depend on IEEE double arithmetic alone, not on a BLAS build.
+Only the census's stability labels use numpy, imported when they run.
 A call on a field equal to the last one's reuses its DeterminantSet, Newton
 systems and Halton points, so a scan's cells and a sweep over fixed values
 build them once; one field's work is kept, and a fresh process has none.
@@ -43,6 +43,18 @@ def classify(r: int) -> str:
     return LABELS.get(r, f"A_{r}")
 
 
+def _check_tolerances(opts, spell=str):
+    """ValueError unless opts.tol_b and opts.tol_g are finite and > 0 and
+    opts.dedup_radius is finite and >= 0, each where opts has it; the
+    message names a field as spell(name) does."""
+    for name, bound in (("tol_b", "> 0"), ("tol_g", "> 0"), ("dedup_radius", ">= 0")):
+        value = getattr(opts, name, 1.0)  # no such field: nothing to check
+        if not math.isfinite(value):
+            raise ValueError(f"bad {spell(name)}: not a finite number")
+        if value < 0 or (value == 0 and bound == "> 0"):
+            raise ValueError(f"{spell(name)} must be {bound}, got {value!r}")
+
+
 @dataclass
 class SolveOptions:
     """Seeds per search, the dedup radius and the B/G thresholds.  Each
@@ -55,6 +67,7 @@ class SolveOptions:
     def __post_init__(self):
         if self.seed_count < 1:
             raise ValueError("counts must be >= 1")
+        _check_tolerances(self)
 
 
 @dataclass
@@ -119,8 +132,8 @@ class NewtonSystem:
     (_newton_solve): per iteration one residual_and_jacobian call (F and
     the flat row-major J as tuples of floats) and one call of the
     elimination generated per system size (_newton_step), per line-search
-    trial one residual call (F's max-norm by a generated function, inf when
-    a component is not finite).  No numpy; unknowns stay Python floats."""
+    trial one residual call (F alone, a tuple of floats).  No numpy;
+    unknowns stay Python floats."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -131,7 +144,7 @@ class NewtonSystem:
         self.field = D.field
         jac = [d for e in eqs for d in D.row(e, m)]
         self._fn = ex.compile_evaluator(list(eqs) + jac, n)
-        self._norm = ex.compile_evaluator(eqs, n, max_norm=True)
+        self._f = ex.compile_evaluator(eqs, n)
         self._m = m
         self._step = _newton_step(m)
         self._slots = slots[:m]  # positions of the unknowns in a value vector
@@ -144,9 +157,9 @@ class NewtonSystem:
         m = self._m
         return out[:m], out[m:]
 
-    def residual(self, vals) -> float:
-        """Max-norm of F, or inf when any component is not finite."""
-        return self._norm(vals)
+    def residual(self, vals):
+        """F alone, a flat tuple of floats."""
+        return self._f(vals)
 
     def solve(self, start_vals) -> NewtonResult:
         vals = [float(v) for v in start_vals]
@@ -212,7 +225,10 @@ def _newton_solve(slots: tuple, width: int):
     damped Newton iteration for unknowns at slots of a value vector of this
     width, as straight-line code on locals.  Max-norms keep max()'s first
     maximum; F and the step are finite when each component compares below
-    inf; each line-search trial is one list display [v0 + t*x0, ..., vj]."""
+    inf; a line-search trial [v0 + t*x0, ..., vj] is accepted when each
+    abs(f_i) of its F is below the max-norm, which rejects NaN and inf.
+    The locals f_i hold F at the last point evaluated, so the max-norm
+    after the last iteration needs no call."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
     trial = ", ".join(f"v{j} + t*x{j}" if j in slots else f"v{j}"
@@ -222,6 +238,9 @@ def _newton_solve(slots: tuple, width: int):
         return "; ".join([f"{out} = {names[0]}"] + [
             f"{out} = {a} if {a} > {out} else {out}" for a in names[1:]])
 
+    fs = ", ".join(f"f{i}" for i in range(m))
+    max_norm = "; ".join([f"a{i} = abs(f{i})" for i in range(m)] + [
+        first_max("res", [f"a{i}" for i in range(m)])])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
         first_max("scale", [f"w{s}" for s in slots])])
     src = f"""def _solve(vals, residual_and_jacobian, residual, step):
@@ -231,11 +250,10 @@ def _newton_solve(slots: tuple, width: int):
             F, J = residual_and_jacobian(vals)
         except (ZeroDivisionError, OverflowError):
             return "evaluation-error", None, inf, it
-        {", ".join(f"f{i}" for i in range(m))}, = F
-        {"; ".join(f"a{i} = abs(f{i})" for i in range(m))}
+        {fs}, = F
+        {max_norm}
         if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
             return "evaluation-error", None, inf, it
-        {first_max("res", [f"a{i}" for i in range(m)])}
         {get_scale}
         if res <= {_RESIDUAL_TOL!r} * (1.0 + scale):
             return "converged", vals, res, it
@@ -249,7 +267,8 @@ def _newton_solve(slots: tuple, width: int):
         while t >= {_MIN_STEP!r}:
             trial = [{trial}]
             try:
-                if residual(trial) < res:
+                {fs}, = residual(trial)
+                if {" and ".join(f"abs(f{i}) < res" for i in range(m))}:
                     break
             except (ZeroDivisionError, OverflowError):
                 pass
@@ -257,7 +276,7 @@ def _newton_solve(slots: tuple, width: int):
         else:
             return "step-underflow", vals, res, it
         {vs}, = vals = trial
-    res = residual(vals)  # an accepted trial's: it does not raise
+    {max_norm}
     {get_scale}
     return ("converged" if res <= {_RESIDUAL_TOL!r} * (1.0 + scale)
             else "max-iterations"), vals, res, {_MAX_ITERATIONS}

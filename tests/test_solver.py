@@ -257,31 +257,24 @@ def test_stability_labels():
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(seed_count=0)
+    # the CLI's checks and messages for --tol-b, --tol-g and --dedup-radius,
+    # under the field names
+    for kwargs, message in (
+            ({"seed_count": 0}, "counts must be >= 1"),
+            ({"tol_g": math.nan}, "bad tol_g: not a finite number"),
+            ({"tol_b": math.inf}, "bad tol_b: not a finite number"),
+            ({"dedup_radius": -math.inf}, "bad dedup_radius: not a finite number"),
+            ({"tol_b": 0.0}, "tol_b must be > 0, got 0.0"),
+            ({"tol_g": -1e-9}, "tol_g must be > 0, got -1e-09"),
+            ({"dedup_radius": -1.0}, "dedup_radius must be >= 0, got -1.0")):
+        with pytest.raises(ValueError) as info:
+            SolveOptions(**kwargs)
+        assert str(info.value) == message
+    assert SolveOptions(dedup_radius=0.0).dedup_radius == 0.0
 
 
 # ---------------------------------------------------------------------------
 # Newton trajectories: the cost of a step may change, the step may not
-
-def test_residual_is_inf_when_any_component_is_not_finite():
-    nan, inf = float("nan"), float("inf")
-    for size in (1, 2, 3):
-        names = "x y z"[:2 * size - 1]
-        f = ex.parse_vector_field(
-            f"vars: {names}\nparams:\n" + "".join(f"eq: {v}\n" for v in names.split()))
-        xs = [ex.var(j) for j in range(size)]
-        for pos in {0, size - 1}:  # the first and the last component
-            for bad in (nan, inf, -inf):
-                cs = [1.0] * size
-                cs[pos] = bad
-                eqs = [ex.mul(ex.const(c), x) for c, x in zip(cs, xs)]
-                system = NewtonSystem(det.DeterminantSet(f), eqs)
-                # F = 0.5 * cs: Python's max alone would return 0.5
-                assert system.residual([0.5] * size) == inf
-        system = NewtonSystem(det.DeterminantSet(f), f.components)
-        assert system.residual([0.5, -2.0, 1.0][:size]) == (0.5 if size == 1 else 2.0)
-
 
 class _NewtonCounters:
     """Counting wrappers around NewtonSystem's evaluations and solves."""
@@ -383,8 +376,9 @@ def test_census_builds_one_system_per_field(monkeypatch):
 
 def _reference_solve(system, start_vals):
     """NewtonSystem.solve written as a plain loop with a per-trial line
-    search: each trial copies the value vector and adds t*d at each
-    unknown's slot."""
+    search: each trial copies the value vector, adds t*d at each unknown's
+    slot, and is accepted when each component of its F is below the
+    max-norm in absolute value."""
     vals = [float(v) for v in start_vals]
     slots = system._slots
     n = system.field.n
@@ -417,19 +411,16 @@ def _reference_solve(system, start_vals):
             for s, d in moves:
                 trial[s] += t * d
             try:
-                if system.residual(trial) < res:
-                    vals = trial
+                G = system.residual(trial)
+                if all(abs(g) < res for g in G):  # no NaN, no infinity
+                    vals, F = trial, G
                     break
             except (ZeroDivisionError, OverflowError):
                 pass
             t *= solver._DAMPING
         else:
             return solver.NewtonResult("step-underflow", as_point(vals), res, it)
-    try:
-        res = system.residual(vals)
-    except (ZeroDivisionError, OverflowError):
-        return solver.NewtonResult("evaluation-error", None, math.inf,
-                                   solver._MAX_ITERATIONS)
+    res = max(map(abs, F))  # the last accepted trial's
     scale = 1.0 + max(abs(vals[s]) for s in slots)
     status = ("converged" if res <= solver._RESIDUAL_TOL * scale
               else "max-iterations")
@@ -448,12 +439,14 @@ class _TwinSolves:
     """Replaces NewtonSystem.solve so that every seed also runs
     _reference_solve, and checks that both give the same outcome with the
     same number of residual and residual_and_jacobian calls, and of
-    ZeroDivisionError and OverflowError raises."""
+    ZeroDivisionError and OverflowError raises.  non_finite collects the
+    positions of the non-finite components of each residual's F."""
 
     def __init__(self, monkeypatch):
         self.calls = {"residual": 0, "fj": 0, "ZeroDivisionError": 0,
                       "OverflowError": 0}
         self.statuses: dict = {}
+        self.non_finite: set = set()
         residual = NewtonSystem.residual
         residual_and_jacobian = NewtonSystem.residual_and_jacobian
         solve = NewtonSystem.solve
@@ -468,7 +461,13 @@ class _TwinSolves:
                     raise
             return call
 
-        counted_residual = counted("residual", residual)
+        count_residual = counted("residual", residual)
+
+        def counted_residual(system, vals):
+            F = count_residual(system, vals)
+            self.non_finite.update(i for i, g in enumerate(F) if not math.isfinite(g))
+            return F
+
         counted_residual_and_jacobian = counted("fj", residual_and_jacobian)
 
         def twin_solve(system, vals):
@@ -537,12 +536,30 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
     assert (result.status, result.iterations, result.residual) == (
         "step-underflow", 0, 1.0)
     assert twins.calls["OverflowError"] == 2 + 2 * 40
-    # rd's codim-4 system wanders for all 100 iterations from this start
+    # from x = 1e-3 the full step lands on x = -500, where 1e307*(x^2 + 1)
+    # overflows: a trial whose F is NaN, +inf or -inf in one component only,
+    # the first or the last, is rejected (Python's max drops a last NaN)
+    for bad, outcome in (("y + 1e307*(x^2 + 1) - 1e307*x^2", ("converged", 2)),
+                         ("y + 1e307*(x^2 + 1)", ("step-underflow", 10)),
+                         ("y - 1e307*(x^2 + 1)", ("step-underflow", 10))):
+        for eqs, pos in (([bad, "x^2 + 1"], 0), (["x^2 + 1", bad], 1)):
+            f = ex.parse_vector_field(
+                "vars: x y\nparams:\n" + "".join(f"eq: {e}\n" for e in eqs))
+            twins.non_finite.clear()
+            result = NewtonSystem(det.DeterminantSet(f), f.components).solve(
+                [1e-3, 0.0])
+            assert (result.status, result.iterations) == outcome
+            assert twins.non_finite == {pos}
+    # rd's codim-4 system wanders for all 100 iterations from this start:
+    # 1,025 trials, and the max-norm after the loop is the last accepted
+    # trial's, with no residual call of its own
     _D, system = solver._system(rd_field, r=4)
+    before = twins.calls["residual"]
     result = system.solve([0.3, -0.2, 0.1, 0.2, -1.0, -1.0, 1.0, 1.0])
     assert (result.status, result.iterations, result.residual) == (
         "max-iterations", 100, 12.424064370273006)
     assert twins.statuses["max-iterations"] == 1
+    assert twins.calls["residual"] - before == 2 * 1025  # once per twin
 
 
 def test_solve_rejects_a_start_vector_of_the_wrong_length(rd_field):
