@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -425,6 +426,7 @@ def cmd_boardman(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catafind",

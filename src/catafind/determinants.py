@@ -1,23 +1,25 @@
 """Nested determinant conditions for degenerate zeros of vector fields.
 
-Builds, symbolically, the iterated Jacobian determinants in which a chosen
-component of the field is replaced level by level with the previous
-determinant.  The extended (states + unfolding parameters) determinants,
-whose non-vanishing makes the conditions solvable with isolated roots, are
+Builds, symbolically, the iterated Jacobian determinants in which a
+chosen component of the field is replaced level by level with the
+previous determinant, in one walk over the prefix trie of index strings.
+The extended (states + unfolding parameters) determinants, whose
+non-vanishing makes the conditions solvable with isolated roots, are
 only ever needed at a point: their rows are built symbolically, and
 evaluated rows are reduced on Python floats, row by row for determinants
 (_push) and with complete pivoting for ranks (numeric_rank), so no value
 depends on a BLAS build.  Gradient rows and B determinants are cached by
 expression and matrix, so index strings that share them build them once;
-Newton systems and Boardman stages read the same rows.  Point values come
-from one compiled function per codimension r, cached on the
+Newton systems and Boardman stages read the same rows.  Point values
+come from one compiled function per codimension r, cached on the
 DeterminantSet: DeterminantSet.level(r, p) calls it once and returns a
 Level, which holds F, each B_{i,K} with i <= r and the gradient rows of
 all of them at p, and from those rows gives the B Hadamard scales,
-G_{r,K} and the Jacobian that the subrank test ranks.  The set keeps no
-value of any point.  The package runs on one thread: the set's caches
-take no lock, nor does expr's intern table, so use one DeterminantSet per
-thread and build expressions on one thread only.
+G_{r,K} and the Jacobian that the subrank test ranks; a find report's
+level (chain=True) holds only the chain B_{i,(1,...,1)} of them.  The
+set keeps no value of any point.  The package runs on one thread: the
+set's caches take no lock, nor does expr's intern table, so use one
+DeterminantSet per thread and build expressions on one thread only.
 """
 
 from __future__ import annotations
@@ -144,12 +146,29 @@ class DeterminantSet:
         K = _check_index_string(self.field.n, i, K)
         got = self._b.get((i, K))
         if got is None:
-            mat = self.b_matrix(i, K)
-            got = self._dets.get(mat)
-            if got is None:  # interned entries: equal matrices, equal det
-                got = self._dets[mat] = sym_det(mat)
-            self._b[(i, K)] = got
+            got = self._b[i, K] = self._det(self.b_matrix(i, K))
         return got
+
+    def _det(self, mat) -> Expression:
+        if mat not in self._dets:  # interned entries: equal matrices, equal det
+            self._dets[mat] = sym_det(mat)
+        return self._dets[mat]
+
+    def _nest(self, r: int) -> list:
+        """[B_{i,K} for i = 1..r, K in index_strings(n, i - 1)] from one walk
+        over the prefix trie, each child replacing component K[-1] with its
+        parent's determinant, in build_B's order and into its caches."""
+        n = self.field.n
+        base = tuple(self.row(c, n) for c in self.field.components)
+        level, nodes = {}, []
+        for i in range(1, r + 1):
+            level = ({(): self._det(base)} if i == 1 else
+                     {K + (k,): self._det(base[:k - 1] + (row,) + base[k:])
+                      for K, b in level.items() for row in [self.row(b, n)]
+                      for k in range(1, n + 1)})
+            self._b.update(((i, K), b) for K, b in level.items())
+            nodes += level.values()
+        return nodes
 
     # -- G determinants ----------------------------------------------------
 
@@ -165,33 +184,35 @@ class DeterminantSet:
 
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
-    def _level_fn(self, r: int):
+    def _level_fn(self, r: int, chain: bool = False):
         """(fn, exprs, rows): the one compiled function of codimension
         r >= 0, whose outputs are the values of exprs, each distinct entry
-        once: the nodes (the components, then B_{i,K} for i = 1..r in
-        index_strings order) and the entries of rows, each node's gradient
-        row over the states and the first min(r, unfolding count)
-        parameters.  Level 6 of primary:n=3,r=6 with lam and tau set has
-        367 nodes and 367 rows of 9 entries: 356 distinct expressions."""
-        got = self._fns.get(r)
+        once: the components, then B_{i,K} for i = 1..r in index_strings
+        order (with chain, only the chain B_{i,(1,...,1)}), then the entries
+        of rows, the gradient rows of the components and of every B_{i,K}
+        over the states and the first min(r, unfolding count) parameters.
+        Level 6 of primary:n=3,r=6 with lam and tau set has 367 rows of 9
+        entries and 356 distinct outputs; with chain, 244."""
+        got = self._fns.get((r, chain))
         if got is None:
             n = self.field.n
             width = n + min(r, len(self.param_order))
-            nodes = list(self.field.components) + [
-                self.build_B(i, K) for i in range(1, r + 1)
-                for K in index_strings(n, i - 1)]
-            rows = [self.row(e, width) for e in nodes]
-            exprs = list(dict.fromkeys(nodes + [e for row in rows for e in row]))
-            got = self._fns[r] = (ex.compile_evaluator(exprs, n), exprs, rows)
+            comps, nest = list(self.field.components), self._nest(r)
+            rows = [self.row(e, width) for e in comps + nest]
+            if chain:
+                nest = [self._b[i, (1,) * (i - 1)] for i in range(1, r + 1)]
+            exprs = list(dict.fromkeys(comps + nest + [e for row in rows for e in row]))
+            got = self._fns[r, chain] = (ex.compile_evaluator(exprs, n), exprs, rows)
         return got
 
-    def level(self, r: int, p: Point) -> Level:
-        """The values of codimension r >= 0 at p, from one call of its
+    def level(self, r: int, p: Point, chain: bool = False) -> Level:
+        """The values of codimension r >= 0 at p (with chain, only the chain
+        B values, all that a find report reads), from one call of its
         compiled function; G_{r,K} is eliminated over the level's rows when
         1 <= r <= the unfolding parameter count."""
         if r < 0:
             raise IndexError(f"codimension {r} is below 0")
-        fn, exprs, rows = self._level_fn(r)
+        fn, exprs, rows = self._level_fn(r, chain)
         value = dict(zip(exprs, map(float, fn(p.vals()))))
         g = (_trie_dets([[value[e] for e in row] for row in rows], self.field.n, r)
              if 1 <= r <= len(self.param_order) else None)
@@ -215,13 +236,15 @@ class Level:
         return tuple(self._value[c] for c in self._set.field.components)
 
     def b(self, i: int, K=()):
-        """(value, Hadamard scale) of B_{i,K} at p (1 <= i <= r); the scale
-        is that of b_matrix(i, K) at p."""
+        """(value, Hadamard scale) of B_{i,K} at p (1 <= i <= r, K on the
+        chain for a chain level); the scale is that of b_matrix(i, K) at p."""
         K = _check_index_string(self._set.field.n, i, K)
         if i > self.r:
             raise IndexError(f"level {i} is above the codimension {self.r}")
+        if (value := self._value.get(self._set.build_B(i, K))) is None:
+            raise IndexError(f"B_{i},{K} is off the chain that this level holds")
         M = [[self._value[e] for e in row] for row in self._set.b_matrix(i, K)]
-        return self._value[self._set.build_B(i, K)], hadamard_bound(M)
+        return value, hadamard_bound(M)
 
     def g(self, K=()):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the

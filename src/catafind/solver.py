@@ -382,7 +382,7 @@ def find_catastrophes(field: VectorField, r: int, box,
     reports = []
     for vals, res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(vals[:field.n]), tuple(vals[field.n:]))
-        reports.append(build_report(D.level(r, p), res, opts))
+        reports.append(build_report(D.level(r, p, chain=True), res, opts))
     return reports
 
 

@@ -382,6 +382,73 @@ def test_cold_find_compiles_the_newton_system_and_one_level(capsys, monkeypatch)
     assert compile_count(monkeypatch, capsys, argv) == 3
 
 
+def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
+    """A find report reads only the chain B_{i,(1,...,1)}: the level it
+    compiles holds each chain value and no off-chain B_{i,K} value, 244
+    outputs where the level that check compiles has 356."""
+    from catafind import determinants as det, expr, solver
+    compiled = []
+    compile_evaluator = expr.compile_evaluator
+
+    def recording_compile(exprs, *args):
+        compiled.append(set(exprs))
+        return compile_evaluator(exprs, *args)
+
+    monkeypatch.setattr(solver, "_memo", None)
+    monkeypatch.setattr(expr, "compile_evaluator", recording_compile)
+    argv = ["find", "--builtin", PRIMARY_N3R6, "--codim", "6", "--seeds", "64"]
+    assert run(capsys, argv)[0] == 0 and len(compiled) == 3
+    level, D = compiled[-1], solver._memo[1]
+    chain = {D.build_B(i, (1,) * (i - 1)) for i in range(1, 7)}
+    off_chain = {D.build_B(i, K) for i in range(1, 7)
+                 for K in det.index_strings(3, i - 1)} - chain
+    assert len(chain) == 6 and len(off_chain) == 112
+    assert chain <= level and not off_chain & level and len(level) == 244
+    assert len(D._level_fn(6)[1]) == 356
+    p = expr.Point((0.3, -0.2, 0.0), (0.1,) + (0.0,) * 5)
+    assert D.level(6, p, chain=True).b(3, (1, 1)) == D.level(6, p).b(3, (1, 1))
+    with pytest.raises(IndexError, match="off the chain"):
+        D.level(6, p, chain=True).b(3, (1, 2))
+
+
+ONE_PROCESS = """
+import contextlib, io, json, sys
+import catafind.cli as cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(argv)
+    runs.append([out.getvalue() + "exit: %d\\n" % rc, err.getvalue()])
+print(json.dumps({"runs": runs, "parsers": cli._build_parser.cache_info().misses}))
+"""
+
+
+def test_one_process_serves_a_usage_error_find_and_check_from_one_parser():
+    """Calls of cli.main in one process share one argument parser, and each
+    prints what it prints alone: a usage error (exit 2) the bytes of a fresh
+    process, then the README find and check their golden documents."""
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "tests" / "golden"
+    commands = dict(line.split(maxsplit=1)
+                    for line in (golden / "COMMANDS").read_text().splitlines())
+    names = ["find-readme", "check-readme"]
+    argvs = [["find", "--builtin", "rd"]] + [commands[n].split() for n in names]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", ONE_PROCESS, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["parsers"] == 1
+    fresh = subprocess.run([sys.executable, "-m", "catafind.cli", *argvs[0]],
+                           env=env, capture_output=True, text=True, timeout=120)
+    usage_out, usage_err = got["runs"][0]
+    assert usage_out == "exit: 2\n" and fresh.returncode == 2
+    assert usage_err == fresh.stderr and "--codim" in usage_err
+    for name, (text, err) in zip(names, got["runs"][1:]):
+        assert text == (golden / f"{name}.out").read_text() and not err, name
+
+
 def test_check_unknown_coordinate(capsys):
     rc, _out, err = run(capsys, ["check", "--builtin", "rd", "--codim", "1",
                                  "--at", "w=1"])

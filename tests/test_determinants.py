@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import catafind.expr as ex
 import catafind.determinants as det
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
-                                make_primary_form, rd_catastrophe_point)
+                                make_primary_form, make_reaction_diffusion,
+                                rd_catastrophe_point)
 
 
 def rd_point(rng, span=2.0):
@@ -215,6 +216,34 @@ def test_g_at_matches_symbolic_determinant_primary():
     assert_g_matches_sym_det(D, 3, points)
 
 
+@pytest.mark.parametrize("spec", [None, PrimaryFormSpec(3, 4, (1.3, -0.7), (0.9, -1.6))],
+                         ids=["rd", "primary-n3r4"])
+def test_trie_walk_returns_the_objects_of_build_B(monkeypatch, spec):
+    """The nest of level 4, one walk over the prefix trie, holds the very
+    object that build_B(i, K) returns for every (i, K), in index_strings
+    order, also on a set whose build_B recursion built them; it takes one
+    sym_det per distinct b_matrix."""
+    field = make_reaction_diffusion() if spec is None else make_primary_form(spec)
+    n, dets = field.n, []
+    sym_det = det.sym_det
+
+    def counting_sym_det(M):
+        dets.append(M)
+        return sym_det(M)
+
+    monkeypatch.setattr(det, "sym_det", counting_sym_det)
+    D, E = det.DeterminantSet(field), det.DeterminantSet(field)
+    nest = D._nest(4)
+    walked = len(dets)
+    keys = [(i, K) for i in range(1, 5) for K in det.index_strings(n, i - 1)]
+    assert len(nest) == len(keys)
+    for b, (i, K) in zip(nest, keys):
+        assert b is D.build_B(i, K) is E.build_B(i, K), (i, K)
+    mats = {D.b_matrix(i, K) for i, K in keys}
+    assert walked == len(mats) == len(D._dets)
+    assert all(D._dets[M] is sym_det(M) for M in mats)
+
+
 def test_one_level_serves_every_lower_read(rd_field):
     """One level(4, p) gives F, the subrank and every B value and scale of
     levels 1..4 with the bits that each lower level gives on its own; it
@@ -238,8 +267,8 @@ def count_level_calls(monkeypatch):
     calls = []
     level_fn = det.DeterminantSet._level_fn
 
-    def counting_level_fn(D, r):
-        fn, exprs, rows = level_fn(D, r)
+    def counting_level_fn(D, r, *chain):
+        fn, exprs, rows = level_fn(D, r, *chain)
 
         def counted(vals):
             calls.append(r)
