@@ -368,6 +368,11 @@ def cmd_scan(args) -> int:
                 census = solver.count_steady_states(field, alpha, box, opts)
                 n_attracting = sum(1 for _p, label in census.states
                                    if label == "attracting")
+                lost = sum(s in ("diverged", "failed") for s in census.paths)
+                if lost:
+                    print(f"warning: cell {axes[0]}={_fmt_float(v1)},{axes[1]}="
+                          f"{_fmt_float(v2)}: {lost} of {len(census.paths)} homotopy "
+                          "paths diverged or failed; states may be missing", file=sys.stderr)
                 fh.write(f"{_fmt_float(v1)},{_fmt_float(v2)},"
                          f"{census.count},{n_attracting}\n")
     return 0
@@ -487,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", help="fixed parameter values name=value,...")
     p.add_argument("--box-x",
                    help="state seed box lo:hi,... (default -3:3 each)")
-    p.add_argument("--seeds", type=int, default=64, dest="seed_count")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("count-minors", parents=[out_p],

@@ -120,7 +120,7 @@ class DeterminantSet:
         """The first width entries of e's gradient over the state variables,
         then the unfolding parameters in order; each entry of a row is
         differentiated once, and a wider request only adds columns.  The
-        package takes every derivative here."""
+        package takes every derivative here but the census homotopy's."""
         if width > len(self._cols):
             raise IndexError(f"row width {width} exceeds the {len(self._cols)} columns")
         row = self._rows.get(e, ())

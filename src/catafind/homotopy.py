@@ -1,0 +1,231 @@
+"""The steady-state census's parameter homotopy on complex values (Sommese
+& Wampler, The Numerical Solution of Systems of Polynomial Equations, 2005,
+ch. 7-8).  solver imports it on the first census, not with the package.
+"""
+
+from __future__ import annotations
+
+import cmath
+import itertools
+import math
+
+from . import expr as ex
+from .solver import _newton_step
+
+_GAMMAS = (complex(0.6367, 0.7711), complex(-0.2839, 0.9589))  # fixed, generic
+_TRACK_TOL = 1e-6  # a corrector's last step, relative to 1 + max |x|
+_CORRECTIONS = 3  # Newton corrections per step
+_PREDICT_TOL = 1e-3  # the first correction a step size aims at
+_FIRST_STEP, _LEAST_STEP, _MAX_STEPS = 0.5, 1e-6, 2000  # segment lengths; per segment
+_DIVERGED = 1e8  # max |x| at which a path diverges
+_RADII = (0.1, 0.0125, 0.0015625)  # the Cauchy loops' radii around s = 1
+_CHORDS = 12  # chords per loop
+_REAL_TOL = 1e-6  # max |Im x| of a real endpoint, relative to 1 + max |x|
+
+
+def as_fraction(e, env) -> tuple:
+    """(numerator, denominator) of e: two expressions free of division,
+    whose quotient equals e wherever the denominator is nonzero.  env maps
+    variable and parameter nodes to the expressions put in their place."""
+    out: dict = {}
+    for node in ex._postorder((e,), out):
+        k = node.kind
+        parts = [out[c] for c in node.children]
+        if k == ex.SUM:
+            num, den = parts[0]
+            for n, d in parts[1:]:
+                num, den = ((ex.add(num, n), den) if d is den else
+                            (ex.add(ex.mul(num, d), ex.mul(n, den)), ex.mul(den, d)))
+        elif k == ex.PROD:
+            num, den = ex.mul(*[p[0] for p in parts]), ex.mul(*[p[1] for p in parts])
+        elif k == ex.NEG:
+            num, den = ex.neg(parts[0][0]), parts[0][1]
+        elif k == ex.QUOT:
+            (nu, du), (nv, dv) = parts
+            num, den = ex.mul(nu, dv), ex.mul(du, nv)
+        elif k == ex.POW:
+            num, den = parts[0][::1 if node.exponent > 0 else -1]
+            num, den = ex.pow_(num, abs(node.exponent)), ex.pow_(den, abs(node.exponent))
+        else:
+            num, den = env.get(node, node), ex.ONE
+        out[node] = num, den
+    return out[e]
+
+
+def degree(e, n_vars: int) -> int:
+    """Total degree of a division-free e in the variables below n_vars."""
+    out: dict = {}
+    for node in ex._postorder((e,), out):
+        ds = [out[c] for c in node.children]
+        k = node.kind
+        out[node] = (int(k == ex.VAR and node.index < n_vars) if not ds
+                     else sum(ds) if k == ex.PROD
+                     else ds[0] * node.exponent if k == ex.POW else max(ds))
+    return out[e]
+
+
+def _close(x, y, tol):
+    return max(abs(v - w) for v, w in zip(x, y)) <= tol * (1.0 + max(map(abs, y)))
+
+
+def _compiled(hs, n):
+    """fn((*x, s, *tail)) -> H, then the flat row-major H_x, then H_s."""
+    memo: dict = {}
+    grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
+    return ex.compile_evaluator(
+        list(hs) + [g[j] for g in grads for j in range(n)] + [g[n] for g in grads], n + 1)
+
+
+def _track(fn, step, x, a, b, tail, h=_FIRST_STEP):
+    """(status, x at b) for the root x of H(., a) = 0 as s runs along the
+    segment a -> b of the complex plane; fn is _compiled's, step solves
+    a linear system.  A step is an RK4 prediction on dx/ds = -H_x^-1 H_s
+    (its first slope from the last correction's H_x and H_s), then up to
+    _CORRECTIONS Newton corrections; a failed one halves the step, and the
+    first one's size sets the next.  status: "regular", "diverged" (max |x|
+    beyond _DIVERGED) or "failed"."""
+    n = len(x)
+    ds, m = b - a, n + n * n
+
+    def slope(y, t):  # dx/dt along the segment, t in [0, 1]
+        out = fn((*y, b if t == 1.0 else a + t * ds, *tail))
+        return [ds * v for v in step(out[m:], out[n:m])]
+
+    u, k1 = 0.0, None
+    for _ in range(_MAX_STEPS):
+        if u == 1.0:
+            return "regular", x
+        t = min(u + h, 1.0)
+        h, y = t - u, None
+        try:
+            k1 = k1 or slope(x, u)
+            k2 = slope([v + h / 2 * k for v, k in zip(x, k1)], u + h / 2)
+            k3 = slope([v + h / 2 * k for v, k in zip(x, k2)], u + h / 2)
+            k4 = slope([v + h * k for v, k in zip(x, k3)], t)
+            y = [v + h / 6 * (p + 2 * q + 2 * w + z)
+                 for v, p, q, w, z in zip(x, k1, k2, k3, k4)]
+            for it in range(_CORRECTIONS):
+                out = fn((*y, b if t == 1.0 else a + t * ds, *tail))
+                dy = step(out[:n], out[n:m])
+                y = [v + d for v, d in zip(y, dy)]
+                scale = 1.0 + max(map(abs, y))
+                err = max(map(abs, dy)) / scale
+                first = err if it == 0 else first
+                if err <= _TRACK_TOL:
+                    break
+            else:
+                y = None
+        except (ZeroDivisionError, OverflowError):
+            y = k1 = None
+        if y is None:
+            h /= 2
+            if h < _LEAST_STEP:
+                return "failed", None
+        elif not scale <= _DIVERGED:
+            return "diverged", None
+        else:
+            x, u = y, t
+            k1 = [ds * v for v in step(out[m:], out[n:m])]
+            h *= min(2.0, 0.8 * (_PREDICT_TOL / max(first, 1e-300)) ** 0.2)
+    return "failed", None
+
+
+def _path(fn, step, x, tail, cycles):
+    """(status, x at s = 1 or None) for the path of H from x at s = 0.  If
+    tracking to s = 1 fails, a Cauchy endgame (Morgan, Sommese & Wampler,
+    Numer. Math. 1992) loops on |s - 1| = rho from s = 1 - rho until the
+    path closes, after c <= cycles loops at a root of cycle number c, and
+    takes the mean of the c*_CHORDS vertices.  Two radii whose means agree
+    end it "singular"; vertices that spread more at the smaller diverge."""
+    status, y = _track(fn, step, x, 0.0, 1.0, tail)
+    if status != "failed":
+        return status, y
+    s, estimate, spread = 0.0, None, math.inf
+    for rho in _RADII:
+        status, x = _track(fn, step, x, s, 1.0 - rho, tail)
+        points, y, s = [], x, 1.0 - rho
+        for k in range(cycles * _CHORDS if status == "regular" else 0):
+            a, b = (1.0 - rho * cmath.exp(2j * math.pi * j / _CHORDS) for j in (k, k + 1))
+            status, y = _track(fn, step, y, a, b, tail, 1.0)
+            if status != "regular":
+                return status, None
+            points.append(y)
+            if (k + 1) % _CHORDS == 0 and _close(y, x, 1e-6):
+                break
+        else:
+            return "failed", None
+        mean = [sum(c) / len(points) for c in zip(*points)]
+        width = max(abs(v - w) for y in points for v, w in zip(y, mean))
+        if not width < spread:
+            return "diverged", None
+        if estimate is not None and _close(mean, estimate, 1e-6):
+            return "singular", mean
+        estimate, spread = mean, width
+    return "failed", None
+
+
+class Homotopy:
+    """A field's numerators N(x, p) and their roots at p*, found by the
+    total-degree homotopy (1 - s) gamma (x_i^d_i - 1) + s N(x, p*), d_i the
+    degree of N_i.  track(alpha) moves those roots along p = alpha + q (p*
+    - alpha), q = (1 - s) / (1 + (gamma - 1) s), s from 0 to 1
+    (coefficient-parameter continuation; Morgan & Sommese, Appl. Math.
+    Comput. 1989): the segment p* -> alpha at gamma = 1, ending at
+    p = alpha exactly.  A stage with a bad end, or with two regular paths
+    at one root, runs again with the second gamma."""
+
+    def __init__(self, field: ex.VectorField):
+        n, r = field.n, field.r
+        s, gamma = ex.var(n), ex.par(0)  # then p* or p* - alpha, then alpha
+        q = ex.div(ex.sub(ex.ONE, s), ex.add(ex.ONE, ex.mul(ex.sub(gamma, ex.ONE), s)))
+        at_pstar, on_segment = ([as_fraction(e, {ex.par(k): p(k) for k in range(r)})
+                                 for e in field.components] for p in (
+            lambda k: ex.par(1 + k),
+            lambda k: ex.add(ex.par(1 + r + k), ex.mul(q, ex.par(1 + k)))))
+        degrees = [degree(num, n) for num, _den in at_pstar]
+        start = [ex.add(ex.mul(ex.sub(ex.ONE, s), gamma,
+                               ex.sub(ex.pow_(ex.var(i), d), ex.ONE)), ex.mul(s, num))
+                 for i, ((num, _den), d) in enumerate(zip(at_pstar, degrees))]
+        self._cell = _compiled([num for num, _den in on_segment], n)
+        self._dens = ex.compile_evaluator([den for _num, den in at_pstar], n + 1)
+        self._step = _newton_step(n)
+        # p* on the unit circle at golden-ratio angles
+        self._pstar = tuple(cmath.exp(2j * math.pi * (k * 0.6180339887498949 % 1))
+                            for k in range(1, r + 1))
+        starts = itertools.product(*[
+            [cmath.exp(2j * math.pi * k / d) for k in range(d)] for d in degrees])
+        ends = self._stage(_compiled(start, n), list(starts), self._pstar,
+                           _GAMMAS, ("failed", "singular"))
+        self._roots = [x for status, x in ends if status == "regular"]
+        self._lost = sum(status != "diverged" for status, _x in ends) - len(self._roots)
+
+    def _stage(self, fn, starts, tail, gammas, bad):
+        """The (status, x) of each path from starts, with gammas[0], or
+        with gammas[1] if that has fewer bad ends."""
+        best = None
+        for gamma in gammas:
+            ends = [_path(fn, self._step, list(x), (gamma, *tail), len(starts))
+                    for x in starts]
+            regular = [x for status, x in ends if status == "regular"]
+            misses = sum(status in bad for status, _x in ends) + sum(
+                _close(x, y, 1e-8) for i, x in enumerate(regular) for y in regular[:i])
+            if best is None or misses < best[0]:
+                best = misses, ends
+            if not misses:
+                break
+        return best[1]
+
+    def track(self, alpha):
+        """(the end of each path, a root lost at p* reading "failed"; the
+        index and real part of each real endpoint at alpha where no
+        denominator vanishes)."""
+        ends = self._stage(self._cell, self._roots,
+                           (*(p - a for p, a in zip(self._pstar, alpha)), *alpha),
+                           (1.0, _GAMMAS[1]), ("failed", "diverged"))
+        real = []
+        for i, (_status, x) in enumerate(ends):
+            tol = _REAL_TOL * (1.0 + max(map(abs, x or [0.0])))
+            if x and all(abs(v.imag) <= tol for v in x) and all(
+                    abs(d) > tol for d in self._dens((*x, 1.0, 1.0, *alpha))):
+                real.append((i, [v.real for v in x]))
+        return [s for s, _x in ends] + ["failed"] * self._lost, real

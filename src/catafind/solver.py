@@ -11,10 +11,11 @@ another, the step from an elimination generated once per system size, and
 the damped Newton iteration, with F's max-norm, its convergence tests and
 line search, from one function generated per layout of the unknowns, so
 their bits depend on IEEE double arithmetic alone, not on a BLAS build.
-Only the census's stability labels use numpy, imported when they run.
-A call on a field equal to the last one's reuses its DeterminantSet, Newton
-systems and Halton points, so a scan's cells and a sweep over fixed values
-build them once; one field's work is kept, and a fresh process has none.
+The steady-state census tracks roots by a parameter homotopy (module
+homotopy), refines the real ones by the same Newton solve, and labels them
+with numpy, imported when the labels run.  A call on a field equal to the
+last one's reuses its memo entry (_system), so a scan's cells build it
+once; one field's work is kept, and a fresh process has none.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def _check_tolerances(opts, spell=str):
 
 @dataclass
 class SolveOptions:
-    """Seeds per search, the dedup radius and the B/G thresholds.  Each
-    seed gets at most _MAX_ITERATIONS Newton iterations."""
+    """Seeds per find, the dedup radius and the B/G thresholds.  Each
+    seed gets at most _MAX_ITERATIONS Newton iterations; the census reads
+    no seed_count."""
     seed_count: int = 256
     dedup_radius: float = 1e-6  # max-norm over (x, alpha)
     tol_b: float = det.DEFAULT_TOL_B
@@ -100,6 +102,7 @@ class CatastropheReport:
 class SteadyStateCensus:
     count: int
     states: tuple  # of (Point, stability label)
+    paths: tuple = ()  # per homotopy path: regular | singular | diverged | failed
 
 
 def halton(dim: int, count: int) -> list:
@@ -307,8 +310,9 @@ def _dedup(solutions, radius):
 
 # One field's work, reused by calls on an equal field (compared by value, so
 # a rebuilt or re-parsed field hits): (key, DeterminantSet, a dict of the
-# NewtonSystem per codimension r, 0 being the census's F alone, and the unit
-# Halton points per (dim, count)).  Dropped before another field's is built.
+# NewtonSystem per codimension r, 0 being the census's F alone, the unit
+# Halton points per (dim, count), and the census's Homotopy under
+# "census").  Dropped before another field's is built.
 _memo = None
 
 
@@ -451,20 +455,27 @@ def stability_label(J, tol: float = det.DEFAULT_TOL_B) -> str:
 
 def count_steady_states(field: VectorField, alpha, box,
                         opts: SolveOptions | None = None) -> SteadyStateCensus:
-    """Multistart Newton on F = 0 in x alone, at fixed parameter values,
-    with stability labels from the Jacobian eigenvalues."""
+    """The states in box where F = 0 at parameters alpha: the real ends of
+    homotopy.Homotopy's paths, refined by NewtonSystem.solve on F, with
+    stability labels from the Jacobian eigenvalues.  census.paths says how
+    each path ended; a state may be missing where one diverged or failed."""
     opts = opts or SolveOptions()
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != field.r:
         raise ValueError(f"expected {field.r} parameter values")
     if len(box) != field.n:
         raise ValueError(f"box needs {field.n} intervals")
+    from . import homotopy  # compiled on the first census, not on import
     _D, system = _system(field, r=0)
+    if "census" not in _memo[2]:
+        _memo[2]["census"] = homotopy.Homotopy(field)
+    paths, ends = _memo[2]["census"].track(alpha)
     hits = []
-    for seed in _seed_values(box, opts.seed_count):
-        vals = seed + list(alpha)
-        result = system.solve(vals)
-        if result.ok:
+    for i, x in ends:
+        result = system.solve(x + list(alpha))
+        if not result.ok and paths[i] == "singular":
+            paths[i] = "failed"  # the endgame's estimate is no root of F
+        elif result.ok:
             x = result.point.x
             if all(lo - 10 * opts.dedup_radius <= xi <= hi + 10 * opts.dedup_radius
                    for xi, (lo, hi) in zip(x, box)):
@@ -476,4 +487,4 @@ def count_steady_states(field: VectorField, alpha, box,
         m = len(x)
         rows = [J[k:k + m] for k in range(0, m * m, m)]
         states.append((p, stability_label(rows, opts.tol_b)))
-    return SteadyStateCensus(count=len(states), states=tuple(states))
+    return SteadyStateCensus(count=len(states), states=tuple(states), paths=tuple(paths))

@@ -1,13 +1,16 @@
 """Newton iteration, multistart catastrophe search, steady-state census."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import catafind.expr as ex
 import catafind.determinants as det
+import catafind.homotopy as homotopy
 import catafind.solver as solver
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
                                 make_primary_form)
@@ -239,6 +242,70 @@ def test_census_seed_order_invariance(rd_field):
     assert a == b
 
 
+def test_census_of_the_degenerate_cell(rd_field):
+    # a = g = -1, b = d = 0: a triple root at the origin and two saddles
+    census = count_steady_states(rd_field, [0, 0, -1, -1, 1, 1], [(-3.0, 3.0)] * 2)
+    attracting = sum(label == "attracting" for _p, label in census.states)
+    assert (census.count, attracting) == (3, 0)
+    assert census.paths.count("singular") == 3
+    assert max(map(abs, census.states[1][0].x)) < 1e-12
+
+
+@pytest.mark.parametrize("spec, alpha, paths", [
+    (None, [0.6, -0.6, -1, -1, 1, 1], 9),  # degrees (3, 3)
+    (PrimaryFormSpec(3, 6), [0.1, -0.2, 0.3, -0.4, 0.5, -0.6], 7),  # (7, 1, 1)
+], ids=["rd", "primary-n3r6"])
+def test_every_start_path_finishes(rd_field, spec, alpha, paths):
+    field = make_primary_form(spec) if spec else rd_field
+    census = count_steady_states(field, alpha, [(-3.0, 3.0)] * field.n)
+    assert census.paths == ("regular",) * paths
+
+
+def test_census_drops_the_poles_of_a_rational_field():
+    f = ex.parse_vector_field("vars: x\nparams: a\neq: (x^2 - a)/(x - 2)")
+    ones = count_steady_states(f, [1.0], [(-3.0, 3.0)])
+    assert sorted(p.x[0] for p, _label in ones.states) == pytest.approx([-1.0, 1.0])
+    pole = count_steady_states(f, [4.0], [(-3.0, 3.0)])  # x = 2 is a pole
+    assert [p.x[0] for p, _label in pole.states] == pytest.approx([-2.0])
+
+
+def test_a_cell_with_a_bad_path_is_retracked_with_the_second_gamma(monkeypatch):
+    # at a = 0 the root -1/a of a*x^2 + x - 1 has gone to infinity
+    f = ex.parse_vector_field("vars: x\nparams: a\neq: a*x^2 + x - 1")
+    count_steady_states(f, [0.5], [(-3.0, 3.0)])
+    gammas = []
+    path = homotopy._path
+
+    def counted_path(fn, step, x, tail, cycles):
+        gammas.append(tail[0])
+        return path(fn, step, x, tail, cycles)
+
+    monkeypatch.setattr(homotopy, "_path", counted_path)
+    assert count_steady_states(f, [0.5], [(-3.0, 3.0)]).paths == ("regular",) * 2
+    assert gammas == [1.0, 1.0]
+    census = count_steady_states(f, [0.0], [(-3.0, 3.0)])
+    assert sorted(census.paths) == ["diverged", "regular"]
+    assert [p.x[0] for p, _label in census.states] == pytest.approx([1.0])
+    assert gammas[2:] == [1.0, 1.0] + [homotopy._GAMMAS[1]] * 2
+
+
+def test_census_matches_the_exact_oracle_on_both_workload_slices(rd_field):
+    pytest.importorskip("sympy")
+    spec = importlib.util.spec_from_file_location(
+        "bench_oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    centres = [-1.5 + (k + 0.5) * 3.0 / 7 for k in range(7)]
+    box = ((-3.0, 3.0), (-3.0, 3.0))
+    for a in (0.2, -1.0):
+        for b in centres:
+            for d in centres:
+                census = count_steady_states(rd_field, [b, d, a, a, 1, 1], box)
+                got = census.count, sum(label == "attracting"
+                                        for _p, label in census.states)
+                assert got == oracles.rd_census(1, 1, a, a, b, d, box), (a, b, d)
+
+
 # ---------------------------------------------------------------------------
 # stability labels
 
@@ -314,7 +381,7 @@ def _readme_box_find(rd_field):
 
 def _census_cell(rd_field):
     return count_steady_states(rd_field, [0.6, -0.6, -1, -1, 1, 1],
-                               [(-3.0, 3.0)] * 2, SolveOptions(seed_count=64))
+                               [(-3.0, 3.0)] * 2)
 
 
 def test_readme_box_newton_counters(rd_field, monkeypatch):
@@ -327,15 +394,15 @@ def test_readme_box_newton_counters(rd_field, monkeypatch):
 
 
 def test_census_cell_newton_counters(rd_field, monkeypatch):
+    # the homotopy's paths and the refinement of each real endpoint in the
+    # box, which do not depend on what the process built before
     counters = _NewtonCounters(monkeypatch)
     census = _census_cell(rd_field)
-    assert counters.statuses == {"converged": 39, "step-underflow": 25}
-    assert counters.iterations == 634
-    assert counters.fj == 701  # 698 in the solves, one label per state
-    assert counters.residual == 8440
+    assert census.paths == ("regular",) * 9
     assert census.count == 3
     assert [label for _p, label in census.states] == [
         "saddle", "attracting", "saddle"]
+    assert counters.statuses == {"converged": 3}
 
 
 def test_newton_unknowns_stay_python_floats(rd_field, monkeypatch):
@@ -492,16 +559,17 @@ def test_line_search_matches_plain_loop_on_rd_seeds(rd_field, monkeypatch):
     twins = _TwinSolves(monkeypatch)
     _readme_box_find(rd_field)
     assert twins.statuses == {"converged": 255, "step-underflow": 1}
-    _census_cell(rd_field)
+    assert _census_cell(rd_field).count == 3  # the refinement's solves
+    # 64 state seeds in (-3, 3)^2 per cell of a 5x5 (b, d) grid on the
+    # cubic slice, with its degenerate b = d = 0 cell
     centres = [-1.5 + (k + 0.5) * 3.0 / 5 for k in range(5)]
-    assert 0.0 in centres  # the degenerate b = d = 0 cell
+    assert 0.0 in centres
+    _D, system = solver._system(rd_field, r=0)
     twins.statuses.clear()
     for b in centres:
         for d in centres:
-            census = count_steady_states(rd_field, [b, d, -1, -1, 1, 1],
-                                         [(-3.0, 3.0)] * 2,
-                                         SolveOptions(seed_count=64))
-            assert census.count >= 1
+            for seed in halton(2, 64):
+                system.solve([-3.0 + 6.0 * u for u in seed] + [b, d, -1, -1, 1, 1])
     assert twins.statuses["step-underflow"] > 0
     assert sum(twins.statuses.values()) == 25 * 64
 
