@@ -473,13 +473,13 @@ def count_steady_states(field: VectorField, alpha, box,
     hits = []
     for i, x in ends:
         result = system.solve(x + list(alpha))
-        if not result.ok and paths[i] == "singular":
-            paths[i] = "failed"  # the endgame's estimate is no root of F
-        elif result.ok:
+        if result.ok:
             x = result.point.x
             if all(lo - 10 * opts.dedup_radius <= xi <= hi + 10 * opts.dedup_radius
                    for xi, (lo, hi) in zip(x, box)):
                 hits.append((x, result.residual))
+        elif paths[i] == "singular":
+            paths[i] = "failed"  # the endgame's estimate is no root of F
     states = []
     for x, _res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(x), alpha)
