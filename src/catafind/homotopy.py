@@ -1,11 +1,14 @@
 """The steady-state census's parameter homotopy on complex values (Sommese
 & Wampler, The Numerical Solution of Systems of Polynomial Equations, 2005,
 ch. 7-8).  solver imports it on the first census, not with the package.
+The path tracker is straight-line code generated per number of unknowns
+(_tracker), and one Cauchy loop ends every singular path of its cycle.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -83,66 +86,99 @@ def _track(fn, step, x, a, b, tail, h=_FIRST_STEP):
     (its first slope from the last correction's H_x and H_s), then up to
     _CORRECTIONS Newton corrections; a failed one halves the step, and the
     first one's size sets the next.  status: "regular", "diverged" (max |x|
-    beyond _DIVERGED) or "failed"."""
-    n = len(x)
-    ds, m = b - a, n + n * n
-
-    def slope(y, t):  # dx/dt along the segment, t in [0, 1]
-        out = fn((*y, b if t == 1.0 else a + t * ds, *tail))
-        return [ds * v for v in step(out[m:], out[n:m])]
-
-    u, k1 = 0.0, None
-    for _ in range(_MAX_STEPS):
-        if u == 1.0:
-            return "regular", x
-        t = min(u + h, 1.0)
-        h, y = t - u, None
-        try:
-            k1 = k1 or slope(x, u)
-            k2 = slope([v + h / 2 * k for v, k in zip(x, k1)], u + h / 2)
-            k3 = slope([v + h / 2 * k for v, k in zip(x, k2)], u + h / 2)
-            k4 = slope([v + h * k for v, k in zip(x, k3)], t)
-            y = [v + h / 6 * (p + 2 * q + 2 * w + z)
-                 for v, p, q, w, z in zip(x, k1, k2, k3, k4)]
-            for it in range(_CORRECTIONS):
-                out = fn((*y, b if t == 1.0 else a + t * ds, *tail))
-                dy = step(out[:n], out[n:m])
-                y = [v + d for v, d in zip(y, dy)]
-                scale = 1.0 + max(map(abs, y))
-                err = max(map(abs, dy)) / scale
-                first = err if it == 0 else first
-                if err <= _TRACK_TOL:
-                    break
-            else:
-                y = None
-        except (ZeroDivisionError, OverflowError):
-            y = k1 = None
-        if y is None:
-            h /= 2
-            if h < _LEAST_STEP:
-                return "failed", None
-        elif not scale <= _DIVERGED:
-            return "diverged", None
-        else:
-            x, u = y, t
-            k1 = [ds * v for v in step(out[m:], out[n:m])]
-            h *= min(2.0, 0.8 * (_PREDICT_TOL / max(first, 1e-300)) ** 0.2)
-    return "failed", None
+    beyond _DIVERGED) or "failed".  The loop is _tracker's, generated per
+    number of unknowns."""
+    return _tracker(len(x))(fn, step, x, a, b, tail, h)
 
 
-def _path(fn, step, x, tail, cycles):
+@functools.cache  # one generated tracker per number of unknowns
+def _tracker(n: int):
+    """_track's loop as straight-line code on locals x0..x{n-1}: the RK4
+    slopes p, q, r, z, the prediction y, the corrections d, and max-norms
+    as first-maximum chains (max()'s strict >).  Each float operation is a
+    plain loop's over lists (v + h / 2 * k per slope, v + h / 6 * (p + 2*q
+    + 2*r + z)), in its order, so both give bit-identical endpoints; the
+    tests keep that loop as a twin."""
+    m = n + n * n
+
+    def each(fmt, sep="; "):  # fmt for every unknown i, on one line
+        return sep.join(fmt.format(i=i) for i in range(n))
+
+    def norm(fmt):  # mx = max(fmt over i), max()'s first maximum
+        return "; ".join([f"mx = {fmt.format(i=0)}"] + [
+            f"c = {fmt.format(i=i)}; mx = c if c > mx else mx" for i in range(1, n)])
+
+    def slope(k, arg, at):  # k{i} = ds * dx/dt at x{i} + arg, t = at
+        return [f"o = fn(({each('x{i}' + arg, ', ')}, b if {at} == 1.0 else a + {at} * ds, *tail))",
+                f"{each(k + '{i}', ', ')}, = step(o[{m}:], o[{n}:{m}])",
+                each(f"{k}{{i}} = ds * {k}{{i}}")]
+
+    correct, pad = [], "            "
+    for it in range(_CORRECTIONS):
+        correct += [pad + line for line in [
+            f"o = fn(({each('y{i}', ', ')}, T, *tail))",
+            f"{each('d{i}', ', ')}, = step(o[:{n}], o[{n}:{m}])",
+            each("y{i} = y{i} + d{i}"), norm("abs(y{i})") + "; scale = 1.0 + mx",
+            norm("abs(d{i})") + "; err = mx / scale"] + ["first = err"] * (it == 0)]
+        correct.append(f"{pad}if not err <= {_TRACK_TOL!r}:")
+        pad += "    "
+    src = "\n".join([
+        "def _track(fn, step, x, a, b, tail, h):",
+        f"    {each('x{i}', ', ')}, = x",
+        "    ds, u, have = b - a, 0.0, False",
+        f"    for _ in range({_MAX_STEPS}):",
+        "        if u == 1.0:",
+        f"            return 'regular', [{each('x{i}', ', ')}]",
+        "        t = u + h; t = 1.0 if 1.0 < t else t; h = t - u",
+        "        try:",
+        "            if not have:",
+        *["                " + line for line in slope("p", "", "u")],
+        "                have = True",
+        "            w = u + h / 2",
+        *["            " + line for line in slope("q", " + h / 2 * p{i}", "w")
+          + slope("r", " + h / 2 * q{i}", "w") + slope("z", " + h * r{i}", "t")],
+        "            " + each("y{i} = x{i} + h / 6 * (p{i} + 2 * q{i} + 2 * r{i} + z{i})"),
+        "            T = b if t == 1.0 else a + t * ds",
+        *correct[:-1],
+        f"            ok = err <= {_TRACK_TOL!r}",
+        "        except (ZeroDivisionError, OverflowError):",
+        "            ok = have = False",
+        "        if not ok:",
+        "            h /= 2",
+        f"            if h < {_LEAST_STEP!r}:",
+        "                return 'failed', None",
+        f"        elif not scale <= {_DIVERGED!r}:",
+        "            return 'diverged', None",
+        "        else:",
+        f"            {each('x{i}', ', ')}, u = {each('y{i}', ', ')}, t",
+        *["            " + line for line in slope("p", "", "")[1:]],  # from the last o
+        f"            g = 0.8 * ({_PREDICT_TOL!r} / (1e-300 if 1e-300 > first else first)) ** 0.2",
+        "            h *= g if g < 2.0 else 2.0",
+        "    return 'failed', None\n"])
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["_track"]
+
+
+def _path(fn, step, x, tail, cycles, shared):
     """(status, x at s = 1 or None) for the path of H from x at s = 0.  If
     tracking to s = 1 fails, a Cauchy endgame (Morgan, Sommese & Wampler,
     Numer. Math. 1992) loops on |s - 1| = rho from s = 1 - rho until the
     path closes, after c <= cycles loops at a root of cycle number c, and
     takes the mean of the c*_CHORDS vertices.  Two radii whose means agree
-    end it "singular"; vertices that spread more at the smaller diverge."""
+    end it "singular"; vertices that spread more at the smaller diverge.
+    One loop serves its whole cycle: shared holds each singular path's
+    (lap vertices, end), its points at s = 1 - _RADII[0] after each loop,
+    and a path that reaches one of them there takes that end."""
     status, y = _track(fn, step, x, 0.0, 1.0, tail)
     if status != "failed":
         return status, y
-    s, estimate, spread = 0.0, None, math.inf
+    s, estimate, spread, laps = 0.0, None, math.inf, None
     for rho in _RADII:
         status, x = _track(fn, step, x, s, 1.0 - rho, tail)
+        for vertices, end in shared if laps is None and status == "regular" else ():
+            if any(_close(x, v, 1e-6) for v in vertices):
+                return end
         points, y, s = [], x, 1.0 - rho
         for k in range(cycles * _CHORDS if status == "regular" else 0):
             a, b = (1.0 - rho * cmath.exp(2j * math.pi * j / _CHORDS) for j in (k, k + 1))
@@ -154,11 +190,13 @@ def _path(fn, step, x, tail, cycles):
                 break
         else:
             return "failed", None
+        laps = laps or points[_CHORDS - 1::_CHORDS]
         mean = [sum(c) / len(points) for c in zip(*points)]
         width = max(abs(v - w) for y in points for v, w in zip(y, mean))
         if not width < spread:
             return "diverged", None
         if estimate is not None and _close(mean, estimate, 1e-6):
+            shared.append((laps, ("singular", mean)))
             return "singular", mean
         estimate, spread = mean, width
     return "failed", None
@@ -204,7 +242,8 @@ class Homotopy:
         with gammas[1] if that has fewer bad ends."""
         best = None
         for gamma in gammas:
-            ends = [_path(fn, self._step, list(x), (gamma, *tail), len(starts))
+            shared: list = []  # the singular paths' laps, for _path
+            ends = [_path(fn, self._step, list(x), (gamma, *tail), len(starts), shared)
                     for x in starts]
             regular = [x for status, x in ends if status == "regular"]
             misses = sum(status in bad for status, _x in ends) + sum(
