@@ -114,14 +114,15 @@ def _tracker(n: int):
                 each(f"{k}{{i}} = ds * {k}{{i}}")]
 
     correct, pad = [], "            "
-    for it in range(_CORRECTIONS):
+    for it in range(_CORRECTIONS):  # each one after the first if the last missed
+        if it:
+            correct.append(f"{pad}if not err <= {_TRACK_TOL!r}:")
+            pad += "    "
         correct += [pad + line for line in [
             f"o = fn(({each('y{i}', ', ')}, T, *tail))",
             f"{each('d{i}', ', ')}, = step(o[:{n}], o[{n}:{m}])",
             each("y{i} = y{i} + d{i}"), norm("abs(y{i})") + "; scale = 1.0 + mx",
             norm("abs(d{i})") + "; err = mx / scale"] + ["first = err"] * (it == 0)]
-        correct.append(f"{pad}if not err <= {_TRACK_TOL!r}:")
-        pad += "    "
     src = "\n".join([
         "def _track(fn, step, x, a, b, tail, h):",
         f"    {each('x{i}', ', ')}, = x",
@@ -139,7 +140,7 @@ def _tracker(n: int):
           + slope("r", " + h / 2 * q{i}", "w") + slope("z", " + h * r{i}", "t")],
         "            " + each("y{i} = x{i} + h / 6 * (p{i} + 2 * q{i} + 2 * r{i} + z{i})"),
         "            T = b if t == 1.0 else a + t * ds",
-        *correct[:-1],
+        *correct,
         f"            ok = err <= {_TRACK_TOL!r}",
         "        except (ZeroDivisionError, OverflowError):",
         "            ok = have = False",
