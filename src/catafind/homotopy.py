@@ -2,7 +2,9 @@
 & Wampler, The Numerical Solution of Systems of Polynomial Equations, 2005,
 ch. 7-8).  solver imports it on the first census, not with the package.
 The path tracker is straight-line code generated per number of unknowns
-(_tracker), and one Cauchy loop ends every singular path of its cycle.
+(_tracker) that evaluates H by two compiled functions, a corrector's
+(H, H_x) and a slope's (H_x, H_s), and one Cauchy loop ends every singular
+path of its cycle.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 
 from . import expr as ex
 from .solver import _newton_step
@@ -72,23 +75,30 @@ def _close(x, y, tol):
 
 
 def _compiled(hs, n):
-    """fn((*x, s, *tail)) -> H, then the flat row-major H_x, then H_s."""
+    """(corrector, slope) for H = hs in the unknowns x and s, the variable
+    at index n: corrector((*x, s, *tail)) -> H, then the flat row-major
+    H_x; slope((*x, s, *tail)) -> H_x, then H_s.  A Newton correction
+    reads only H and H_x and an RK4 slope only H_x and H_s, so neither
+    computes what it does not read; both compile the same derivatives, so
+    their H_x agree bit for bit."""
     memo: dict = {}
     grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
-    return ex.compile_evaluator(
-        list(hs) + [g[j] for g in grads for j in range(n)] + [g[n] for g in grads], n + 1)
+    h_x = [g[j] for g in grads for j in range(n)]
+    return (ex.compile_evaluator(list(hs) + h_x, n + 1),
+            ex.compile_evaluator(h_x + [g[n] for g in grads], n + 1))
 
 
-def _track(fn, step, x, a, b, tail, h=_FIRST_STEP):
+def _track(fns, step, x, a, b, tail, h=_FIRST_STEP):
     """(status, x at b) for the root x of H(., a) = 0 as s runs along the
-    segment a -> b of the complex plane; fn is _compiled's, step solves
-    a linear system.  A step is an RK4 prediction on dx/ds = -H_x^-1 H_s
-    (its first slope from the last correction's H_x and H_s), then up to
-    _CORRECTIONS Newton corrections; a failed one halves the step, and the
-    first one's size sets the next.  status: "regular", "diverged" (max |x|
+    segment a -> b of the complex plane; fns is _compiled's (corrector,
+    slope) pair, step solves a linear system.  A step is an RK4 prediction
+    on dx/ds = -H_x^-1 H_s, each slope one slope call (the first at the
+    last correction's point), then up to _CORRECTIONS Newton corrections,
+    each one corrector call; a failed one halves the step, and the first
+    one's size sets the next.  status: "regular", "diverged" (max |x|
     beyond _DIVERGED) or "failed".  The loop is _tracker's, generated per
     number of unknowns."""
-    return _tracker(len(x))(fn, step, x, a, b, tail, h)
+    return _tracker(len(x))(*fns, step, x, a, b, tail, h)
 
 
 @functools.cache  # one generated tracker per number of unknowns
@@ -98,8 +108,9 @@ def _tracker(n: int):
     as first-maximum chains (max()'s strict >).  Each float operation is a
     plain loop's over lists (v + h / 2 * k per slope, v + h / 6 * (p + 2*q
     + 2*r + z)), in its order, so both give bit-identical endpoints; the
-    tests keep that loop as a twin."""
-    m = n + n * n
+    tests keep that loop as a twin.  v holds the last correction's
+    argument, where an accepted step's next first slope is taken."""
+    nn = n * n
 
     def each(fmt, sep="; "):  # fmt for every unknown i, on one line
         return sep.join(fmt.format(i=i) for i in range(n))
@@ -108,10 +119,13 @@ def _tracker(n: int):
         return "; ".join([f"mx = {fmt.format(i=0)}"] + [
             f"c = {fmt.format(i=i)}; mx = c if c > mx else mx" for i in range(1, n)])
 
-    def slope(k, arg, at):  # k{i} = ds * dx/dt at x{i} + arg, t = at
-        return [f"o = fn(({each('x{i}' + arg, ', ')}, b if {at} == 1.0 else a + {at} * ds, *tail))",
-                f"{each(k + '{i}', ', ')}, = step(o[{m}:], o[{n}:{m}])",
+    def slope(k, arg):  # k{i} = ds * dx/dt at arg
+        return [f"o = slope({arg})",
+                f"{each(k + '{i}', ', ')}, = step(o[{nn}:], o[:{nn}])",
                 each(f"{k}{{i}} = ds * {k}{{i}}")]
+
+    def at(arg, t):  # the argument (*x + arg, s at t, *tail)
+        return f"({each('x{i}' + arg, ', ')}, b if {t} == 1.0 else a + {t} * ds, *tail)"
 
     correct, pad = [], "            "
     for it in range(_CORRECTIONS):  # each one after the first if the last missed
@@ -119,12 +133,13 @@ def _tracker(n: int):
             correct.append(f"{pad}if not err <= {_TRACK_TOL!r}:")
             pad += "    "
         correct += [pad + line for line in [
-            f"o = fn(({each('y{i}', ', ')}, T, *tail))",
-            f"{each('d{i}', ', ')}, = step(o[:{n}], o[{n}:{m}])",
+            f"v = ({each('y{i}', ', ')}, T, *tail)",
+            "o = corrector(v)",
+            f"{each('d{i}', ', ')}, = step(o[:{n}], o[{n}:])",
             each("y{i} = y{i} + d{i}"), norm("abs(y{i})") + "; scale = 1.0 + mx",
             norm("abs(d{i})") + "; err = mx / scale"] + ["first = err"] * (it == 0)]
     src = "\n".join([
-        "def _track(fn, step, x, a, b, tail, h):",
+        "def _track(corrector, slope, step, x, a, b, tail, h):",
         f"    {each('x{i}', ', ')}, = x",
         "    ds, u, have = b - a, 0.0, False",
         f"    for _ in range({_MAX_STEPS}):",
@@ -133,11 +148,11 @@ def _tracker(n: int):
         "        t = u + h; t = 1.0 if 1.0 < t else t; h = t - u",
         "        try:",
         "            if not have:",
-        *["                " + line for line in slope("p", "", "u")],
+        *["                " + line for line in slope("p", at("", "u"))],
         "                have = True",
         "            w = u + h / 2",
-        *["            " + line for line in slope("q", " + h / 2 * p{i}", "w")
-          + slope("r", " + h / 2 * q{i}", "w") + slope("z", " + h * r{i}", "t")],
+        *["            " + line for line in slope("q", at(" + h / 2 * p{i}", "w"))
+          + slope("r", at(" + h / 2 * q{i}", "w")) + slope("z", at(" + h * r{i}", "t"))],
         "            " + each("y{i} = x{i} + h / 6 * (p{i} + 2 * q{i} + 2 * r{i} + z{i})"),
         "            T = b if t == 1.0 else a + t * ds",
         *correct,
@@ -152,7 +167,7 @@ def _tracker(n: int):
         "            return 'diverged', None",
         "        else:",
         f"            {each('x{i}', ', ')}, u = {each('y{i}', ', ')}, t",
-        *["            " + line for line in slope("p", "", "")[1:]],  # from the last o
+        *["            " + line for line in slope("p", "v")],
         f"            g = 0.8 * ({_PREDICT_TOL!r} / (1e-300 if 1e-300 > first else first)) ** 0.2",
         "            h *= g if g < 2.0 else 2.0",
         "    return 'failed', None\n"])
@@ -161,7 +176,7 @@ def _tracker(n: int):
     return namespace["_track"]
 
 
-def _path(fn, step, x, tail, cycles, shared):
+def _path(fns, step, x, tail, cycles, shared):
     """(status, x at s = 1 or None) for the path of H from x at s = 0.  If
     tracking to s = 1 fails, a Cauchy endgame (Morgan, Sommese & Wampler,
     Numer. Math. 1992) loops on |s - 1| = rho from s = 1 - rho until the
@@ -171,19 +186,19 @@ def _path(fn, step, x, tail, cycles, shared):
     One loop serves its whole cycle: shared holds each singular path's
     (lap vertices, end), its points at s = 1 - _RADII[0] after each loop,
     and a path that reaches one of them there takes that end."""
-    status, y = _track(fn, step, x, 0.0, 1.0, tail)
+    status, y = _track(fns, step, x, 0.0, 1.0, tail)
     if status != "failed":
         return status, y
     s, estimate, spread, laps = 0.0, None, math.inf, None
     for rho in _RADII:
-        status, x = _track(fn, step, x, s, 1.0 - rho, tail)
+        status, x = _track(fns, step, x, s, 1.0 - rho, tail)
         for vertices, end in shared if laps is None and status == "regular" else ():
             if any(_close(x, v, 1e-6) for v in vertices):
                 return end
         points, y, s = [], x, 1.0 - rho
         for k in range(cycles * _CHORDS if status == "regular" else 0):
             a, b = (1.0 - rho * cmath.exp(2j * math.pi * j / _CHORDS) for j in (k, k + 1))
-            status, y = _track(fn, step, y, a, b, tail, 1.0)
+            status, y = _track(fns, step, y, a, b, tail, 1.0)
             if status != "regular":
                 return status, None
             points.append(y)
@@ -238,17 +253,20 @@ class Homotopy:
         self._roots = [x for status, x in ends if status == "regular"]
         self._lost = sum(status != "diverged" for status, _x in ends) - len(self._roots)
 
-    def _stage(self, fn, starts, tail, gammas, bad):
+    def _stage(self, fns, starts, tail, gammas, bad):
         """The (status, x) of each path from starts, with gammas[0], or
         with gammas[1] if that has fewer bad ends."""
         best = None
         for gamma in gammas:
             shared: list = []  # the singular paths' laps, for _path
-            ends = [_path(fn, self._step, list(x), (gamma, *tail), len(starts), shared)
+            ends = [_path(fns, self._step, list(x), (gamma, *tail), len(starts), shared)
                     for x in starts]
             regular = [x for status, x in ends if status == "regular"]
+            # _close(x, y, 1e-8) for each pair, y's bound computed once
+            bounds = [1e-8 * (1.0 + max(map(abs, y))) for y in regular]
             misses = sum(status in bad for status, _x in ends) + sum(
-                _close(x, y, 1e-8) for i, x in enumerate(regular) for y in regular[:i])
+                max(map(abs, map(operator.sub, x, y))) <= bound
+                for i, x in enumerate(regular) for y, bound in zip(regular, bounds[:i]))
             if best is None or misses < best[0]:
                 best = misses, ends
             if not misses:

@@ -13,9 +13,10 @@ line search, from one function generated per layout of the unknowns, so
 their bits depend on IEEE double arithmetic alone, not on a BLAS build.
 The steady-state census tracks roots by a parameter homotopy (module
 homotopy), refines the real ones by the same Newton solve, and labels them
-with numpy, imported when the labels run.  A call on a field equal to the
-last one's reuses its memo entry (_system), so a scan's cells build it
-once; one field's work is kept, and a fresh process has none.
+by the eigenvalues of a real Schur form, also computed on Python floats.
+A call on a field equal to the last one's reuses its memo entry
+(_system), so a scan's cells build it once; one field's work is kept, and
+a fresh process has none.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -36,6 +38,8 @@ _RESIDUAL_TOL = 1e-12  # scaled by (1 + max-norm of the unknowns)
 _DAMPING = 0.5  # line-search step factor
 _MIN_STEP = 1e-12  # smallest line-search step before step-underflow
 _HALTON_SKIP = 20  # leading Halton points left out
+_EPS = 2.0 ** -52  # a subdiagonal entry's split threshold, relative
+_QR_STEPS = 30  # QR steps per split before ArithmeticError
 
 
 def classify(r: int) -> str:
@@ -135,8 +139,8 @@ class NewtonSystem:
     (_newton_solve): per iteration one residual_and_jacobian call (F and
     the flat row-major J as tuples of floats) and one call of the
     elimination generated per system size (_newton_step), per line-search
-    trial one residual call (F alone, a tuple of floats).  No numpy;
-    unknowns stay Python floats."""
+    trial one residual call (F alone, a tuple of floats).  Unknowns stay
+    Python floats."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -433,24 +437,100 @@ def _resolve_fixed(field: VectorField, fixed) -> tuple:
 # steady states and stability
 
 def stability_label(J, tol: float = det.DEFAULT_TOL_B) -> str:
-    """A steady state's label from the eigenvalues of its Jacobian J (rows);
-    the package's one numpy call, so numpy is imported here alone."""
-    import numpy as np
-    try:
-        eig = np.linalg.eigvals(np.asarray(J, dtype=float))
-    except np.linalg.LinAlgError as e:  # a numerical failure, for the CLI
-        raise ArithmeticError(f"eigenvalues: {e}") from None
-    re = eig.real
-    im = eig.imag
-    if np.all(re < -tol):
+    """A steady state's label from the eigenvalues of its Jacobian J (rows
+    of numbers); a J with a NaN or an infinity, or whose QR iteration does
+    not converge, raises ArithmeticError, a numerical failure for the CLI."""
+    a = [[float(v) for v in row] for row in J]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(a))):
+        raise ArithmeticError("eigenvalues: the Jacobian is not finite")
+    eig = _eigenvalues(a)
+    if all(e.real < -tol for e in eig):
         return "attracting"
-    if np.all(re > tol):
+    if all(e.real > tol for e in eig):
         return "repelling"
-    if np.any(re > tol) and np.any(re < -tol):
+    if any(e.real > tol for e in eig) and any(e.real < -tol for e in eig):
         return "saddle"
-    if np.any((np.abs(re) <= tol) & (np.abs(im) > tol)):
+    if any(abs(e.real) <= tol and abs(e.imag) > tol for e in eig):
         return "center"
     return "degenerate"
+
+
+def _eigenvalues(a) -> list:
+    """The eigenvalues of the square matrix a (rows of floats, overwritten)
+    from its real Schur form (Golub & Van Loan, Matrix Computations,
+    sections 7.4-7.5): Householder reduction to Hessenberg form, then
+    Francis double-shift QR steps on the window a[l..h][l..h] below which
+    everything has split off, until a 1x1 or 2x2 block splits off its end
+    and gives its eigenvalues in closed form (_block).  A subdiagonal entry
+    splits when it is at most eps times its two diagonal neighbours.  Only
+    the window is updated, since no Schur vectors are wanted; at order
+    n <= 2 the matrix splits at once, with no QR step."""
+    n = len(a)
+    for k in range(n - 2):  # zero column k below row k + 1
+        _reflect(a, [a[i][k] for i in range(k + 1, n)], k + 1, range(k, n), range(n))
+    norm = max((sum(map(abs, row)) for row in a), default=0.0)  # for a zero diagonal
+    eig, h, its = [], n - 1, 0
+    while h >= 0:
+        l = h
+        while l and abs(a[l][l - 1]) > _EPS * ((abs(a[l - 1][l - 1]) + abs(a[l][l])) or norm):
+            l -= 1
+        if l >= h - 1:
+            eig += _block(a[l][l], a[l][h], a[h][l], a[h][h]) if l < h else [complex(a[h][h])]
+            h, its = l - 1, 0
+            continue
+        if its == _QR_STEPS:
+            raise ArithmeticError("eigenvalues: the QR iteration did not converge")
+        its += 1
+        if its % 10:  # the shifts are the last 2x2 block's eigenvalues
+            tr = a[h - 1][h - 1] + a[h][h]
+            dt = a[h - 1][h - 1] * a[h][h] - a[h - 1][h] * a[h][h - 1]
+        else:  # an exceptional shift, after 10 and 20 steps without a split
+            w = abs(a[h][h - 1]) + abs(a[h - 1][h - 2])
+            tr, dt = 1.5 * w + 2.0 * a[h][h], (0.75 * w + a[h][h]) ** 2 + 0.4375 * w * w
+        # the first column of (A - s1 I)(A - s2 I), then the bulge it makes
+        x = a[l][l] * a[l][l] + a[l][l + 1] * a[l + 1][l] - tr * a[l][l] + dt
+        y = a[l + 1][l] * (a[l][l] + a[l + 1][l + 1] - tr)
+        z = a[l + 1][l] * a[l + 2][l + 1]
+        for k in range(l, h - 1):
+            _reflect(a, [x, y, z], k, range(max(l, k - 1), h + 1), range(l, min(k + 3, h) + 1))
+            x, y = a[k + 1][k], a[k + 2][k]
+            z = a[k + 3][k] if k < h - 2 else 0.0
+        _reflect(a, [x, y], h - 1, range(h - 2, h + 1), range(l, h + 1))
+    return eig
+
+
+def _reflect(a, v, lo, cols, rows):
+    """a <- P a P, P the Householder reflection on indices lo .. lo +
+    len(v) - 1 that maps v to a multiple of its first unit vector: P a on
+    the given columns, then a P on the given rows; nothing if v is 0."""
+    alpha = math.copysign(math.hypot(*v), v[0])
+    if alpha == 0.0:
+        return
+    v = [v[0] + alpha, *v[1:]]
+    beta = 1.0 / (alpha * v[0])  # 2 / (v . v)
+    hi = lo + len(v)
+    reflected = a[lo:hi]
+    for j in cols:
+        f = beta * sum([vi * row[j] for vi, row in zip(v, reflected)])
+        for vi, row in zip(v, reflected):
+            row[j] -= f * vi
+    for i in rows:
+        row = a[i]
+        f = beta * sum(map(operator.mul, v, row[lo:hi]))
+        row[lo:hi] = [w - f * vi for vi, w in zip(v, row[lo:hi])]
+
+
+def _block(a, b, c, d) -> list:
+    """The eigenvalues of [[a, b], [c, d]]: d + p +- sqrt(p^2 + bc), p =
+    (a - d) / 2, a real pair as d + z and d - bc / z, z = p + sign(p)
+    sqrt(p^2 + bc), so that neither cancels."""
+    p = 0.5 * (a - d)
+    disc = p * p + b * c
+    if disc < 0.0:
+        w = complex(d + p, math.sqrt(-disc))
+        return [w, w.conjugate()]
+    z = p + math.copysign(math.sqrt(disc), p)
+    return [complex(d + z), complex(d - b * c / z if z else d)]
 
 
 def count_steady_states(field: VectorField, alpha, box,

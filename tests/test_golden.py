@@ -35,3 +35,17 @@ def test_golden_document(name, args, tmp_path):
                           env=env, cwd=tmp_path, capture_output=True, timeout=120)
     got = proc.stdout + b"exit: %d\n" % proc.returncode
     assert got == (GOLDEN / f"{name}.out").read_bytes(), proc.stderr.decode()
+
+
+def test_scan_prints_its_golden_document_without_numpy(tmp_path):
+    # numpy is no dependency of the package: with its import blocked, a
+    # scan (homotopy census and stability labels) prints the same bytes
+    name = "scan-rd-positive"
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from catafind.cli import main\n"
+            f"sys.exit(main({dict(COMMANDS)[name].split()!r}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    got = proc.stdout + b"exit: %d\n" % proc.returncode
+    assert got == (GOLDEN / f"{name}.out").read_bytes(), proc.stderr.decode()

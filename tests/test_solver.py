@@ -5,7 +5,6 @@ import math
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import catafind.expr as ex
@@ -18,6 +17,12 @@ from catafind.solver import (NewtonSystem, SolveOptions, _newton_step,
                              classify, count_steady_states, find_catastrophes,
                              halton, stability_label)
 
+
+try:  # a test dependency only; the package imports no numpy
+    import numpy as np
+except ImportError:
+    np = None
+needs_numpy = pytest.mark.skipif(np is None, reason="numpy is not installed")
 
 RD_BOX_UNIT = [(-1.2, 1.2)] * 4 + [(0.0, 1.2)] * 2
 
@@ -33,16 +38,16 @@ def test_classify():
 
 
 def test_halton_deterministic_and_in_bounds():
-    a = np.asarray(halton(3, 64))
-    b = np.asarray(halton(3, 64))
-    assert np.array_equal(a, b)
-    assert np.all((a >= 0.0) & (a < 1.0))
+    a = halton(3, 64)
+    assert a == halton(3, 64)
+    assert all(0.0 <= v < 1.0 for row in a for v in row)
     # low-discrepancy: each coordinate roughly fills the interval
-    assert a[:, 0].min() < 0.1 and a[:, 0].max() > 0.9
+    column = [row[0] for row in a]
+    assert min(column) < 0.1 and max(column) > 0.9
     # the bases are the first dim primes, so a column does not depend on dim
-    wide = np.asarray(halton(13, 64))
-    assert np.array_equal(wide[:, :3], a)
-    assert wide[0, 12] == pytest.approx(21 / 41, rel=1e-15)  # point 21, base 41
+    wide = halton(13, 64)
+    assert [row[:3] for row in wide] == a
+    assert wide[0][12] == pytest.approx(21 / 41, rel=1e-15)  # point 21, base 41
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +294,9 @@ def test_a_cell_with_a_bad_path_is_retracked_with_the_second_gamma(monkeypatch):
     gammas = []
     path = homotopy._path
 
-    def counted_path(fn, step, x, tail, cycles, shared):
+    def counted_path(fns, step, x, tail, cycles, shared):
         gammas.append(tail[0])
-        return path(fn, step, x, tail, cycles, shared)
+        return path(fns, step, x, tail, cycles, shared)
 
     monkeypatch.setattr(homotopy, "_path", counted_path)
     assert count_steady_states(f, [0.5], [(-3.0, 3.0)]).paths == ("regular",) * 2
@@ -304,6 +309,7 @@ def test_a_cell_with_a_bad_path_is_retracked_with_the_second_gamma(monkeypatch):
 
 def test_census_matches_the_exact_oracle_on_both_workload_slices(rd_field):
     pytest.importorskip("sympy")
+    pytest.importorskip("numpy")  # the oracle's, not the census's
     spec = importlib.util.spec_from_file_location(
         "bench_oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
     oracles = importlib.util.module_from_spec(spec)
@@ -328,16 +334,30 @@ def test_a_cell_next_to_a_fold_counts_both_roots():
     assert census.count == 2
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a root that stays singular for every parameter value is singular at p* "
+    "too, so the total-degree stage loses it and every cell reads its two "
+    "paths as failed (ROADMAP item 6)"))
+def test_a_root_singular_at_every_parameter_value_is_counted():
+    f = ex.parse_vector_field("vars: x\nparams: a\neq: x^2")
+    census = count_steady_states(f, [0.5], [(-3.0, 3.0)])
+    assert census.count == 1
+
+
 # ---------------------------------------------------------------------------
 # the generated path tracker against a plain loop over lists
 
-def _plain_track(fn, step, x, a, b, tail, h=homotopy._FIRST_STEP):
+def _plain_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
+    corrector, slope_fn = fns
     n = len(x)
-    ds, m = b - a, n + n * n
+    ds, nn = b - a, n * n
 
-    def slope(y, t):  # dx/dt along the segment, t in [0, 1]
-        out = fn((*y, b if t == 1.0 else a + t * ds, *tail))
-        return [ds * v for v in step(out[m:], out[n:m])]
+    def slope(v):  # ds * dx/dt at the argument v
+        out = slope_fn(v)
+        return [ds * w for w in step(out[nn:], out[:nn])]
+
+    def at(y, t):  # the argument at y and t in [0, 1]
+        return (*y, b if t == 1.0 else a + t * ds, *tail)
 
     u, k1 = 0.0, None
     for _ in range(homotopy._MAX_STEPS):
@@ -346,15 +366,16 @@ def _plain_track(fn, step, x, a, b, tail, h=homotopy._FIRST_STEP):
         t = min(u + h, 1.0)
         h, y = t - u, None
         try:
-            k1 = k1 or slope(x, u)
-            k2 = slope([v + h / 2 * k for v, k in zip(x, k1)], u + h / 2)
-            k3 = slope([v + h / 2 * k for v, k in zip(x, k2)], u + h / 2)
-            k4 = slope([v + h * k for v, k in zip(x, k3)], t)
+            k1 = k1 or slope(at(x, u))
+            k2 = slope(at([v + h / 2 * k for v, k in zip(x, k1)], u + h / 2))
+            k3 = slope(at([v + h / 2 * k for v, k in zip(x, k2)], u + h / 2))
+            k4 = slope(at([v + h * k for v, k in zip(x, k3)], t))
             y = [v + h / 6 * (p + 2 * q + 2 * w + z)
                  for v, p, q, w, z in zip(x, k1, k2, k3, k4)]
             for it in range(homotopy._CORRECTIONS):
-                out = fn((*y, b if t == 1.0 else a + t * ds, *tail))
-                dy = step(out[:n], out[n:m])
+                arg = at(y, t)
+                out = corrector(arg)
+                dy = step(out[:n], out[n:])
                 y = [v + d for v, d in zip(y, dy)]
                 scale = 1.0 + max(map(abs, y))
                 err = max(map(abs, dy)) / scale
@@ -373,7 +394,7 @@ def _plain_track(fn, step, x, a, b, tail, h=homotopy._FIRST_STEP):
             return "diverged", None
         else:
             x, u = y, t
-            k1 = [ds * v for v in step(out[m:], out[n:m])]
+            k1 = slope(arg)  # at the last correction's argument
             h *= min(2.0, 0.8 * (homotopy._PREDICT_TOL / max(first, 1e-300)) ** 0.2)
     return "failed", None
 
@@ -383,26 +404,28 @@ def _track_bits(end):
     return status, x and [(v.real.hex(), v.imag.hex()) for v in x]
 
 
-def _logged(fn, log):  # fn, appending each argument to log
-    def logged_fn(v):
-        log.append(v)
-        return fn(v)
-    return logged_fn
+def _logged(fns, log):  # fns, logging each call as (its index in fns, argument)
+    def logger(k, fn):
+        def logged_fn(v):
+            log.append((k, v))
+            return fn(v)
+        return logged_fn
+    return tuple(logger(k, fn) for k, fn in enumerate(fns))
 
 
 class _TwinTracks:
     """Runs every homotopy._track call through the plain loop too, asserts
-    the same evaluation points, status and endpoint bits, and counts
-    statuses per number of unknowns."""
+    the same corrector and slope calls at the same points, status and
+    endpoint bits, and counts statuses per number of unknowns."""
 
     def __init__(self, monkeypatch):
         self.seen: dict = {}
         track = homotopy._track
 
-        def twin_track(fn, step, x, a, b, tail, h=homotopy._FIRST_STEP):
+        def twin_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
             logs = [], []
-            want = _plain_track(_logged(fn, logs[0]), step, x, a, b, tail, h)
-            got = track(_logged(fn, logs[1]), step, x, a, b, tail, h)
+            want = _plain_track(_logged(fns, logs[0]), step, x, a, b, tail, h)
+            got = track(_logged(fns, logs[1]), step, x, a, b, tail, h)
             assert _track_bits(got) == _track_bits(want), (x, a, b, tail, h)
             assert logs[0] == logs[1], (x, a, b, tail, h)
             key = len(x), got[0]
@@ -445,11 +468,11 @@ def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
     assert twins.seen[1, "failed"] >= 6  # halvings below _LEAST_STEP, then endgames
     # H = s*x - 1 from x = 1 at s = 1 towards s = 1e-12: x = 1/s passes 1e8
     step = _newton_step(1)
-    fn = homotopy._compiled([ex.sub(ex.mul(ex.var(1), ex.var(0)), ex.ONE)], 1)
-    assert homotopy._track(fn, step, [1 + 0j], 1.0, 1e-12, ()) == ("diverged", None)
+    fns = homotopy._compiled([ex.sub(ex.mul(ex.var(1), ex.var(0)), ex.ONE)], 1)
+    assert homotopy._track(fns, step, [1 + 0j], 1.0, 1e-12, ()) == ("diverged", None)
     # H = x^2 - s: from x = 0 every step's H_x is 0, so the elimination
     # divides by zero until the step halves below _LEAST_STEP
-    fn, raised = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1), []
+    fns, raised = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1), []
 
     def counted_step(F, J):
         try:
@@ -458,23 +481,25 @@ def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
             raised.append(J)
             raise
 
-    assert homotopy._track(fn, counted_step, [0j], 0.0, 1.0, ()) == ("failed", None)
+    assert homotopy._track(fns, counted_step, [0j], 0.0, 1.0, ()) == ("failed", None)
     assert len(raised) == 2 * 19  # once per twin and halving
     assert {n for n, _status in twins.seen} == {1, 3}
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
 def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(error):
-    fn = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1)
+    fns = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1)
 
-    def raising_once(at):  # fn, raising error on its call number at
+    def raising_once(at):  # fns, the pair's calls counted together, raising on number at
         calls = iter(range(1 << 30))
 
-        def flaky(v):
-            if next(calls) == at:
-                raise error
-            return fn(v)
-        return flaky
+        def flaky(fn):
+            def flaky_fn(v):
+                if next(calls) == at:
+                    raise error
+                return fn(v)
+            return flaky_fn
+        return tuple(map(flaky, fns))
 
     # H = x^2 - s from x = 0.1: raised in the first slope, in each later
     # slope and in each correction of the first steps; the tracker halves,
@@ -485,11 +510,40 @@ def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(error):
                       1.0 + 0.5j, ()) for track, log in zip((_plain_track, homotopy._track), logs)]
         assert _track_bits(ends[0]) == _track_bits(ends[1])
         assert logs[0] == logs[1] and ends[0][0] == "regular"
+        assert {k for k, _v in logs[1]} == {0, 1}  # corrections and slopes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_evaluators_match_one_combined_compile(n):
+    # H_i = x_i^3 s + p0 x_{i+1} - (1 - s) p1 x_i^2 + s^2 / (1 + x_0 s): every
+    # output of the corrector (H, H_x) and the slope (H_x, H_s) has the bits
+    # of the same output of one function compiling H, H_x and H_s together
+    x, s = [ex.var(i) for i in range(n)], ex.var(n)
+    hs = [ex.add(ex.mul(ex.pow_(x[i], 3), s), ex.mul(ex.par(0), x[(i + 1) % n]),
+                 ex.neg(ex.mul(ex.sub(ex.ONE, s), ex.par(1), ex.pow_(x[i], 2))),
+                 ex.div(ex.pow_(s, 2), ex.add(ex.ONE, ex.mul(x[0], s))))
+          for i in range(n)]
+    memo: dict = {}
+    grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
+    h_x = [g[j] for g in grads for j in range(n)]
+    combined = ex.compile_evaluator(hs + h_x + [g[n] for g in grads], n + 1)
+    corrector, slope = homotopy._compiled(hs, n)
+    rng = random.Random(n)
+
+    def bits(values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    for _ in range(20):
+        v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n + 3))
+        want = combined(v)
+        assert bits(corrector(v)) == bits(want[:n + n * n])
+        assert bits(slope(v)) == bits(want[n:])
 
 
 # ---------------------------------------------------------------------------
 # stability labels
 
+@needs_numpy
 def test_stability_labels():
     assert stability_label(np.diag([-1.0, -2.0])) == "attracting"
     assert stability_label(np.diag([1.0, 2.0])) == "repelling"
@@ -497,11 +551,69 @@ def test_stability_labels():
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert stability_label(rotation) == "center"
     assert stability_label(np.zeros((2, 2))) == "degenerate"
-    # rows as lists, as the census passes them; a failed eigenvalue
-    # computation is a numerical failure, not numpy's LinAlgError
+    # rows as lists, as the census passes them; a non-finite J is a
+    # numerical failure
     assert stability_label([[-1.0, 0.0], [0.0, -2.0]]) == "attracting"
+    # eigenvalues 1 and -1/2 +- i sqrt(3)/2: the Francis shifts stall on
+    # this cyclic permutation until the exceptional shift after 10 steps
+    assert stability_label([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == "saddle"
     with pytest.raises(ArithmeticError):
         stability_label([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ArithmeticError):
+        stability_label([[1.0, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _numpy_label(eig, tol):  # stability_label's rules on numpy's eigenvalues
+    re, im = eig.real, eig.imag
+    if np.all(re < -tol):
+        return "attracting"
+    if np.all(re > tol):
+        return "repelling"
+    if np.any(re > tol) and np.any(re < -tol):
+        return "saddle"
+    if np.any((np.abs(re) <= tol) & (np.abs(im) > tol)):
+        return "center"
+    return "degenerate"
+
+
+@needs_numpy
+def test_stability_labels_match_numpy_eigvals():
+    # random matrices of order 1 to 6: Gaussian, small-integer, badly
+    # scaled, and similar to a block diagonal with chosen eigenvalues (real
+    # parts 0 among them, so that a larger tol gives centers and degenerate
+    # states).  Kept where every eigenvalue's real part, and where that is
+    # within tol its imaginary part, lies at least 1e-6 from +-tol
+    rng = random.Random(7)
+    seen: dict = {}
+    for trial in range(1200):
+        n, tol = rng.randint(1, 6), (1e-8, 1e-3)[trial % 2]
+        kind = trial // 2 % 4
+        if kind == 3:
+            blocks, i = np.zeros((n, n)), 0
+            while i < n:
+                re = rng.choice([0.0, rng.gauss(0, 1)])
+                if i + 1 < n and rng.random() < 0.5:
+                    im = rng.uniform(0.1, 2.0)
+                    blocks[i:i + 2, i:i + 2] = [[re, im], [-im, re]]
+                    i += 2
+                else:
+                    blocks[i, i] = re
+                    i += 1
+            v = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
+            J = v @ blocks @ np.linalg.inv(v)
+        else:
+            J = np.array([[(rng.gauss(0, 1), float(rng.randint(-3, 3)),
+                            rng.gauss(0, 1) * 10 ** rng.uniform(-4, 4))[kind]
+                           for _ in range(n)] for _ in range(n)])
+        eig = np.linalg.eigvals(J)
+        if np.any(np.abs(np.abs(eig.real) - tol) < 1e-6) or np.any(
+                (np.abs(eig.real) <= tol) & (np.abs(np.abs(eig.imag) - tol) < 1e-6)):
+            continue
+        want = _numpy_label(eig, tol)
+        assert stability_label(J.tolist(), tol) == want, (J.tolist(), tol)
+        seen[want] = seen.get(want, 0) + 1
+    assert set(seen) == {"attracting", "repelling", "saddle", "center", "degenerate"}
+    assert sum(seen.values()) >= 600, seen
 
 
 def test_solve_options_validation():
@@ -899,6 +1011,7 @@ def test_generated_step_matches_plain_elimination_bit_for_bit():
     assert kinds["singular"] and kinds["ties"] and kinds["pivot"] == 36
 
 
+@needs_numpy
 def test_generated_step_pivots_on_the_first_largest_candidate():
     # a zero leading pivot needs a row swap; |-3| ties |3| and loses to it
     J = (0.0, 1.0, 0.0,
@@ -948,6 +1061,7 @@ def test_non_finite_jacobian_entry_is_singular(c):
     assert (res.status, res.iterations) == ("singular-jacobian", 0)
 
 
+@needs_numpy
 def test_newton_iteration_makes_no_lapack_call(rd_field, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg.solve called")
