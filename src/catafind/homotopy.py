@@ -2,9 +2,9 @@
 & Wampler, The Numerical Solution of Systems of Polynomial Equations, 2005,
 ch. 7-8).  solver imports it on the first census, not with the package.
 The path tracker is straight-line code generated per number of unknowns
-(_tracker) that evaluates H by two compiled functions, a corrector's
-(H, H_x) and a slope's (H_x, H_s), and one Cauchy loop ends every singular
-path of its cycle.
+(_tracker) that evaluates H by three compiled functions, a corrector's
+(H, H_x), a slope's (H_x, H_s) and a speed's H_s, and solves each linear
+system inline, and one Cauchy loop ends every singular path of its cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import operator
 
 from . import expr as ex
-from .solver import _newton_step
+from .solver import _elimination
 
 _GAMMAS = (complex(0.6367, 0.7711), complex(-0.2839, 0.9589))  # fixed, generic
 _TRACK_TOL = 1e-6  # a corrector's last step, relative to 1 + max |x|
@@ -75,42 +75,47 @@ def _close(x, y, tol):
 
 
 def _compiled(hs, n):
-    """(corrector, slope) for H = hs in the unknowns x and s, the variable
-    at index n: corrector((*x, s, *tail)) -> H, then the flat row-major
-    H_x; slope((*x, s, *tail)) -> H_x, then H_s.  A Newton correction
-    reads only H and H_x and an RK4 slope only H_x and H_s, so neither
-    computes what it does not read; both compile the same derivatives, so
-    their H_x agree bit for bit."""
+    """(corrector, slope, speed) for H = hs in the unknowns x and s, the
+    variable at index n, each called on (*x, s, *tail): corrector -> H,
+    then the flat row-major H_x; slope -> H_x, then H_s; speed -> H_s.  A
+    Newton correction reads only H and H_x, an RK4 slope only H_x and H_s,
+    and the slope after an accepted step only H_s, since the last
+    correction has computed H_x at its point; so none computes what it does
+    not read.  All compile the same derivatives, so their H_x and H_s agree
+    bit for bit."""
     memo: dict = {}
     grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
-    h_x = [g[j] for g in grads for j in range(n)]
-    return (ex.compile_evaluator(list(hs) + h_x, n + 1),
-            ex.compile_evaluator(h_x + [g[n] for g in grads], n + 1))
+    h_x, h_s = [g[j] for g in grads for j in range(n)], [g[n] for g in grads]
+    return tuple(ex.compile_evaluator(out, n + 1) for out in (list(hs) + h_x, h_x + h_s, h_s))
 
 
-def _track(fns, step, x, a, b, tail, h=_FIRST_STEP):
+def _track(fns, x, a, b, tail, h=_FIRST_STEP):
     """(status, x at b) for the root x of H(., a) = 0 as s runs along the
     segment a -> b of the complex plane; fns is _compiled's (corrector,
-    slope) pair, step solves a linear system.  A step is an RK4 prediction
-    on dx/ds = -H_x^-1 H_s, each slope one slope call (the first at the
-    last correction's point), then up to _CORRECTIONS Newton corrections,
-    each one corrector call; a failed one halves the step, and the first
-    one's size sets the next.  status: "regular", "diverged" (max |x|
-    beyond _DIVERGED) or "failed".  The loop is _tracker's, generated per
-    number of unknowns."""
-    return _tracker(len(x))(*fns, step, x, a, b, tail, h)
+    slope, speed).  A step is an RK4 prediction on dx/ds = -H_x^-1 H_s,
+    each slope one slope call (the first after an accepted step one speed
+    call, with the last correction's H_x), then up to _CORRECTIONS Newton
+    corrections, each one corrector call; a failed one halves the step, and
+    the first one's size sets the next.  status: "regular", "diverged" (max
+    |x| beyond _DIVERGED) or "failed".  The loop is _tracker's, generated
+    per number of unknowns, and solves each linear system inline."""
+    return _tracker(len(x))(*fns, x, a, b, tail, h)
 
 
 @functools.cache  # one generated tracker per number of unknowns
 def _tracker(n: int):
     """_track's loop as straight-line code on locals x0..x{n-1}: the RK4
-    slopes p, q, r, z, the prediction y, the corrections d, and max-norms
-    as first-maximum chains (max()'s strict >).  Each float operation is a
-    plain loop's over lists (v + h / 2 * k per slope, v + h / 6 * (p + 2*q
-    + 2*r + z)), in its order, so both give bit-identical endpoints; the
-    tests keep that loop as a twin.  v holds the last correction's
-    argument, where an accepted step's next first slope is taken."""
-    nn = n * n
+    slopes p, q, r, z, the prediction y, the corrections d, max-norms as
+    first-maximum chains (max()'s strict >), and after each evaluation one
+    unpack of its output and solver._elimination's lines.  Each float
+    operation is a plain loop's over lists (v + h / 2 * k per slope, v + h
+    / 6 * (p + 2*q + 2*r + z), each linear system by solver._newton_step),
+    in its order, so both give bit-identical endpoints; the tests keep that
+    loop as a twin.  h / 2, h / 6 and s at w and at t are computed once per
+    step.  v and o hold the last correction's argument and output, from
+    which, with speed(v), an accepted step's next first slope is solved."""
+    ea = ", ".join(f"ea{i}_{j}" for i in range(n) for j in range(n))
+    eb = ", ".join(f"eb{i}" for i in range(n))
 
     def each(fmt, sep="; "):  # fmt for every unknown i, on one line
         return sep.join(fmt.format(i=i) for i in range(n))
@@ -119,13 +124,11 @@ def _tracker(n: int):
         return "; ".join([f"mx = {fmt.format(i=0)}"] + [
             f"c = {fmt.format(i=i)}; mx = c if c > mx else mx" for i in range(1, n)])
 
-    def slope(k, arg):  # k{i} = ds * dx/dt at arg
-        return [f"o = slope({arg})",
-                f"{each(k + '{i}', ', ')}, = step(o[{nn}:], o[:{nn}])",
-                each(f"{k}{{i}} = ds * {k}{{i}}")]
+    def solve(k, unpack, by_ds=True):  # k{i} = -J^-1 F, J and F from unpack, times ds
+        return [unpack, *_elimination(n, k)] + [each(f"{k}{{i}} = ds * {k}{{i}}")] * by_ds
 
-    def at(arg, t):  # the argument (*x + arg, s at t, *tail)
-        return f"({each('x{i}' + arg, ', ')}, b if {t} == 1.0 else a + {t} * ds, *tail)"
+    def slope(k, arg, s):  # k{i} = ds * dx/dt at (*x + arg, s, *tail)
+        return solve(k, f"{ea}, {eb}, = slope(({each('x{i}' + arg, ', ')}, {s}, *tail))")
 
     correct, pad = [], "            "
     for it in range(_CORRECTIONS):  # each one after the first if the last missed
@@ -134,12 +137,11 @@ def _tracker(n: int):
             pad += "    "
         correct += [pad + line for line in [
             f"v = ({each('y{i}', ', ')}, T, *tail)",
-            "o = corrector(v)",
-            f"{each('d{i}', ', ')}, = step(o[:{n}], o[{n}:])",
+            "o = corrector(v)", *solve("d", f"{eb}, {ea}, = o", False),
             each("y{i} = y{i} + d{i}"), norm("abs(y{i})") + "; scale = 1.0 + mx",
             norm("abs(d{i})") + "; err = mx / scale"] + ["first = err"] * (it == 0)]
     src = "\n".join([
-        "def _track(corrector, slope, step, x, a, b, tail, h):",
+        "def _track(corrector, slope, speed, x, a, b, tail, h):",
         f"    {each('x{i}', ', ')}, = x",
         "    ds, u, have = b - a, 0.0, False",
         f"    for _ in range({_MAX_STEPS}):",
@@ -147,14 +149,15 @@ def _tracker(n: int):
         f"            return 'regular', [{each('x{i}', ', ')}]",
         "        t = u + h; t = 1.0 if 1.0 < t else t; h = t - u",
         "        try:",
-        "            if not have:",
-        *["                " + line for line in slope("p", at("", "u"))],
+        "            if not have:",  # u < 1.0 here
+        *["                " + line for line in slope("p", "", "a + u * ds")],
         "                have = True",
-        "            w = u + h / 2",
-        *["            " + line for line in slope("q", at(" + h / 2 * p{i}", "w"))
-          + slope("r", at(" + h / 2 * q{i}", "w")) + slope("z", at(" + h * r{i}", "t"))],
-        "            " + each("y{i} = x{i} + h / 6 * (p{i} + 2 * q{i} + 2 * r{i} + z{i})"),
+        "            h2, h6 = h / 2, h / 6",
+        "            w = u + h2; W = b if w == 1.0 else a + w * ds",
         "            T = b if t == 1.0 else a + t * ds",
+        *["            " + line for line in slope("q", " + h2 * p{i}", "W")
+          + slope("r", " + h2 * q{i}", "W") + slope("z", " + h * r{i}", "T")],
+        "            " + each("y{i} = x{i} + h6 * (p{i} + 2 * q{i} + 2 * r{i} + z{i})"),
         *correct,
         f"            ok = err <= {_TRACK_TOL!r}",
         "        except (ZeroDivisionError, OverflowError):",
@@ -167,7 +170,7 @@ def _tracker(n: int):
         "            return 'diverged', None",
         "        else:",
         f"            {each('x{i}', ', ')}, u = {each('y{i}', ', ')}, t",
-        *["            " + line for line in slope("p", "v")],
+        *["            " + line for line in solve("p", f"{eb}, {ea}, = o; {eb}, = speed(v)")],
         f"            g = 0.8 * ({_PREDICT_TOL!r} / (1e-300 if 1e-300 > first else first)) ** 0.2",
         "            h *= g if g < 2.0 else 2.0",
         "    return 'failed', None\n"])
@@ -176,7 +179,7 @@ def _tracker(n: int):
     return namespace["_track"]
 
 
-def _path(fns, step, x, tail, cycles, shared):
+def _path(fns, x, tail, cycles, shared):
     """(status, x at s = 1 or None) for the path of H from x at s = 0.  If
     tracking to s = 1 fails, a Cauchy endgame (Morgan, Sommese & Wampler,
     Numer. Math. 1992) loops on |s - 1| = rho from s = 1 - rho until the
@@ -186,19 +189,19 @@ def _path(fns, step, x, tail, cycles, shared):
     One loop serves its whole cycle: shared holds each singular path's
     (lap vertices, end), its points at s = 1 - _RADII[0] after each loop,
     and a path that reaches one of them there takes that end."""
-    status, y = _track(fns, step, x, 0.0, 1.0, tail)
+    status, y = _track(fns, x, 0.0, 1.0, tail)
     if status != "failed":
         return status, y
     s, estimate, spread, laps = 0.0, None, math.inf, None
     for rho in _RADII:
-        status, x = _track(fns, step, x, s, 1.0 - rho, tail)
+        status, x = _track(fns, x, s, 1.0 - rho, tail)
         for vertices, end in shared if laps is None and status == "regular" else ():
             if any(_close(x, v, 1e-6) for v in vertices):
                 return end
         points, y, s = [], x, 1.0 - rho
         for k in range(cycles * _CHORDS if status == "regular" else 0):
             a, b = (1.0 - rho * cmath.exp(2j * math.pi * j / _CHORDS) for j in (k, k + 1))
-            status, y = _track(fns, step, y, a, b, tail, 1.0)
+            status, y = _track(fns, y, a, b, tail, 1.0)
             if status != "regular":
                 return status, None
             points.append(y)
@@ -242,7 +245,6 @@ class Homotopy:
                  for i, ((num, _den), d) in enumerate(zip(at_pstar, degrees))]
         self._cell = _compiled([num for num, _den in on_segment], n)
         self._dens = ex.compile_evaluator([den for _num, den in at_pstar], n + 1)
-        self._step = _newton_step(n)
         # p* on the unit circle at golden-ratio angles
         self._pstar = tuple(cmath.exp(2j * math.pi * (k * 0.6180339887498949 % 1))
                             for k in range(1, r + 1))
@@ -259,7 +261,7 @@ class Homotopy:
         best = None
         for gamma in gammas:
             shared: list = []  # the singular paths' laps, for _path
-            ends = [_path(fns, self._step, list(x), (gamma, *tail), len(starts), shared)
+            ends = [_path(fns, list(x), (gamma, *tail), len(starts), shared)
                     for x in starts]
             regular = [x for status, x in ends if status == "regular"]
             # _close(x, y, 1e-8) for each pair, y's bound computed once

@@ -179,13 +179,13 @@ class NewtonSystem:
         return NewtonResult(status, point, res, iterations)
 
 
-@functools.cache  # one generated function per system size
-def _newton_step(m: int):
-    """The function (F, J) -> x that solves J x = -F for a flat row-major
-    m x m J, generated on the first system of each size: Gaussian
+def _elimination(m: int, x: str) -> list:
+    """Source lines that solve J x = -F for an m x m J: Gaussian
     elimination with partial pivoting (Golub & Van Loan, Matrix
-    Computations, section 3.4) as straight-line code on Python floats, with
-    every matrix entry in a local.
+    Computations, section 3.4) as straight-line code on locals, each line
+    indented relative to the first.  J's entries come in the locals
+    ea{i}_{j}, F's in eb{i}, and x{k} receives the solution; every name
+    the lines bind but x's starts with e, and J and F are overwritten.
 
     Step k pivots on the first maximum of abs(a_ik), i >= k, compared with
     strict >, and swaps rows k and p once; each row i > k then takes
@@ -193,35 +193,43 @@ def _newton_step(m: int):
     substitution computes x_k = (b_k - a_k,k+1*x_k+1 - ...) / a_kk left to
     right.  A zero pivot raises ZeroDivisionError; a NaN in J gives a
     non-finite x."""
-    a = [[f"a{i}_{j}" for j in range(m)] for i in range(m)]
-    b = [f"b{i}" for i in range(m)]
+    a = [[f"ea{i}_{j}" for j in range(m)] for i in range(m)]
+    b = [f"eb{i}" for i in range(m)]
 
     def swap(k, i):  # rows k and i from column k on, with their b
         rows = a[k][k:] + [b[k]], a[i][k:] + [b[i]]
         return f"{', '.join(rows[0] + rows[1])} = {', '.join(rows[1] + rows[0])}"
 
-    lines = [f"    {', '.join(sum(a, []))}, = J", f"    {', '.join(b)}, = F"]
-    lines += [f"    {bi} = -{bi}" for bi in b]
+    lines = [f"{bi} = -{bi}" for bi in b]
     for k in range(m - 1):
-        # p stays 0 (no swap) unless a row i > k >= 0 wins
-        lines.append(f"    s = abs({a[k][k]})\n    p = 0")
-        lines += [f"    t = abs({a[i][k]})\n    if t > s: s = t; p = {i}"
-                  for i in range(k + 1, m)]
-        lines.append("    if p:")
+        # ep stays 0 (no swap) unless a row i > k >= 0 wins
+        lines += [f"es = abs({a[k][k]})", "ep = 0"]
         for i in range(k + 1, m):
-            head = "if" if i == k + 1 else "elif"
-            lines.append(f"        {head} p == {i}:\n            {swap(k, i)}")
+            lines += [f"et = abs({a[i][k]})", f"if et > es: es = et; ep = {i}"]
+        lines.append("if ep:")
         for i in range(k + 1, m):
-            lines.append(f"    l = {a[i][k]} / {a[k][k]}")
-            lines += [f"    {a[i][j]} -= l*{a[k][j]}" for j in range(k + 1, m)]
-            lines.append(f"    {b[i]} -= l*{b[k]}")
+            lines += [f"    {'if' if i == k + 1 else 'elif'} ep == {i}:", f"        {swap(k, i)}"]
+        for i in range(k + 1, m):
+            lines.append(f"el = {a[i][k]} / {a[k][k]}")
+            lines += [f"{a[i][j]} -= el*{a[k][j]}" for j in range(k + 1, m)]
+            lines.append(f"{b[i]} -= el*{b[k]}")
     for k in reversed(range(m)):
-        terms = "".join(f" - {a[k][j]}*x{j}" for j in range(k + 1, m))
-        lines.append(f"    x{k} = ({b[k]}{terms}) / {a[k][k]}")
+        terms = "".join(f" - {a[k][j]}*{x}{j}" for j in range(k + 1, m))
+        lines.append(f"{x}{k} = ({b[k]}{terms}) / {a[k][k]}")
+    return lines
+
+
+@functools.cache  # one generated function per system size
+def _newton_step(m: int):
+    """The function (F, J) -> x that solves J x = -F for a flat row-major
+    m x m J on Python floats, generated on the first system of each size:
+    _elimination's lines."""
+    lines = [f"{', '.join(f'ea{i}_{j}' for i in range(m) for j in range(m))}, = J",
+             f"{', '.join(f'eb{i}' for i in range(m))}, = F", *_elimination(m, "x")]
     xs = ", ".join(f"x{k}" for k in range(m))
     namespace: dict = {}
-    exec("def _step(F, J):\n" + "\n".join(lines) + f"\n    return ({xs},)\n",
-         namespace)
+    exec("def _step(F, J):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return ({xs},)\n", namespace)
     return namespace["_step"]
 
 
@@ -314,9 +322,9 @@ def _dedup(solutions, radius):
 
 # One field's work, reused by calls on an equal field (compared by value, so
 # a rebuilt or re-parsed field hits): (key, DeterminantSet, a dict of the
-# NewtonSystem per codimension r, 0 being the census's F alone, the unit
-# Halton points per (dim, count), and the census's Homotopy under
-# "census").  Dropped before another field's is built.
+# NewtonSystem per codimension r, 0 being the census's F alone, and the
+# census's Homotopy under "census").  Dropped before another field's is
+# built.
 _memo = None
 
 
@@ -335,17 +343,19 @@ def _system(field: VectorField, param_order=None, r: int | None = None):
     return D, cache.get(r)
 
 
+@functools.cache  # once per process: every field's seeds scale the same points
+def _unit_points(dim: int, count: int) -> tuple:
+    return tuple(map(tuple, halton(dim, count)))
+
+
 def _seed_values(box, count):
-    """The seeds of box, from the unit Halton points of the memo entry
-    that _system set up."""
+    """The seeds of box, scaled from the unit Halton points."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"empty seed interval [{lo}, {hi}]")
-    points = _memo[2].get((len(box), count))
-    if points is None:
-        points = _memo[2][len(box), count] = halton(len(box), count)
-    return [[lo + x * (hi - lo) for x, (lo, hi) in zip(pt, box)] for pt in points]
+    return [[lo + x * (hi - lo) for x, (lo, hi) in zip(pt, box)]
+            for pt in _unit_points(len(box), count)]
 
 
 def find_catastrophes(field: VectorField, r: int, box,

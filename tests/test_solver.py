@@ -1,8 +1,11 @@
 """Newton iteration, multistart catastrophe search, steady-state census."""
 
+import collections
+import functools
 import importlib.util
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,9 +297,9 @@ def test_a_cell_with_a_bad_path_is_retracked_with_the_second_gamma(monkeypatch):
     gammas = []
     path = homotopy._path
 
-    def counted_path(fns, step, x, tail, cycles, shared):
+    def counted_path(fns, x, tail, cycles, shared):
         gammas.append(tail[0])
-        return path(fns, step, x, tail, cycles, shared)
+        return path(fns, x, tail, cycles, shared)
 
     monkeypatch.setattr(homotopy, "_path", counted_path)
     assert count_steady_states(f, [0.5], [(-3.0, 3.0)]).paths == ("regular",) * 2
@@ -348,12 +351,15 @@ def test_a_root_singular_at_every_parameter_value_is_counted():
 # the generated path tracker against a plain loop over lists
 
 def _plain_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
-    corrector, slope_fn = fns
+    # the loop before the tracker took an accepted step's next first slope
+    # from speed: fns is (corrector, slope, the slope for that one), and
+    # step solves each linear system
+    corrector, slope_fn, accepted_slope_fn = fns
     n = len(x)
     ds, nn = b - a, n * n
 
-    def slope(v):  # ds * dx/dt at the argument v
-        out = slope_fn(v)
+    def slope(v, fn=slope_fn):  # ds * dx/dt at the argument v
+        out = fn(v)
         return [ds * w for w in step(out[nn:], out[:nn])]
 
     def at(y, t):  # the argument at y and t in [0, 1]
@@ -394,7 +400,7 @@ def _plain_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
             return "diverged", None
         else:
             x, u = y, t
-            k1 = slope(arg)  # at the last correction's argument
+            k1 = slope(arg, accepted_slope_fn)  # at the last correction's argument
             h *= min(2.0, 0.8 * (homotopy._PREDICT_TOL / max(first, 1e-300)) ** 0.2)
     return "failed", None
 
@@ -413,19 +419,26 @@ def _logged(fns, log):  # fns, logging each call as (its index in fns, argument)
     return tuple(logger(k, fn) for k, fn in enumerate(fns))
 
 
+def _plain_fns(fns):  # _plain_track's fns for _compiled's (corrector, slope, speed)
+    corrector, slope, _speed = fns
+    return corrector, slope, slope
+
+
 class _TwinTracks:
     """Runs every homotopy._track call through the plain loop too, asserts
-    the same corrector and slope calls at the same points, status and
-    endpoint bits, and counts statuses per number of unknowns."""
+    the same corrector, slope and speed calls at the same points (the plain
+    loop's slope after an accepted step for speed), status and endpoint
+    bits, and counts statuses per number of unknowns."""
 
     def __init__(self, monkeypatch):
         self.seen: dict = {}
         track = homotopy._track
 
-        def twin_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
+        def twin_track(fns, x, a, b, tail, h=homotopy._FIRST_STEP):
             logs = [], []
-            want = _plain_track(_logged(fns, logs[0]), step, x, a, b, tail, h)
-            got = track(_logged(fns, logs[1]), step, x, a, b, tail, h)
+            want = _plain_track(_logged(_plain_fns(fns), logs[0]), _newton_step(len(x)),
+                                x, a, b, tail, h)
+            got = track(_logged(fns, logs[1]), x, a, b, tail, h)
             assert _track_bits(got) == _track_bits(want), (x, a, b, tail, h)
             assert logs[0] == logs[1], (x, a, b, tail, h)
             key = len(x), got[0]
@@ -451,6 +464,35 @@ def test_generated_tracker_matches_plain_loop_on_rd_slices(rd_field, monkeypatch
                           (2, "failed"): 3}
 
 
+def test_tracker_evaluations_on_the_rd_workload_slices(rd_field, monkeypatch):
+    # the corrector, slope and speed calls of both 5x5 workload slices; an
+    # accepted step's next first slope is one speed call (1620 of them),
+    # where the loop before took a slope call, and no generated Newton step
+    # (a function named _step) runs, since the tracker solves inline
+    log, steps, compiled = [], [], homotopy._compiled
+    monkeypatch.setattr(homotopy, "_compiled", lambda hs, n: _logged(compiled(hs, n), log))
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "_step":
+            steps.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        census = homotopy.Homotopy(rd_field)
+        del log[:]  # the total-degree stage to p*
+        centres = [-1.5 + (k + 0.5) * 3.0 / 5 for k in range(5)]
+        for a in (0.2, -1.0):
+            for b in centres:
+                for d in centres:
+                    census.track([b, d, a, a, 1, 1])
+    finally:
+        sys.setprofile(None)
+    accepted = 1620
+    calls = collections.Counter(k for k, _v in log)
+    assert calls == {0: 4295, 1: 7783 - accepted, 2: accepted}
+    assert not steps
+
+
 def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
     twins = _TwinTracks(monkeypatch)
     field = make_primary_form(PrimaryFormSpec(3, 6))
@@ -467,22 +509,14 @@ def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
             census.track(alpha)
     assert twins.seen[1, "failed"] >= 6  # halvings below _LEAST_STEP, then endgames
     # H = s*x - 1 from x = 1 at s = 1 towards s = 1e-12: x = 1/s passes 1e8
-    step = _newton_step(1)
     fns = homotopy._compiled([ex.sub(ex.mul(ex.var(1), ex.var(0)), ex.ONE)], 1)
-    assert homotopy._track(fns, step, [1 + 0j], 1.0, 1e-12, ()) == ("diverged", None)
+    assert homotopy._track(fns, [1 + 0j], 1.0, 1e-12, ()) == ("diverged", None)
     # H = x^2 - s: from x = 0 every step's H_x is 0, so the elimination
-    # divides by zero until the step halves below _LEAST_STEP
-    fns, raised = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1), []
-
-    def counted_step(F, J):
-        try:
-            return step(F, J)
-        except ZeroDivisionError:
-            raised.append(J)
-            raise
-
-    assert homotopy._track(fns, counted_step, [0j], 0.0, 1.0, ()) == ("failed", None)
-    assert len(raised) == 2 * 19  # once per twin and halving
+    # after the first slope divides by zero until the step halves below
+    # _LEAST_STEP: one slope call per twin and halving, and nothing else
+    fns, log = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1), []
+    assert homotopy._track(_logged(fns, log), [0j], 0.0, 1.0, ()) == ("failed", None)
+    assert [k for k, _v in log] == [1] * 2 * 19
     assert {n for n, _status in twins.seen} == {1, 3}
 
 
@@ -490,7 +524,7 @@ def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
 def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(error):
     fns = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1)
 
-    def raising_once(at):  # fns, the pair's calls counted together, raising on number at
+    def raising_once(at, fns):  # fns, their calls counted together, raising on number at
         calls = iter(range(1 << 30))
 
         def flaky(fn):
@@ -506,18 +540,21 @@ def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(error):
     # recomputes the first slope and recovers
     for at in range(16):
         logs = [], []
-        ends = [track(_logged(raising_once(at), log), _newton_step(1), [0.1 + 0j], 0.01,
-                      1.0 + 0.5j, ()) for track, log in zip((_plain_track, homotopy._track), logs)]
-        assert _track_bits(ends[0]) == _track_bits(ends[1])
-        assert logs[0] == logs[1] and ends[0][0] == "regular"
-        assert {k for k, _v in logs[1]} == {0, 1}  # corrections and slopes
+        plain = _plain_track(_logged(raising_once(at, _plain_fns(fns)), logs[0]),
+                             _newton_step(1), [0.1 + 0j], 0.01, 1.0 + 0.5j, ())
+        got = homotopy._track(_logged(raising_once(at, fns), logs[1]), [0.1 + 0j], 0.01,
+                              1.0 + 0.5j, ())
+        assert _track_bits(plain) == _track_bits(got)
+        assert logs[0] == logs[1] and got[0] == "regular"
+        assert {k for k, _v in logs[1]} == {0, 1, 2}  # corrections, slopes, speeds
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_split_evaluators_match_one_combined_compile(n):
     # H_i = x_i^3 s + p0 x_{i+1} - (1 - s) p1 x_i^2 + s^2 / (1 + x_0 s): every
-    # output of the corrector (H, H_x) and the slope (H_x, H_s) has the bits
-    # of the same output of one function compiling H, H_x and H_s together
+    # output of the corrector (H, H_x), the slope (H_x, H_s) and the speed
+    # (H_s) has the bits of the same output of one function compiling H, H_x
+    # and H_s together
     x, s = [ex.var(i) for i in range(n)], ex.var(n)
     hs = [ex.add(ex.mul(ex.pow_(x[i], 3), s), ex.mul(ex.par(0), x[(i + 1) % n]),
                  ex.neg(ex.mul(ex.sub(ex.ONE, s), ex.par(1), ex.pow_(x[i], 2))),
@@ -527,7 +564,7 @@ def test_split_evaluators_match_one_combined_compile(n):
     grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
     h_x = [g[j] for g in grads for j in range(n)]
     combined = ex.compile_evaluator(hs + h_x + [g[n] for g in grads], n + 1)
-    corrector, slope = homotopy._compiled(hs, n)
+    corrector, slope, speed = homotopy._compiled(hs, n)
     rng = random.Random(n)
 
     def bits(values):
@@ -538,6 +575,7 @@ def test_split_evaluators_match_one_combined_compile(n):
         want = combined(v)
         assert bits(corrector(v)) == bits(want[:n + n * n])
         assert bits(slope(v)) == bits(want[n:])
+        assert bits(speed(v)) == bits(want[n + n * n:])
 
 
 # ---------------------------------------------------------------------------
@@ -969,14 +1007,21 @@ def _step_or_error(step, F, J):
         return "singular"
 
 
-def _systems(m, rng):
-    """Random systems of size m: dense; with exact zeros and tied pivot
-    candidates; and permuted, well-conditioned ones whose (0, 0) entry is
-    at most 0.1 against at least 0.9 below it, so the first step swaps."""
+def _draw(kind, part):  # a float part(), or a complex of two parts
+    return part() if kind is float else complex(part(), part())
+
+
+def _systems(m, rng, kind=float):
+    """Random systems of size m, of float entries or, for kind complex, of
+    complex ones with each part drawn so: dense; with exact zeros and tied
+    pivot candidates; and permuted, well-conditioned ones whose (0, 0)
+    entry is at most 0.1 (0.15 complex) against at least 0.9 (1.2) below
+    it, so the first step swaps."""
+    draw = functools.partial(_draw, kind)
     for _ in range(6):
-        yield [rng.uniform(-1, 1) for _ in range(m * m)], "dense"
+        yield [draw(lambda: rng.uniform(-1, 1)) for _ in range(m * m)], "dense"
     for _ in range(6):
-        yield [float(rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)))
+        yield [draw(lambda: float(rng.choice((-2, -1, 0, 0, 0, 1, 1, 2))))
                for _ in range(m * m)], "ties"
     for _ in range(3):  # a permuted, well-conditioned matrix: J[i][perm[i]]
         perm = list(range(m))
@@ -985,30 +1030,37 @@ def _systems(m, rng):
             rng.shuffle(perm)
         J = [0.0] * (m * m)
         for i in range(m):
-            J[i * m + perm[i]] = rng.choice((-1, 1)) * rng.uniform(1, 2)
-            J[i * m + rng.randrange(m)] += rng.uniform(-0.1, 0.1)
+            J[i * m + perm[i]] = draw(lambda: rng.choice((-1, 1)) * rng.uniform(1, 2))
+            J[i * m + rng.randrange(m)] += draw(lambda: rng.uniform(-0.1, 0.1))
         yield J, "pivot"
 
 
+def _bits(x):  # "singular", or the real and imaginary parts' hex of each entry
+    return x if x == "singular" else [(complex(v).real.hex(), complex(v).imag.hex()) for v in x]
+
+
 def test_generated_step_matches_plain_elimination_bit_for_bit():
-    rng = random.Random(7)
-    kinds = {"dense": 0, "ties": 0, "pivot": 0, "singular": 0}
-    for m in range(1, 13):
-        step = _newton_step(m)
-        for J, kind in _systems(m, rng):
-            F = tuple(rng.uniform(-1, 1) for _ in range(m))
-            got = _step_or_error(step, F, tuple(J))
-            assert got == _step_or_error(_plain_step, F, tuple(J)), (m, kind)
-            if got == "singular":
-                assert kind == "ties"
-                kinds["singular"] += 1
-                continue
-            kinds[kind] += 1
-            if kind != "ties":  # well conditioned: the step solves J x = -F
-                for i in range(m):
-                    row = sum(J[i * m + j] * got[j] for j in range(m))
-                    assert row == pytest.approx(-F[i], abs=1e-9)
-    assert kinds["singular"] and kinds["ties"] and kinds["pivot"] == 36
+    # complex systems too, since the tracker runs the same elimination on them
+    for kind in (float, complex):
+        rng = random.Random(7)
+        kinds = {"dense": 0, "ties": 0, "pivot": 0, "singular": 0}
+        for m in range(1, 13):
+            step = _newton_step(m)
+            for J, system in _systems(m, rng, kind):
+                F = tuple(_draw(kind, lambda: rng.uniform(-1, 1)) for _ in range(m))
+                got = _step_or_error(step, F, tuple(J))
+                assert _bits(got) == _bits(_step_or_error(_plain_step, F, tuple(J))), (
+                    kind, m, system)
+                if got == "singular":
+                    assert system == "ties"
+                    kinds["singular"] += 1
+                    continue
+                kinds[system] += 1
+                if system != "ties":  # well conditioned: the step solves J x = -F
+                    for i in range(m):
+                        row = sum(J[i * m + j] * got[j] for j in range(m))
+                        assert row == pytest.approx(-F[i], abs=1e-9)
+        assert kinds["singular"] and kinds["ties"] and kinds["pivot"] == 36, kind
 
 
 @needs_numpy
