@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import expr as ex
-from .expr import Point, VectorField
+from .expr import Frozen, Point, VectorField
 from . import determinants as det
 
 
@@ -32,15 +31,18 @@ class ToleranceError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MinorCount:
+class MinorCount(Frozen):
     """Exact per-stage counts of new minors for a corank sequence."""
 
-    n: int
-    corank_seq: tuple
-    stage_counts: tuple  # N_1 .. N_r
-    appendix_total: int  # sum_{j>=1} N_j
-    table_total: int  # n + sum_{j>=1} N_j
+    __slots__ = ("n", "corank_seq", "stage_counts", "appendix_total", "table_total")
+
+    def __init__(self, n: int, corank_seq: tuple, stage_counts: tuple,
+                 appendix_total: int, table_total: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "corank_seq", corank_seq)
+        object.__setattr__(self, "stage_counts", stage_counts)  # N_1 .. N_r
+        object.__setattr__(self, "appendix_total", appendix_total)  # sum_{j>=1} N_j
+        object.__setattr__(self, "table_total", table_total)  # n + sum_{j>=1} N_j
 
     @property
     def cumulative(self) -> tuple:

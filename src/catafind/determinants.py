@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import expr as ex
-from .expr import Expression, Point, VectorField
+from .expr import Expression, Frozen, Point, VectorField
 
 DEFAULT_TOL_B = 1e-8
 DEFAULT_TOL_G = 1e-6
@@ -219,17 +218,20 @@ class DeterminantSet:
         return Level(r, p, self, value, g)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Level:
+class Level(Frozen):
     """The values of codimension r at the point p, from one call of the
     level's compiled function: every read below comes from them, so a point
-    holding -0.0 reads its own signed zeros."""
+    holding -0.0 reads its own signed zeros.  Equal only to itself."""
 
-    r: int
-    p: Point
-    _set: DeterminantSet
-    _value: dict  # expression -> its float at p
-    _g: dict | None  # K -> G_{r,K}'s (value, Hadamard scale); None outside 1..count
+    __slots__ = ("r", "p", "_set", "_value", "_g")
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
+
+    def __init__(self, r: int, p: Point, _set: DeterminantSet, _value: dict, _g: dict | None):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_set", _set)
+        object.__setattr__(self, "_value", _value)  # expression -> its float at p
+        object.__setattr__(self, "_g", _g)  # K -> G_{r,K}'s (value, scale); None off 1..count
 
     def field(self) -> tuple:
         """Values of the field components at p."""

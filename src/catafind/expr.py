@@ -13,8 +13,8 @@ lock: build expressions on one thread only.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 
 CONST = "const"
 VAR = "var"
@@ -300,23 +300,68 @@ def differentiate(e: Expression, wrt: Expression, _memo=None) -> Expression:
     return memo[e]
 
 
-@dataclass(frozen=True)
-class VectorField:
+class Record:
+    """Base of the package's records.  A record's __slots__ name its fields,
+    two or more, in the order of its __init__ parameters; == compares the
+    class and the fields, repr shows them, and pickle and copy call the
+    class on them.  Unhashable, as a mutable dataclass is."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._astuple = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)
+
+
+class Frozen(Record):
+    """A hashable Record whose fields only __init__ sets, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class VectorField(Frozen):
     """n component expressions over declared variable and parameter names."""
 
-    name: str
-    var_names: tuple
-    param_names: tuple
-    components: tuple
+    __slots__ = ("name", "var_names", "param_names", "components")
 
-    def __post_init__(self):
-        if len(self.components) != len(self.var_names):
-            raise ExprError(
-                f"field has {len(self.var_names)} variables but "
-                f"{len(self.components)} components"
-            )
-        if len(self.var_names) < 1:
+    def __init__(self, name: str, var_names: tuple, param_names: tuple, components: tuple):
+        if len(components) != len(var_names):
+            raise ExprError(f"field has {len(var_names)} variables but "
+                            f"{len(components)} components")
+        if len(var_names) < 1:
             raise ExprError("a vector field needs at least one variable")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "var_names", var_names)
+        object.__setattr__(self, "param_names", param_names)
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):  # Record's, unrolled: solver._system compares on every call
+        if other.__class__ is self.__class__:
+            return (self.name, self.var_names, self.param_names, self.components) == (
+                other.name, other.var_names, other.param_names, other.components)
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__  # a class that defines __eq__ alone is unhashable
 
     @property
     def n(self) -> int:
@@ -327,10 +372,12 @@ class VectorField:
         return len(self.param_names)
 
 
-@dataclass(frozen=True)
-class Point:
-    x: tuple
-    alpha: tuple
+class Point(Frozen):
+    __slots__ = ("x", "alpha")
+
+    def __init__(self, x: tuple, alpha: tuple):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "alpha", alpha)
 
     def vals(self) -> tuple:
         return self.x + self.alpha

@@ -10,34 +10,34 @@ explicit domain guards; they live outside the expression grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from . import expr as ex
-from .expr import Point, VectorField
+from .expr import Frozen, Point, VectorField
 
 
 class DomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PrimaryFormSpec:
-    n: int
-    r: int
-    lambdas: tuple = ()  # lambda_2 .. lambda_n
-    taus: tuple = ()  # tau_2 .. tau_n
+class PrimaryFormSpec(Frozen):
+    __slots__ = ("n", "r", "lambdas", "taus")
 
-    def __post_init__(self):
-        if self.n < 1 or self.r < 1:
+    def __init__(self, n: int, r: int, lambdas: tuple = (), taus: tuple = ()):
+        if n < 1 or r < 1:
             raise DomainError("primary form needs n >= 1 and r >= 1")
-        lams = tuple(float(v) for v in (self.lambdas or (1.0,) * (self.n - 1)))
-        tas = tuple(float(v) for v in (self.taus or (1.0,) * (self.n - 1)))
-        if len(lams) != self.n - 1 or len(tas) != self.n - 1:
-            raise DomainError(f"need {self.n - 1} lambda and tau values")
+        lams = tuple(float(v) for v in (lambdas or (1.0,) * (n - 1)))
+        tas = tuple(float(v) for v in (taus or (1.0,) * (n - 1)))
+        if len(lams) != n - 1 or len(tas) != n - 1:
+            raise DomainError(f"need {n - 1} lambda and tau values")
         if any(v == 0.0 for v in lams) or any(v == 0.0 for v in tas):
             raise DomainError("lambda and tau values must all be nonzero")
-        object.__setattr__(self, "lambdas", lams)
-        object.__setattr__(self, "taus", tas)
+        if not all(map(math.isfinite, lams + tas)):
+            raise DomainError("lambda and tau values must all be finite")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "lambdas", lams)  # lambda_2 .. lambda_n, floats
+        object.__setattr__(self, "taus", tas)  # tau_2 .. tau_n
 
 
 def make_primary_form(spec: PrimaryFormSpec) -> VectorField:
@@ -76,17 +76,19 @@ def make_reaction_diffusion() -> VectorField:
 RD_KINDS = ("fold", "cusp", "swallowtail", "butterfly")
 
 
-@dataclass(frozen=True)
-class RdReference:
+class RdReference(Frozen):
     """Closed-form parameterizations of the reaction-diffusion catastrophe
-    sets, for given positive diffusion constants."""
+    sets, for given positive finite diffusion constants."""
 
-    k1: float
-    k2: float
+    __slots__ = ("k1", "k2")
 
-    def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
+    def __init__(self, k1: float, k2: float):
+        if not (math.isfinite(k1) and math.isfinite(k2)):
+            raise DomainError("diffusion constants must be finite")
+        if k1 <= 0 or k2 <= 0:
             raise DomainError("diffusion constants must be positive")
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
 
     def steady_state(self, u, v, alpha, gamma):
         """(beta, delta) putting (u, v) on the steady-state family."""

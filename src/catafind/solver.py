@@ -25,10 +25,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import expr as ex
-from .expr import Point, VectorField
+from .expr import Point, Record, VectorField
 from . import determinants as det
 
 LABELS = {1: "fold", 2: "cusp", 3: "swallowtail", 4: "butterfly"}
@@ -60,53 +59,66 @@ def _check_tolerances(opts, spell=str):
             raise ValueError(f"{spell(name)} must be {bound}, got {value!r}")
 
 
-@dataclass
-class SolveOptions:
+class SolveOptions(Record):
     """Seeds per find, the dedup radius and the B/G thresholds.  Each
     seed gets at most _MAX_ITERATIONS Newton iterations; the census reads
     no seed_count."""
-    seed_count: int = 256
-    dedup_radius: float = 1e-6  # max-norm over (x, alpha)
-    tol_b: float = det.DEFAULT_TOL_B
-    tol_g: float = det.DEFAULT_TOL_G
 
-    def __post_init__(self):
-        if self.seed_count < 1:
+    __slots__ = ("seed_count", "dedup_radius", "tol_b", "tol_g")
+
+    def __init__(self, seed_count: int = 256, dedup_radius: float = 1e-6,
+                 tol_b: float = det.DEFAULT_TOL_B, tol_g: float = det.DEFAULT_TOL_G):
+        if isinstance(seed_count, bool) or not isinstance(seed_count, int):
+            raise ValueError(f"seed_count must be an int, got {seed_count!r}")
+        if seed_count < 1:
             raise ValueError("counts must be >= 1")
+        self.seed_count = seed_count
+        self.dedup_radius = dedup_radius  # max-norm over (x, alpha)
+        self.tol_b = tol_b
+        self.tol_g = tol_g
         _check_tolerances(self)
 
 
-@dataclass
-class NewtonResult:
-    status: str  # converged | max-iterations | singular-jacobian | step-underflow | evaluation-error
-    point: Point | None
-    residual: float
-    iterations: int
+class NewtonResult(Record):
+    __slots__ = ("status", "point", "residual", "iterations")
+
+    def __init__(self, status: str, point: Point | None, residual: float, iterations: int):
+        # converged | max-iterations | singular-jacobian | step-underflow | evaluation-error
+        self.status = status
+        self.point = point
+        self.residual = residual
+        self.iterations = iterations
 
     @property
     def ok(self) -> bool:
         return self.status == "converged"
 
 
-@dataclass
-class CatastropheReport:
-    point: Point
-    codim: int
-    label: str
-    residual: float
-    b_values: tuple
-    g_values: dict  # index string -> value
-    g_scales: dict
-    full: bool
-    subrank: int
-    subrank_ok: bool
+class CatastropheReport(Record):
+    __slots__ = ("point", "codim", "label", "residual", "b_values", "g_values",
+                 "g_scales", "full", "subrank", "subrank_ok")
+
+    def __init__(self, point: Point, codim: int, label: str, residual: float, b_values: tuple,
+                 g_values: dict, g_scales: dict, full: bool, subrank: int, subrank_ok: bool):
+        self.point = point
+        self.codim = codim
+        self.label = label
+        self.residual = residual
+        self.b_values = b_values
+        self.g_values = g_values  # index string -> value
+        self.g_scales = g_scales
+        self.full = full
+        self.subrank = subrank
+        self.subrank_ok = subrank_ok
 
 
-@dataclass
-class SteadyStateCensus:
-    count: int
-    states: tuple  # of (Point, stability label)
-    paths: tuple = ()  # per homotopy path: regular | singular | diverged | failed
+class SteadyStateCensus(Record):
+    __slots__ = ("count", "states", "paths")
+
+    def __init__(self, count: int, states: tuple, paths: tuple = ()):
+        self.count = count
+        self.states = states  # of (Point, stability label)
+        self.paths = paths  # per homotopy path: regular | singular | diverged | failed
 
 
 def halton(dim: int, count: int) -> list:

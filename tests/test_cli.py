@@ -265,6 +265,19 @@ def test_builtin_primary_fold(capsys):
     assert max(abs(t) for t in rep["x"] + rep["alpha"]) <= 1e-9
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("lam=nan,tau=1", "finite"),
+    ("lam=1e400,tau=1", "finite"),  # parses as inf
+    ("lam=1,tau=-inf", "finite"),
+    ("lam=0,tau=1", "nonzero"),
+], ids=["lam-nan", "lam-overflow", "tau-minus-inf", "lam-zero"])
+def test_builtin_primary_bad_constant_is_a_usage_error(capsys, spec, message):
+    rc, out, err = run(capsys, ["find", "--builtin", "primary:n=2,r=2," + spec,
+                                "--codim", "2", "--seeds", "4"])
+    assert rc == 2 and out == ""
+    assert err == f"error: lambda and tau values must all be {message}\n"
+
+
 def test_bad_builtin(capsys):
     rc, _out, err = run(capsys, ["find", "--builtin", "vortex", "--codim", "1"])
     assert rc == 2 and "builtin" in err

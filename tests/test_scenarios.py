@@ -53,6 +53,9 @@ def test_primary_form_jacobian_structure():
     dict(n=2, r=1, lambdas=(0.0,)),
     dict(n=2, r=1, taus=(0.0,)),
     dict(n=3, r=1, lambdas=(1.0,)),  # wrong arity
+    dict(n=2, r=1, lambdas=(math.nan,)),
+    dict(n=2, r=1, taus=(math.inf,)),
+    dict(n=3, r=2, lambdas=(1.0, -math.inf), taus=(2.0, 3.0)),
 ])
 def test_primary_form_validation(kwargs):
     with pytest.raises(DomainError):
@@ -199,6 +202,13 @@ def test_nonpositive_diffusion_rejected():
         RdReference(0.0, 1.0)
     with pytest.raises(DomainError):
         RdReference(1.0, -2.0)
+
+
+@pytest.mark.parametrize("k1, k2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                    (1.0, -math.inf)])
+def test_non_finite_diffusion_rejected(k1, k2):
+    with pytest.raises(DomainError, match="finite"):
+        RdReference(k1, k2)
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,9 @@ def test_solve_options_validation():
     # under the field names
     for kwargs, message in (
             ({"seed_count": 0}, "counts must be >= 1"),
+            # a float would fail inside halton's range(), and True run one seed
+            ({"seed_count": 2.5}, "seed_count must be an int, got 2.5"),
+            ({"seed_count": True}, "seed_count must be an int, got True"),
             ({"tol_g": math.nan}, "bad tol_g: not a finite number"),
             ({"tol_b": math.inf}, "bad tol_b: not a finite number"),
             ({"dedup_radius": -math.inf}, "bad dedup_radius: not a finite number"),
