@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import math
 import os
 import sys
@@ -81,11 +80,13 @@ def _emit(text: str, out: str | None):
 
 
 def _document(argv, input_text, **payload) -> dict:
+    if input_text is not None:
+        import hashlib  # here, not at start-up: scan and count-minors hash nothing
+        input_text = hashlib.sha256(input_text.encode("utf-8")).hexdigest()
     doc = {
         "schema": 1,
         "tool": f"catafind {__version__}",
-        "input_sha256": (hashlib.sha256(input_text.encode("utf-8")).hexdigest()
-                         if input_text is not None else None),
+        "input_sha256": input_text,
         "command": list(argv),
     }
     doc.update(payload)
@@ -523,8 +524,7 @@ def main(argv=None) -> int:
     try:
         solver._check_tolerances(args, lambda name: "--" + name.replace("_", "-"))
         return args.func(args)
-    except (ex.EvaluationError, bo.ToleranceError,
-            ArithmeticError) as e:  # division by zero, overflow, FP errors
+    except (bo.ToleranceError, ArithmeticError) as e:  # zero division, overflow, FP errors
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except (bo.CapExceededError, ValueError, IndexError,

@@ -4,7 +4,8 @@ ch. 7-8).  solver imports it on the first census, not with the package.
 The path tracker is straight-line code generated per number of unknowns
 (_tracker) that evaluates H by three compiled functions, a corrector's
 (H, H_x), a slope's (H_x, H_s) and a speed's H_s, and solves each linear
-system inline, and one Cauchy loop ends every singular path of its cycle.
+system inline, by solver._elimination's lines as solver's Newton iteration
+does.  One Cauchy loop ends every singular path of its cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import operator
 
 from . import expr as ex
-from .solver import _elimination
+from .solver import _elimination, _first_max
 
 _GAMMAS = (complex(0.6367, 0.7711), complex(-0.2839, 0.9589))  # fixed, generic
 _TRACK_TOL = 1e-6  # a corrector's last step, relative to 1 + max |x|
@@ -105,13 +106,13 @@ def _track(fns, x, a, b, tail, h=_FIRST_STEP):
 @functools.cache  # one generated tracker per number of unknowns
 def _tracker(n: int):
     """_track's loop as straight-line code on locals x0..x{n-1}: the RK4
-    slopes p, q, r, z, the prediction y, the corrections d, max-norms as
-    first-maximum chains (max()'s strict >), and after each evaluation one
-    unpack of its output and solver._elimination's lines.  Each float
-    operation is a plain loop's over lists (v + h / 2 * k per slope, v + h
-    / 6 * (p + 2*q + 2*r + z), each linear system by solver._newton_step),
-    in its order, so both give bit-identical endpoints; the tests keep that
-    loop as a twin.  h / 2, h / 6 and s at w and at t are computed once per
+    slopes p, q, r, z, the prediction y, the corrections d, max-norms over
+    locals c{i} by solver._first_max, and after each evaluation one unpack
+    of its output and solver._elimination's lines.  Each float operation
+    is a plain loop's over lists (v + h / 2 * k per slope, v + h / 6 * (p
+    + 2*q + 2*r + z), each linear system by a plain elimination), in its
+    order, so both give bit-identical endpoints; the tests keep that loop
+    as a twin.  h / 2, h / 6 and s at w and at t are computed once per
     step.  v and o hold the last correction's argument and output, from
     which, with speed(v), an accepted step's next first slope is solved."""
     ea = ", ".join(f"ea{i}_{j}" for i in range(n) for j in range(n))
@@ -121,8 +122,7 @@ def _tracker(n: int):
         return sep.join(fmt.format(i=i) for i in range(n))
 
     def norm(fmt):  # mx = max(fmt over i), max()'s first maximum
-        return "; ".join([f"mx = {fmt.format(i=0)}"] + [
-            f"c = {fmt.format(i=i)}; mx = c if c > mx else mx" for i in range(1, n)])
+        return each(f"c{{i}} = {fmt}") + "; " + _first_max("mx", [f"c{i}" for i in range(n)])
 
     def solve(k, unpack, by_ds=True):  # k{i} = -J^-1 F, J and F from unpack, times ds
         return [unpack, *_elimination(n, k)] + [each(f"{k}{{i}} = ds * {k}{{i}}")] * by_ds

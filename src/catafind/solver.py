@@ -7,10 +7,10 @@ deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
 Seeds, Newton iterations and reports are computed on Python floats: F
 and J come from one compiled function, a line-search trial's F from
-another, the step from an elimination generated once per system size, and
-the damped Newton iteration, with F's max-norm, its convergence tests and
-line search, from one function generated per layout of the unknowns, so
-their bits depend on IEEE double arithmetic alone, not on a BLAS build.
+another, and the damped Newton iteration, with F's max-norm, its
+convergence tests, the step's partial-pivoting elimination and the line
+search, from one function generated per layout of the unknowns, so their
+bits depend on IEEE double arithmetic alone, not on a BLAS build.
 The steady-state census tracks roots by a parameter homotopy (module
 homotopy), refines the real ones by the same Newton solve, and labels them
 by the eigenvalues of a real Schur form, also computed on Python floats.
@@ -149,10 +149,9 @@ class NewtonSystem:
     solve takes a value vector of all n states and declared parameters and
     runs the Newton iteration generated per layout of the unknowns
     (_newton_solve): per iteration one residual_and_jacobian call (F and
-    the flat row-major J as tuples of floats) and one call of the
-    elimination generated per system size (_newton_step), per line-search
-    trial one residual call (F alone, a tuple of floats).  Unknowns stay
-    Python floats."""
+    the flat row-major J as tuples of floats), whose step is solved inline,
+    and per line-search trial one residual call (F alone, a tuple of
+    floats).  Unknowns stay Python floats."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -165,7 +164,6 @@ class NewtonSystem:
         self._fn = ex.compile_evaluator(list(eqs) + jac, n)
         self._f = ex.compile_evaluator(eqs, n)
         self._m = m
-        self._step = _newton_step(m)
         self._slots = slots[:m]  # positions of the unknowns in a value vector
         self._width = n + D.field.r
         self._solve = _newton_solve(self._slots, self._width)
@@ -185,7 +183,7 @@ class NewtonSystem:
         if len(vals) != self._width:
             raise ValueError(f"start vector has {len(vals)} values, not {self._width}")
         status, vals, res, iterations = self._solve(
-            vals, self.residual_and_jacobian, self.residual, self._step)
+            vals, self.residual_and_jacobian, self.residual)
         n = self.field.n
         point = None if vals is None else Point(tuple(vals[:n]), tuple(vals[n:]))
         return NewtonResult(status, point, res, iterations)
@@ -231,46 +229,38 @@ def _elimination(m: int, x: str) -> list:
     return lines
 
 
-@functools.cache  # one generated function per system size
-def _newton_step(m: int):
-    """The function (F, J) -> x that solves J x = -F for a flat row-major
-    m x m J on Python floats, generated on the first system of each size:
-    _elimination's lines."""
-    lines = [f"{', '.join(f'ea{i}_{j}' for i in range(m) for j in range(m))}, = J",
-             f"{', '.join(f'eb{i}' for i in range(m))}, = F", *_elimination(m, "x")]
-    xs = ", ".join(f"x{k}" for k in range(m))
-    namespace: dict = {}
-    exec("def _step(F, J):\n" + "".join(f"    {line}\n" for line in lines)
-         + f"    return ({xs},)\n", namespace)
-    return namespace["_step"]
+def _first_max(out, names) -> str:
+    """A line that sets out = max(names) by max()'s strict >, so that out
+    is the first maximum, as a chain of conditional expressions."""
+    return "; ".join([f"{out} = {names[0]}"] + [
+        f"{out} = {a} if {a} > {out} else {out}" for a in names[1:]])
 
 
 @functools.cache  # one generated function per unknown layout
 def _newton_solve(slots: tuple, width: int):
-    """The function (vals, residual_and_jacobian, residual, step) ->
-    (status, vals or None, max-norm of F, iterations) that runs solve's
-    damped Newton iteration for unknowns at slots of a value vector of this
-    width, as straight-line code on locals.  Max-norms keep max()'s first
-    maximum; F and the step are finite when each component compares below
-    inf; a line-search trial [v0 + t*x0, ..., vj] is accepted when each
-    abs(f_i) of its F is below the max-norm, which rejects NaN and inf.
-    The locals f_i hold F at the last point evaluated, so the max-norm
-    after the last iteration needs no call."""
+    """The function (vals, residual_and_jacobian, residual) -> (status,
+    vals or None, max-norm of F, iterations) that runs solve's damped
+    Newton iteration for unknowns at slots of a value vector of this width,
+    as straight-line code on locals, with the step x{k} for slots[k] from
+    _elimination's lines inline.  Max-norms keep max()'s first maximum
+    (_first_max); F and the step are finite when each component compares
+    below inf; a line-search trial [v0 + t*x0, ..., vj] is accepted when
+    each abs(f_i) of its F is below the max-norm, which rejects NaN and
+    inf.  The locals f_i hold F at the last point evaluated, so the
+    max-norm after the last iteration needs no call."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
-    trial = ", ".join(f"v{j} + t*x{j}" if j in slots else f"v{j}"
+    trial = ", ".join(f"v{j} + t*x{slots.index(j)}" if j in slots else f"v{j}"
                       for j in range(width))
-
-    def first_max(out, names):  # out = max(names), by max()'s strict >
-        return "; ".join([f"{out} = {names[0]}"] + [
-            f"{out} = {a} if {a} > {out} else {out}" for a in names[1:]])
-
+    step = "\n            ".join([
+        f"{', '.join(f'ea{i}_{j}' for i in range(m) for j in range(m))}, = J",
+        f"{', '.join(f'eb{i}' for i in range(m))}, = F", *_elimination(m, "x")])
     fs = ", ".join(f"f{i}" for i in range(m))
     max_norm = "; ".join([f"a{i} = abs(f{i})" for i in range(m)] + [
-        first_max("res", [f"a{i}" for i in range(m)])])
+        _first_max("res", [f"a{i}" for i in range(m)])])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
-        first_max("scale", [f"w{s}" for s in slots])])
-    src = f"""def _solve(vals, residual_and_jacobian, residual, step):
+        _first_max("scale", [f"w{s}" for s in slots])])
+    src = f"""def _solve(vals, residual_and_jacobian, residual):
     {vs}, = vals
     for it in range({_MAX_ITERATIONS}):
         try:
@@ -285,10 +275,10 @@ def _newton_solve(slots: tuple, width: int):
         if res <= {_RESIDUAL_TOL!r} * (1.0 + scale):
             return "converged", vals, res, it
         try:
-            {", ".join(f"x{s}" for s in slots)}, = step(F, J)
+            {step}
         except ZeroDivisionError:
             return "singular-jacobian", vals, res, it
-        if not ({" and ".join(f"-inf < x{s} < inf" for s in slots)}):
+        if not ({" and ".join(f"-inf < x{k} < inf" for k in range(m))}):
             return "singular-jacobian", vals, res, it
         t = 1.0
         while t >= {_MIN_STEP!r}:

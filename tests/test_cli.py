@@ -707,6 +707,26 @@ def test_find_runs_without_numpy_and_scan_labels_still_work():
     assert cells[4] == "0,0,3,1"
 
 
+HASH_FREE_RUN = """
+import contextlib, io, sys
+import catafind.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = catafind.cli.main(["count-minors", "--dim", "4", "--codim", "4"])
+print(rc, "hashlib" in sys.modules)
+"""
+
+
+def test_count_minors_loads_no_hashlib():
+    """A fresh process imports the CLI and counts minors without loading
+    hashlib: only a document of an input hashes it, and the find golden
+    documents pin that input_sha256."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", HASH_FREE_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
 REPEATED_FINDS = """
 import contextlib, gc, io, json, sys, weakref
 import catafind.cli, catafind.expr as ex, catafind.solver as solver

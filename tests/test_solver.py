@@ -16,9 +16,9 @@ import catafind.homotopy as homotopy
 import catafind.solver as solver
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
                                 make_primary_form)
-from catafind.solver import (NewtonSystem, SolveOptions, _newton_step,
-                             classify, count_steady_states, find_catastrophes,
-                             halton, stability_label)
+from catafind.solver import (NewtonSystem, SolveOptions, classify,
+                             count_steady_states, find_catastrophes, halton,
+                             stability_label)
 
 
 try:  # a test dependency only; the package imports no numpy
@@ -436,7 +436,7 @@ class _TwinTracks:
 
         def twin_track(fns, x, a, b, tail, h=homotopy._FIRST_STEP):
             logs = [], []
-            want = _plain_track(_logged(_plain_fns(fns), logs[0]), _newton_step(len(x)),
+            want = _plain_track(_logged(_plain_fns(fns), logs[0]), _plain_step,
                                 x, a, b, tail, h)
             got = track(_logged(fns, logs[1]), x, a, b, tail, h)
             assert _track_bits(got) == _track_bits(want), (x, a, b, tail, h)
@@ -467,8 +467,8 @@ def test_generated_tracker_matches_plain_loop_on_rd_slices(rd_field, monkeypatch
 def test_tracker_evaluations_on_the_rd_workload_slices(rd_field, monkeypatch):
     # the corrector, slope and speed calls of both 5x5 workload slices; an
     # accepted step's next first slope is one speed call (1620 of them),
-    # where the loop before took a slope call, and no generated Newton step
-    # (a function named _step) runs, since the tracker solves inline
+    # where the loop before took a slope call; and no function named _step
+    # is called while the slices are tracked
     log, steps, compiled = [], [], homotopy._compiled
     monkeypatch.setattr(homotopy, "_compiled", lambda hs, n: _logged(compiled(hs, n), log))
 
@@ -541,7 +541,7 @@ def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(error):
     for at in range(16):
         logs = [], []
         plain = _plain_track(_logged(raising_once(at, _plain_fns(fns)), logs[0]),
-                             _newton_step(1), [0.1 + 0j], 0.01, 1.0 + 0.5j, ())
+                             _plain_step, [0.1 + 0j], 0.01, 1.0 + 0.5j, ())
         got = homotopy._track(_logged(raising_once(at, fns), logs[1]), [0.1 + 0j], 0.01,
                               1.0 + 0.5j, ())
         assert _track_bits(plain) == _track_bits(got)
@@ -800,7 +800,7 @@ def _reference_solve(system, start_vals):
         if res <= solver._RESIDUAL_TOL * scale:
             return solver.NewtonResult("converged", as_point(vals), res, it)
         try:
-            step = system._step(F, J)
+            step = _plain_step(F, J)
         except ZeroDivisionError:
             return solver.NewtonResult("singular-jacobian", as_point(vals), res, it)
         if not all(map(math.isfinite, step)):
@@ -974,11 +974,24 @@ def test_solve_rejects_a_start_vector_of_the_wrong_length(rd_field):
 
 
 # ---------------------------------------------------------------------------
-# the generated Newton step: partial-pivot elimination on Python floats
+# the generated elimination: partial-pivot elimination on Python floats
+
+@functools.cache
+def _generated_step(m):
+    """solver._elimination's lines for size m as a function (F, J) -> x
+    of a flat row-major m x m J, as the generated Newton solve and the
+    tracker run them inline."""
+    lines = [f"{', '.join(f'ea{i}_{j}' for i in range(m) for j in range(m))}, = J",
+             f"{', '.join(f'eb{i}' for i in range(m))}, = F", *solver._elimination(m, "x")]
+    namespace: dict = {}
+    exec("def step(F, J):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return ({', '.join(f'x{k}' for k in range(m))},)\n", namespace)
+    return namespace["step"]
+
 
 def _plain_step(F, J):
-    """J x = -F by the generated step's algorithm and operation order,
-    written as plain loops over lists."""
+    """J x = -F by the generated elimination's algorithm and operation
+    order, written as plain loops over lists."""
     m = len(F)
     a = [list(J[i * m:(i + 1) * m]) for i in range(m)]
     b = [-f for f in F]
@@ -1048,7 +1061,7 @@ def test_generated_step_matches_plain_elimination_bit_for_bit():
         rng = random.Random(7)
         kinds = {"dense": 0, "ties": 0, "pivot": 0, "singular": 0}
         for m in range(1, 13):
-            step = _newton_step(m)
+            step = _generated_step(m)
             for J, system in _systems(m, rng, kind):
                 F = tuple(_draw(kind, lambda: rng.uniform(-1, 1)) for _ in range(m))
                 got = _step_or_error(step, F, tuple(J))
@@ -1073,7 +1086,7 @@ def test_generated_step_pivots_on_the_first_largest_candidate():
          3.0, 0.0, 1.0,
          -3.0, 1.0, 1.0)
     F = (-1.0, -2.0, -3.0)
-    x = _newton_step(3)(F, J)
+    x = _generated_step(3)(F, J)
     assert x == _plain_step(F, J)
     assert x == pytest.approx(tuple(np.linalg.solve(np.reshape(J, (3, 3)),
                                                     np.negative(F))), abs=1e-15)
@@ -1081,9 +1094,9 @@ def test_generated_step_pivots_on_the_first_largest_candidate():
 
 def test_generated_step_on_singular_and_nan_matrices():
     with pytest.raises(ZeroDivisionError):
-        _newton_step(1)((1.0,), (0.0,))
+        _generated_step(1)((1.0,), (0.0,))
     with pytest.raises(ZeroDivisionError):
-        _newton_step(2)((1.0, 1.0), (1.0, 1.0, 2.0, 2.0))
+        _generated_step(2)((1.0, 1.0), (1.0, 1.0, 2.0, 2.0))
     rng = random.Random(3)
     for m in range(1, 5):
         J = [rng.uniform(-1, 1) for _ in range(m * m)]
@@ -1091,7 +1104,7 @@ def test_generated_step_on_singular_and_nan_matrices():
         for pos in range(m * m):  # a NaN anywhere: never a finite step
             bad = list(J)
             bad[pos] = math.nan
-            got = _step_or_error(_newton_step(m), F, tuple(bad))
+            got = _step_or_error(_generated_step(m), F, tuple(bad))
             assert got == "singular" or not all(map(math.isfinite, got))
 
 
