@@ -47,27 +47,28 @@ def sym_det(M) -> Expression:
             raise ex.ExprError("sym_det needs a square matrix")
     if size == 0:
         return ex.ONE
-    memo: dict = {}
+    return _minor(M, {}, 0, tuple(range(size)))
 
-    def minor(k: int, cols: tuple) -> Expression:
-        if len(cols) == 1:
-            return M[k][cols[0]]
-        got = memo.get((k, cols))
-        if got is not None:
-            return got
-        terms = []
-        for j, c in enumerate(cols):
-            entry = M[k][c]
-            if entry is ex.ZERO:
-                continue
-            sub = minor(k + 1, cols[:j] + cols[j + 1:])
-            term = ex.mul(entry, sub)
-            terms.append(term if j % 2 == 0 else ex.neg(term))
-        out = ex.add(*terms) if terms else ex.ZERO
-        memo[(k, cols)] = out
-        return out
 
-    return minor(0, tuple(range(size)))
+def _minor(M, memo: dict, k: int, cols: tuple) -> Expression:
+    """sym_det's minor of rows k, k+1, ... and columns cols, memoized (no
+    closure: one that calls itself is a reference cycle)."""
+    if len(cols) == 1:
+        return M[k][cols[0]]
+    got = memo.get((k, cols))
+    if got is not None:
+        return got
+    terms = []
+    for j, c in enumerate(cols):
+        entry = M[k][c]
+        if entry is ex.ZERO:
+            continue
+        sub = _minor(M, memo, k + 1, cols[:j] + cols[j + 1:])
+        term = ex.mul(entry, sub)
+        terms.append(term if j % 2 == 0 else ex.neg(term))
+    out = ex.add(*terms) if terms else ex.ZERO
+    memo[(k, cols)] = out
+    return out
 
 
 def index_strings(n: int, length: int):

@@ -697,7 +697,7 @@ def compile_evaluator(exprs, n_vars: int):
             raise ExprError(f"unknown node kind {k!r}")
         lines.append(f"    {nm} = {rhs}")
         names[node] = nm
-    outs = ", ".join(names[e] for e in exprs)
-    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return ({outs},)\n"
+    outs = f"({', '.join(names[e] for e in exprs)},)" if exprs else "()"
+    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return {outs}\n"
     exec(src, consts)
-    return consts["_compiled"]
+    return consts.pop("_compiled")  # so the function and its globals form no cycle

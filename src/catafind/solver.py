@@ -148,8 +148,8 @@ class NewtonSystem:
 
     solve takes a value vector of all n states and declared parameters and
     runs the Newton iteration generated per layout of the unknowns
-    (_newton_solve): per iteration one residual_and_jacobian call (F and
-    the flat row-major J as tuples of floats), whose step is solved inline,
+    (_newton_solve): per iteration one residual_and_jacobian call (one flat
+    tuple of floats, F then the row-major J), whose step is solved inline,
     and per line-search trial one residual call (F alone, a tuple of
     floats).  Unknowns stay Python floats."""
 
@@ -163,23 +163,20 @@ class NewtonSystem:
         jac = [d for e in eqs for d in D.row(e, m)]
         self._fn = ex.compile_evaluator(list(eqs) + jac, n)
         self._f = ex.compile_evaluator(eqs, n)
-        self._m = m
         self._slots = slots[:m]  # positions of the unknowns in a value vector
         self._width = n + D.field.r
         self._solve = _newton_solve(self._slots, self._width)
 
     def residual_and_jacobian(self, vals):
-        """F and the row-major m x m J, each a flat tuple of floats."""
-        out = self._fn(vals)
-        m = self._m
-        return out[:m], out[m:]
+        """One flat tuple of m + m*m floats: F, then the row-major m x m J."""
+        return self._fn(vals)
 
     def residual(self, vals):
         """F alone, a flat tuple of floats."""
         return self._f(vals)
 
     def solve(self, start_vals) -> NewtonResult:
-        vals = [float(v) for v in start_vals]
+        vals = list(map(float, start_vals))
         if len(vals) != self._width:
             raise ValueError(f"start vector has {len(vals)} values, not {self._width}")
         status, vals, res, iterations = self._solve(
@@ -189,13 +186,14 @@ class NewtonSystem:
         return NewtonResult(status, point, res, iterations)
 
 
-def _elimination(m: int, x: str) -> list:
+def _elimination(m: int, x: str, f: str = "eb") -> list:
     """Source lines that solve J x = -F for an m x m J: Gaussian
     elimination with partial pivoting (Golub & Van Loan, Matrix
     Computations, section 3.4) as straight-line code on locals, each line
     indented relative to the first.  J's entries come in the locals
-    ea{i}_{j}, F's in eb{i}, and x{k} receives the solution; every name
-    the lines bind but x's starts with e, and J and F are overwritten.
+    ea{i}_{j}, F's in {f}{i}, and x{k} receives the solution; every name
+    the lines bind but x's starts with e, and J and the eb{i} (b = -F) are
+    overwritten.
 
     Step k pivots on the first maximum of abs(a_ik), i >= k, compared with
     strict >, and swaps rows k and p once; each row i > k then takes
@@ -210,7 +208,7 @@ def _elimination(m: int, x: str) -> list:
         rows = a[k][k:] + [b[k]], a[i][k:] + [b[i]]
         return f"{', '.join(rows[0] + rows[1])} = {', '.join(rows[1] + rows[0])}"
 
-    lines = [f"{bi} = -{bi}" for bi in b]
+    lines = [f"{bi} = -{f}{i}" for i, bi in enumerate(b)]
     for k in range(m - 1):
         # ep stays 0 (no swap) unless a row i > k >= 0 wins
         lines += [f"es = abs({a[k][k]})", "ep = 0"]
@@ -241,21 +239,21 @@ def _newton_solve(slots: tuple, width: int):
     """The function (vals, residual_and_jacobian, residual) -> (status,
     vals or None, max-norm of F, iterations) that runs solve's damped
     Newton iteration for unknowns at slots of a value vector of this width,
-    as straight-line code on locals, with the step x{k} for slots[k] from
-    _elimination's lines inline.  Max-norms keep max()'s first maximum
-    (_first_max); F and the step are finite when each component compares
-    below inf; a line-search trial [v0 + t*x0, ..., vj] is accepted when
-    each abs(f_i) of its F is below the max-norm, which rejects NaN and
-    inf.  The locals f_i hold F at the last point evaluated, so the
-    max-norm after the last iteration needs no call."""
+    as straight-line code on locals: F+J unpacked once into f{i} and
+    ea{i}_{j}, and the step x{k} for slots[k] from _elimination's lines
+    inline.  Max-norms keep max()'s first maximum (_first_max); F and the
+    step are finite when each component compares below inf; a line-search
+    trial [v0 + t*x0, ..., vj] (v0 + x0 at t = 1: exact, as x0 is finite)
+    is accepted when each abs(f_i) of its F is below the max-norm, which
+    rejects NaN and inf.  The locals f_i hold F at the last point
+    evaluated, so the max-norm after the last iteration needs no call."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
-    trial = ", ".join(f"v{j} + t*x{slots.index(j)}" if j in slots else f"v{j}"
-                      for j in range(width))
-    step = "\n            ".join([
-        f"{', '.join(f'ea{i}_{j}' for i in range(m) for j in range(m))}, = J",
-        f"{', '.join(f'eb{i}' for i in range(m))}, = F", *_elimination(m, "x")])
+    trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
+                      for j in range(width))  # {t}: "" at t = 1, else "t*"
+    step = "\n            ".join(_elimination(m, "x", "f"))
     fs = ", ".join(f"f{i}" for i in range(m))
+    ea = ", ".join(f"ea{i}_{j}" for i in range(m) for j in range(m))
     max_norm = "; ".join([f"a{i} = abs(f{i})" for i in range(m)] + [
         _first_max("res", [f"a{i}" for i in range(m)])])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
@@ -264,10 +262,9 @@ def _newton_solve(slots: tuple, width: int):
     {vs}, = vals
     for it in range({_MAX_ITERATIONS}):
         try:
-            F, J = residual_and_jacobian(vals)
+            {fs}, {ea}, = residual_and_jacobian(vals)
         except (ZeroDivisionError, OverflowError):
             return "evaluation-error", None, inf, it
-        {fs}, = F
         {max_norm}
         if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
             return "evaluation-error", None, inf, it
@@ -281,8 +278,8 @@ def _newton_solve(slots: tuple, width: int):
         if not ({" and ".join(f"-inf < x{k} < inf" for k in range(m))}):
             return "singular-jacobian", vals, res, it
         t = 1.0
-        while t >= {_MIN_STEP!r}:
-            trial = [{trial}]
+        trial = [{trial.format(t="")}]
+        while True:
             try:
                 {fs}, = residual(trial)
                 if {" and ".join(f"abs(f{i}) < res" for i in range(m))}:
@@ -290,8 +287,9 @@ def _newton_solve(slots: tuple, width: int):
             except (ZeroDivisionError, OverflowError):
                 pass
             t *= {_DAMPING!r}
-        else:
-            return "step-underflow", vals, res, it
+            if t < {_MIN_STEP!r}:
+                return "step-underflow", vals, res, it
+            trial = [{trial.format(t="t*")}]
         {vs}, = vals = trial
     {max_norm}
     {get_scale}
@@ -311,7 +309,7 @@ def _dedup(solutions, radius):
     for vals, res in solutions:
         merged = False
         for i, (kvals, kres) in enumerate(kept):
-            if max(abs(a - b) for a, b in zip(vals, kvals)) <= radius:
+            if max(map(abs, map(operator.sub, vals, kvals))) <= radius:
                 if res < kres:
                     kept[i] = (vals, res)
                 merged = True
@@ -575,8 +573,8 @@ def count_steady_states(field: VectorField, alpha, box,
     states = []
     for x, _res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(x), alpha)
-        _F, J = system.residual_and_jacobian(p.vals())
         m = len(x)
+        J = system.residual_and_jacobian(p.vals())[m:]
         rows = [J[k:k + m] for k in range(0, m * m, m)]
         states.append((p, stability_label(rows, opts.tol_b)))
     return SteadyStateCensus(count=len(states), states=tuple(states), paths=tuple(paths))

@@ -308,6 +308,10 @@ def test_compile_evaluator_checks_variable_indices():
         ex.compile_evaluator([ex.add(ex.var(0), ex.var(2))], 2)
 
 
+def test_compile_evaluator_of_no_expressions():
+    assert ex.compile_evaluator([], 2)([1.0, 2.0]) == ()
+
+
 def test_compile_evaluator_non_finite_constants():
     inf = ex.const(float("inf"))
     fn = ex.compile_evaluator([ex.add(ex.var(0), inf), ex.mul(ex.var(0), inf),

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import importlib.util
 import math
 import random
@@ -14,6 +15,7 @@ import catafind.expr as ex
 import catafind.determinants as det
 import catafind.homotopy as homotopy
 import catafind.solver as solver
+from catafind.boardman import boardman_symbol
 from catafind.scenarios import (PrimaryFormSpec, RdReference,
                                 make_primary_form)
 from catafind.solver import (NewtonSystem, SolveOptions, classify,
@@ -787,11 +789,13 @@ def _reference_solve(system, start_vals):
     def as_point(v):
         return ex.Point(tuple(v[:n]), tuple(v[n:]))
 
+    m = len(slots)
     for it in range(solver._MAX_ITERATIONS):
         try:
-            F, J = system.residual_and_jacobian(vals)
+            FJ = system.residual_and_jacobian(vals)
         except (ZeroDivisionError, OverflowError):
             return solver.NewtonResult("evaluation-error", None, math.inf, it)
+        F, J = FJ[:m], FJ[m:]
         res = (max(map(abs, F)) if all(map(math.isfinite, F))
                else math.inf)  # Python's max drops a NaN that is not first
         if res == math.inf:
@@ -964,6 +968,40 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
     assert twins.calls["residual"] - before == 2 * 1025  # once per twin
 
 
+def test_residual_and_jacobian_is_one_flat_tuple_led_by_the_residual(rd_field):
+    """F+J is one tuple of m + m*m floats, F then the row-major J, and its
+    first m are residual's F bit for bit."""
+    primary = make_primary_form(PrimaryFormSpec(3, 4, (1.3, -0.7), (0.9, -1.6)))
+    for field, vals in ((rd_field, [0.3, -0.2, 0.1, 0.2, -1.0, -1.0, 1.0, 1.0]),
+                        (primary, [0.3, -0.2, 0.1, 0.1, -0.4, 0.25, 0.5])):
+        _D, system = solver._system(field, r=4)
+        m = len(system._slots)
+        out = system.residual_and_jacobian(vals)
+        assert type(out) is tuple and len(out) == m + m * m
+        assert list(map(float.hex, out[:m])) == list(map(float.hex, system.residual(vals)))
+
+
+def test_find_boardman_and_compile_leave_no_cyclic_garbage():
+    """What a find on a new field, boardman_symbol and compile_evaluator
+    build is freed by reference counting alone: no reference cycles."""
+    def field(lam):
+        return make_primary_form(PrimaryFormSpec(3, 4, (lam, -0.7), (0.9, -1.6)))
+
+    box, opts = [(-1.0, 1.0)] * 7, SolveOptions(seed_count=16)
+    find_catastrophes(field(1.3), 4, box, opts)  # the one-time caches
+    gc.collect()
+    gc.disable()  # so that no automatic collection hides a cycle
+    try:
+        find_catastrophes(field(1.4), 4, box, opts)
+        assert gc.collect() == 0
+        boardman_symbol(field(1.5), ex.Point((0.0,) * 3, (0.0,) * 4))
+        assert gc.collect() == 0
+        ex.compile_evaluator(list(field(1.6).components), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_solve_rejects_a_start_vector_of_the_wrong_length(rd_field):
     D = det.DeterminantSet(rd_field)
     system = NewtonSystem(D, list(rd_field.components))
@@ -1122,7 +1160,8 @@ def test_non_finite_jacobian_entry_is_singular(c):
         "vars: x y\nparams: a b c\neq: x + y*a*b*c - 1\neq: y - 0.25")
     system = NewtonSystem(det.DeterminantSet(f), f.components)
     vals = [0.5, 1e-300, 1e200, 1e200, c]
-    F, J = system.residual_and_jacobian(vals)
+    FJ = system.residual_and_jacobian(vals)
+    F, J = FJ[:2], FJ[2:]
     assert all(map(math.isfinite, F))
     assert not math.isfinite(J[1])
     res = system.solve(vals)
