@@ -640,6 +640,10 @@ def format_vector_field(field: VectorField) -> str:
 # compiled evaluation
 
 _LINE_OPERANDS = 100
+# Parenthesis levels of one line, each inlined node's pair, a subscript and
+# a power's pair round its base counted.  CPython's tokenizer allows 200, but
+# its compiler recurses through each level's chain of _LINE_OPERANDS operands.
+_LINE_NESTING = 12
 
 
 def compile_evaluator(exprs, n_vars: int):
@@ -647,19 +651,33 @@ def compile_evaluator(exprs, n_vars: int):
     vector (variables first, then parameters), returning their values as a
     tuple.
 
-    The generated code does the tree's floating-point operations in the
-    tree's order, so its values are bit-identical to a plain tree walk.
-    Shared subtrees are computed once, and each variable or parameter is
-    read from the vector once.  A negation has no temporary: a sum
+    Each node's floating-point operation runs once, on the operand values
+    of a plain tree walk, so the values are bit-identical to the walk's.
+    A node with one reader (an output position counts as one) is written
+    inline in that reader, in parentheses, and a variable or parameter
+    with one reader is read there from the vector: CPython evaluates
+    operands left to right and an operator after both.  Shared nodes, and
+    outputs read elsewhere too, get a local.  A negation is no node: a sum
     subtracts its child (IEEE defines x - y as x + (-y), signed zeros
-    included), and any other reader negates inline, which is exact.
-    Constants are bound by name, so inf and nan compile too.  A variable
-    index at or above n_vars raises ExprError here; division by zero
-    raises ZeroDivisionError when the function runs."""
+    included), and any other reader negates inline, which is exact.  A
+    node nested past _LINE_NESTING parentheses gets its own line, and a
+    chain continues on further lines every _LINE_OPERANDS operands.
+    Constants are bound by name, so inf and nan compile and one source can
+    run on other number types.  A variable index at or above n_vars raises
+    ExprError here, division by zero ZeroDivisionError when it runs."""
+    readers: dict = {}
+    for node in _postorder(exprs, readers):
+        readers[node] = 0
+    for e in exprs:
+        readers[e] += 1
+    for node in reversed(readers):  # each reader before the nodes it reads
+        for c in node.children:  # a negation's readers read its child
+            readers[c] += readers[node] if node.kind == NEG else 1
     names: dict = {}
+    depth = dict.fromkeys(readers, 0)  # parenthesis levels of names[node]
     consts: dict = {}
     lines = []
-    for i, node in enumerate(_postorder(exprs, names)):
+    for i, node in enumerate(readers):
         k = node.kind
         cs = node.children
         if k == CONST:
@@ -672,13 +690,17 @@ def compile_evaluator(exprs, n_vars: int):
                     f"variable index {node.index} outside the {n_vars} "
                     "declared variables")
             j = node.index if k == VAR else n_vars + node.index
-            names[node] = f"v{j}"
-            lines.append(f"    v{j} = v[{j}]")
+            if readers[node] == 1:
+                names[node], depth[node] = f"v[{j}]", 1
+            else:
+                names[node] = f"v{j}"
+                lines.append(f"    v{j} = v[{j}]")
             continue
         if k == NEG:  # the only names that start with "-"
-            names[node] = "-" + names[cs[0]]
+            names[node], depth[node] = "-" + names[cs[0]], depth[cs[0]]
             continue
         nm = f"t{i}"
+        d = max(depth[c] for c in cs)
         if k in (SUM, PROD):
             # CPython compiles an operator chain recursively, so long sums
             # and products continue on further lines, in the same order
@@ -692,11 +714,15 @@ def compile_evaluator(exprs, n_vars: int):
         elif k == QUOT:
             rhs = f"{names[cs[0]]}/{names[cs[1]]}"
         elif k == POW:
-            rhs = f"({names[cs[0]]})**({node.exponent})"
+            rhs = f"({names[cs[0]]})**{node.exponent}"
+            d += 1
         else:  # pragma: no cover
             raise ExprError(f"unknown node kind {k!r}")
-        lines.append(f"    {nm} = {rhs}")
-        names[node] = nm
+        if readers[node] == 1 and d < _LINE_NESTING and len(cs) <= _LINE_OPERANDS:
+            names[node], depth[node] = f"({rhs})", d + 1
+        else:
+            lines.append(f"    {nm} = {rhs}")
+            names[node] = nm
     outs = f"({', '.join(names[e] for e in exprs)},)" if exprs else "()"
     src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return {outs}\n"
     exec(src, consts)

@@ -555,6 +555,8 @@ def count_steady_states(field: VectorField, alpha, box,
         raise ValueError(f"expected {field.r} parameter values")
     if len(box) != field.n:
         raise ValueError(f"box needs {field.n} intervals")
+    if not all(lo < hi for lo, hi in box):
+        raise ValueError(f"empty state interval in box {box}")
     from . import homotopy  # compiled on the first census, not on import
     _D, system = _system(field, r=0)
     if "census" not in _memo[2]:

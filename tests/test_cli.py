@@ -202,6 +202,16 @@ def test_non_finite_flag_values_are_usage_errors(capsys, argv):
     assert rc == 2 and "not a finite number" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (FIND_RD1 + ["--box=1:0,-1:1,-1:1"], "empty seed interval [1.0, 0.0]"),
+    (SCAN_RD + ["--range=0:1,0:1", "--box-x=1:0,0:1"],
+     "empty state interval in box [(1.0, 0.0), (0.0, 1.0)]"),
+], ids=["find-box", "scan-box-x"])
+def test_empty_intervals_are_usage_errors(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and message in err and out.count("\n") <= 1  # no cell row
+
+
 @pytest.mark.parametrize("argv, flag", [
     (FIND_RD1 + ["--tol-g", "-1"], "--tol-g"),
     (FIND_RD1 + ["--tol-b", "0"], "--tol-b"),

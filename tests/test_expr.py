@@ -1,6 +1,8 @@
 """Expression core: parsing, differentiation, evaluation, simplification."""
 
+import collections
 import math
+import operator
 import random
 
 import pytest
@@ -344,29 +346,28 @@ def test_compile_evaluator_matches_evaluate():
 def _reference(e, vals, n_vars, memo):
     """The value of e by a plain walk in Python floats: each node's own
     operation on its children's values, operands left to right, and a
-    negation as its own step."""
-    if e in memo:
-        return memo[e]
-    cs = [_reference(c, vals, n_vars, memo) for c in e.children]
-    k = e.kind
-    if k == ex.CONST:
-        out = e.value
-    elif k == ex.VAR:
-        out = vals[e.index]
-    elif k == ex.PAR:
-        out = vals[n_vars + e.index]
-    elif k in (ex.SUM, ex.PROD):
-        out = cs[0]
-        for c in cs[1:]:
-            out = out + c if k == ex.SUM else out * c
-    elif k == ex.NEG:
-        out = -cs[0]
-    elif k == ex.QUOT:
-        out = cs[0] / cs[1]
-    else:
-        out = cs[0] ** e.exponent
-    memo[e] = out
-    return out
+    negation as its own step.  Iterative, so any depth walks."""
+    for node in ex._postorder((e,), memo):
+        cs = [memo[c] for c in node.children]
+        k = node.kind
+        if k == ex.CONST:
+            out = node.value
+        elif k == ex.VAR:
+            out = vals[node.index]
+        elif k == ex.PAR:
+            out = vals[n_vars + node.index]
+        elif k in (ex.SUM, ex.PROD):
+            out = cs[0]
+            for c in cs[1:]:
+                out = out + c if k == ex.SUM else out * c
+        elif k == ex.NEG:
+            out = -cs[0]
+        elif k == ex.QUOT:
+            out = cs[0] / cs[1]
+        else:
+            out = cs[0] ** node.exponent
+        memo[node] = out
+    return memo[e]
 
 
 def _same_bits(a, b):
@@ -375,13 +376,52 @@ def _same_bits(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+class _Counted(float):
+    """A float whose +, -, *, / and ** count themselves in _Counted.ops, by
+    kind, and return a _Counted, as its negation does, uncounted."""
+
+    ops: collections.Counter = collections.Counter()
+
+    def __neg__(self):
+        return _Counted(-float(self))
+
+
+for _kind, _name in (("sum", "add"), ("sum", "sub"), ("mul", "mul"),
+                     ("div", "truediv"), ("pow", "pow")):
+    for _swap in (False, True):
+        def _op(self, other, kind=_kind, fn=getattr(operator, _name), swap=_swap):
+            _Counted.ops[kind] += 1
+            a, b = (other, float(self)) if swap else (float(self), other)
+            return _Counted(fn(float(a), b))
+        setattr(_Counted, f"__{'r' * _swap}{_name}__", _op)
+
+
+def _op_counts(fn, vals):
+    """The arithmetic that fn does on vals, counted by kind; operations on
+    constants alone are not counted."""
+    _Counted.ops = collections.Counter()
+    fn([_Counted(t) for t in vals])
+    return _Counted.ops
+
+
 def _assert_bit_exact(exprs, n_vars, points):
+    """fn's values are a plain walk's, bit for bit, and fn does the walk's
+    arithmetic, each node's once; where the walk raises, fn raises too."""
     fn = ex.compile_evaluator(exprs, n_vars)
-    for vals in points:
+
+    def walk(vals):
         memo: dict = {}
-        want = [_reference(e, vals, n_vars, memo) for e in exprs]
-        got = fn(vals)
-        assert all(map(_same_bits, got, want)), vals
+        return [_reference(e, vals, n_vars, memo) for e in exprs]
+
+    for vals in points:
+        try:
+            want = walk(vals)
+        except ArithmeticError:  # division by zero, or a power overflowed
+            with pytest.raises(ArithmeticError):
+                fn(vals)
+            continue
+        assert all(map(_same_bits, fn(vals), want)), vals
+        assert _op_counts(fn, vals) == _op_counts(walk, vals), vals
 
 
 def _points(rng, size, count=200):
@@ -439,6 +479,32 @@ def test_compile_evaluator_is_bit_exact_on_negations():
         _assert_bit_exact([e], 2, points[:20])
 
 
+def test_compile_evaluator_bounds_the_nesting_of_a_line():
+    # Every node below has one reader, so each would be written inside the
+    # next.  Built directly: the constructors would fold most of them.
+    x, a = ex.var(0), ex.par(0)
+    chain = ex._node(ex.SUM, children=(x, a))
+    for k in range(1250):  # 5,000 nodes: y -> 3 - 2/y, which tends to 2
+        chain = ex._node(ex.QUOT, children=(chain, ex.const(2.0)))
+        chain = ex._node(ex.POW, children=(chain,), exponent=-1)
+        chain = ex._node(ex.NEG, children=(chain,))
+        chain = ex._node(ex.SUM, children=(chain, ex.const(3.0)))
+    # 10,000 products, each read by the sum alone
+    wide = ex.add(*[ex.mul(ex.const(k + 1.0), ex.pow_(x, k // 100 + 1),
+                           ex.pow_(a, k % 100 + 1)) for k in range(10000)])
+    # 60 levels of 100-operand chains, each level the first operand of the
+    # next, so that one line's chains nest as deep as its parentheses
+    nest = x
+    for level in range(60):
+        fresh = [ex._node(ex.SUM, children=(ex.ONE, ex._node(ex.QUOT, children=(
+            ex.par(k % 3), ex.const(100.0 + k + level / 64))))) for k in range(99)]
+        nest = ex._node(ex.PROD if level % 2 else ex.SUM, children=(nest, *fresh))
+    assert len(wide.children) == 10000
+    assert all(c.kind == ex.PROD for c in wide.children)
+    points = _points(random.Random(7), 4, 3) + [[0.5, 0.25, -0.0, 1.0]]
+    _assert_bit_exact([chain, wide, nest], 1, points)
+
+
 # ---------------------------------------------------------------------------
 # simplification by the constructors
 
@@ -479,3 +545,32 @@ def test_print_parse_roundtrip_property(e, pseed):
         return
     assert ex.evaluate(e2, p) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
+
+@st.composite
+def output_lists(draw):
+    """Outputs over three random expressions a, b, c that share the subtree
+    a*b, hold it twice and beside outputs that read it; a prefix drawn from
+    the same pool adds more repeats, and single readers that are inlined."""
+    a, b, c = draw(expressions()), draw(expressions()), draw(expressions())
+    # built directly, since mul() and neg() would flatten and fold them
+    ab = ex._node(ex.PROD, children=(a, b))
+    minus_ab = ex._node(ex.NEG, children=(ab,))
+    exponent = draw(st.sampled_from((-3, -1, 2, 3)))
+    pool = [a, b, c, ab, minus_ab,
+            ex._node(ex.SUM, children=(c, minus_ab)),
+            ex._node(ex.QUOT, children=(ab, c)),
+            ex._node(ex.POW, children=(minus_ab,), exponent=exponent),
+            ex._node(ex.PROD, children=(minus_ab, a))]
+    prefix = draw(st.lists(st.sampled_from(pool), max_size=6))
+    # b/c is read through one negation only, which two nodes read
+    minus_bc = ex._node(ex.NEG, children=(ex._node(ex.QUOT, children=(b, c)),))
+    return prefix + [ab, ex._node(ex.SUM, children=(ab, c)), ab,
+                     ex._node(ex.SUM, children=(a, minus_bc)),
+                     ex._node(ex.PROD, children=(minus_bc, c))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(output_lists(), st.integers(0, 2 ** 32 - 1))
+def test_compile_evaluator_is_bit_exact_property(exprs, pseed):
+    points = _points(random.Random(pseed), 4, 20)
+    _assert_bit_exact(exprs, 2, points + [[0.0, -0.0, -0.0, 0.0], [-0.0] * 4])

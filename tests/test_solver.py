@@ -243,6 +243,15 @@ def test_census_one_dimensional():
     assert census.states[0][0].x[0] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("box", [[(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (0.5, 0.5)],
+                                 [(0.0, 1.0), (-1.0, math.nan)]])
+def test_census_rejects_an_empty_state_interval(rd_field, box):
+    # as find_catastrophes does an empty seed interval; such a box once
+    # read 0 states in every cell
+    with pytest.raises(ValueError, match="empty state interval"):
+        count_steady_states(rd_field, (0.0, 0.0, 0.0, 0.0, 1.0, 1.0), box)
+
+
 def test_census_seed_order_invariance(rd_field):
     alpha = (0.1, -0.2, 0.3, 0.4, 1.0, 1.0)
     a = count_steady_states(rd_field, alpha, [(-2.0, 2.0)] * 2,
