@@ -657,7 +657,7 @@ def compile_evaluator(exprs, n_vars: int):
     inline in that reader, in parentheses, and a variable or parameter
     with one reader is read there from the vector: CPython evaluates
     operands left to right and an operator after both.  Shared nodes, and
-    outputs read elsewhere too, get a local.  A negation is no node: a sum
+    outputs read elsewhere too, get a local.  A negation gets none: a sum
     subtracts its child (IEEE defines x - y as x + (-y), signed zeros
     included), and any other reader negates inline, which is exact.  A
     node nested past _LINE_NESTING parentheses gets its own line, and a

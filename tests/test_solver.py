@@ -246,8 +246,8 @@ def test_census_one_dimensional():
 @pytest.mark.parametrize("box", [[(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (0.5, 0.5)],
                                  [(0.0, 1.0), (-1.0, math.nan)]])
 def test_census_rejects_an_empty_state_interval(rd_field, box):
-    # as find_catastrophes does an empty seed interval; such a box once
-    # read 0 states in every cell
+    # as find_catastrophes rejects an empty seed interval; the census would
+    # read 0 states in every cell of such a box
     with pytest.raises(ValueError, match="empty state interval"):
         count_steady_states(rd_field, (0.0, 0.0, 0.0, 0.0, 1.0, 1.0), box)
 
