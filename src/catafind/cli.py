@@ -350,6 +350,8 @@ def cmd_scan(args) -> int:
            else [(-3.0, 3.0)] * field.n)
     if len(box) != field.n:
         raise UsageError(f"--box-x needs {field.n} intervals")
+    if not all(lo < hi for lo, hi in box):  # before the header is written
+        raise UsageError(f"empty state interval in box {box}")
     opts = _solve_options(args)
     idx = [field.param_names.index(a) for a in axes]
     base_alpha = solver._resolve_fixed(field, fixed)

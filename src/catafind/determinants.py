@@ -3,23 +3,28 @@
 Builds, symbolically, the iterated Jacobian determinants in which a
 chosen component of the field is replaced level by level with the
 previous determinant, in one walk over the prefix trie of index strings.
-The extended (states + unfolding parameters) determinants, whose
-non-vanishing makes the conditions solvable with isolated roots, are
-only ever needed at a point: their rows are built symbolically, and
-evaluated rows are reduced on Python floats, row by row for determinants
-(_push) and with complete pivoting for ranks (numeric_rank), so no value
-depends on a BLAS build.  Gradient rows and B determinants are cached by
-expression and matrix, so index strings that share them build them once;
-Newton systems and Boardman stages read the same rows.  Point values
-come from one compiled function per codimension r, cached on the
-DeterminantSet: DeterminantSet.level(r, p) calls it once and returns a
-Level, which holds F, each B_{i,K} with i <= r and the gradient rows of
-all of them at p, and from those rows gives the B Hadamard scales,
-G_{r,K} and the Jacobian that the subrank test ranks; a find report's
-level (chain=True) holds only the chain B_{i,(1,...,1)} of them.  The
-set keeps no value of any point.  The package runs on one thread: the
-set's caches take no lock, nor does expr's intern table, so use one
-DeterminantSet per thread and build expressions on one thread only.
+B_1 is sym_det of the Jacobian DF; each deeper B_{i,K} is expanded
+along its replaced row k = K[-1] - 1 over the minors M_kj of DF, built
+once per DeterminantSet.  At k = 0 these are sym_det's own calls along
+row 0, so each chain B_{i,(1,...,1)} is the node that expanding its
+whole matrix gives.  The extended (states + unfolding parameters)
+determinants, whose non-vanishing makes the conditions solvable with
+isolated roots, are only ever needed at a point: their rows are built
+symbolically, and evaluated rows are reduced on Python floats, row by
+row for determinants (_push) and with complete pivoting for ranks
+(numeric_rank), so no value depends on a BLAS build.
+Gradient rows are cached by expression and B determinants by (i, K), so
+index strings that share a row build it once; Newton systems and
+Boardman stages read the same rows.  Point values come from one compiled
+function per codimension r, cached on the DeterminantSet:
+DeterminantSet.level(r, p) calls it once and returns a Level, which
+holds F, each B_{i,K} with i <= r and the gradient rows of all of them
+at p, and from those rows gives the B Hadamard scales, G_{r,K} and the
+Jacobian that the subrank test ranks; a find report's level (chain=True)
+holds only the chain B_{i,(1,...,1)} of them.  The set keeps no value of
+any point.  The package runs on one thread: the set's caches take no
+lock, nor does expr's intern table, so use one DeterminantSet per thread
+and build expressions on one thread only.
 """
 
 from __future__ import annotations
@@ -112,7 +117,8 @@ class DeterminantSet:
         self._fns: dict = {}
         self._diff_memo: dict = {}
         self._rows: dict = {}  # expression -> its gradient row so far
-        self._dets: dict = {}  # b_matrix -> its symbolic determinant
+        self._expanded: dict = {}  # (k, parent B) -> _expand's B
+        self._minors: dict = {}  # (k, j) -> minor M_kj of the Jacobian DF
         self._cols = (tuple(ex.var(j) for j in range(field.n))
                       + tuple(ex.par(j) for j in self.param_order))
 
@@ -142,33 +148,47 @@ class DeterminantSet:
 
     def build_B(self, i: int, K=()) -> Expression:
         """The level-i determinant B_{i,K} (i >= 1): the determinant of
-        b_matrix(i, K)."""
+        b_matrix(i, K).  B_1 is sym_det(DF); above, it is _expand's
+        expansion along the replaced row K[-1] - 1."""
         K = _check_index_string(self.field.n, i, K)
         got = self._b.get((i, K))
         if got is None:
-            got = self._b[i, K] = self._det(self.b_matrix(i, K))
+            got = self._b[i, K] = (sym_det(self.b_matrix(1)) if i == 1 else
+                                   self._expand(K[-1] - 1, self.build_B(i - 1, K[:-1])))
         return got
 
-    def _det(self, mat) -> Expression:
-        if mat not in self._dets:  # interned entries: equal matrices, equal det
-            self._dets[mat] = sym_det(mat)
-        return self._dets[mat]
+    def _expand(self, k: int, parent: Expression) -> Expression:
+        """The determinant of DF with row k replaced by parent's gradient
+        row g, expanded along that row: the sum of g_j (-1)^(k+j) M_kj over
+        the nonzero g_j, in sym_det's term order.  Memoized by (k, parent),
+        since many index strings share an equal parent."""
+        got = self._expanded.get((k, parent))
+        if got is None:
+            terms = []
+            for j, g in enumerate(self.row(parent, self.field.n)):
+                if g is ex.ZERO:
+                    continue
+                term = ex.mul(g, self._df_minor(k, j))
+                terms.append(term if (k + j) % 2 == 0 else ex.neg(term))
+            got = self._expanded[k, parent] = ex.add(*terms) if terms else ex.ZERO
+        return got
+
+    def _df_minor(self, k: int, j: int) -> Expression:
+        """M_kj: sym_det of DF without row k and column j, built once."""
+        got = self._minors.get((k, j))
+        if got is None:
+            rows = self.b_matrix(1)
+            got = self._minors[k, j] = sym_det(
+                [row[:j] + row[j + 1:] for row in rows[:k] + rows[k + 1:]])
+        return got
 
     def _nest(self, r: int) -> list:
-        """[B_{i,K} for i = 1..r, K in index_strings(n, i - 1)] from one walk
-        over the prefix trie, each child replacing component K[-1] with its
-        parent's determinant, in build_B's order and into its caches."""
-        n = self.field.n
-        base = tuple(self.row(c, n) for c in self.field.components)
-        level, nodes = {}, []
-        for i in range(1, r + 1):
-            level = ({(): self._det(base)} if i == 1 else
-                     {K + (k,): self._det(base[:k - 1] + (row,) + base[k:])
-                      for K, b in level.items() for row in [self.row(b, n)]
-                      for k in range(1, n + 1)})
-            self._b.update(((i, K), b) for K, b in level.items())
-            nodes += level.values()
-        return nodes
+        """[B_{i,K} for i = 1..r, K in index_strings(n, i - 1)]: one walk
+        over the prefix trie, in which build_B expands each node along its
+        replaced row from its parent, which the walk has just built, and
+        each distinct (row, parent) once."""
+        return [self.build_B(i, K) for i in range(1, r + 1)
+                for K in index_strings(self.field.n, i - 1)]
 
     # -- G determinants ----------------------------------------------------
 
@@ -192,7 +212,7 @@ class DeterminantSet:
         of rows, the gradient rows of the components and of every B_{i,K}
         over the states and the first min(r, unfolding count) parameters.
         Level 6 of primary:n=3,r=6 with lam and tau set has 367 rows of 9
-        entries and 356 distinct outputs; with chain, 244."""
+        entries and 254 distinct outputs; with chain, 178."""
         got = self._fns.get((r, chain))
         if got is None:
             n = self.field.n

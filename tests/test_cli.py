@@ -207,9 +207,12 @@ def test_non_finite_flag_values_are_usage_errors(capsys, argv):
     (SCAN_RD + ["--range=0:1,0:1", "--box-x=1:0,0:1"],
      "empty state interval in box [(1.0, 0.0), (0.0, 1.0)]"),
 ], ids=["find-box", "scan-box-x"])
-def test_empty_intervals_are_usage_errors(capsys, argv, message):
+def test_empty_intervals_are_usage_errors(capsys, tmp_path, argv, message):
     rc, out, err = run(capsys, argv)
-    assert rc == 2 and message in err and out.count("\n") <= 1  # no cell row
+    assert rc == 2 and message in err and out == ""  # not even a CSV header
+    path = tmp_path / "out"
+    rc, out, err = run(capsys, argv + ["--out", str(path)])
+    assert rc == 2 and message in err and out == "" and not path.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -407,8 +410,8 @@ def test_cold_find_compiles_the_newton_system_and_one_level(capsys, monkeypatch)
 
 def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
     """A find report reads only the chain B_{i,(1,...,1)}: the level it
-    compiles holds each chain value and no off-chain B_{i,K} value, 244
-    outputs where the level that check compiles has 356."""
+    compiles holds each chain value and no off-chain B_{i,K} value, 178
+    outputs where the level that check compiles has 254."""
     from catafind import determinants as det, expr, solver
     compiled = []
     compile_evaluator = expr.compile_evaluator
@@ -425,9 +428,9 @@ def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
     chain = {D.build_B(i, (1,) * (i - 1)) for i in range(1, 7)}
     off_chain = {D.build_B(i, K) for i in range(1, 7)
                  for K in det.index_strings(3, i - 1)} - chain
-    assert len(chain) == 6 and len(off_chain) == 112
-    assert chain <= level and not off_chain & level and len(level) == 244
-    assert len(D._level_fn(6)[1]) == 356
+    assert len(chain) == 6 and len(off_chain) == 76
+    assert chain <= level and not off_chain & level and len(level) == 178
+    assert len(D._level_fn(6)[1]) == 254
     p = expr.Point((0.3, -0.2, 0.0), (0.1,) + (0.0,) * 5)
     assert D.level(6, p, chain=True).b(3, (1, 1)) == D.level(6, p).b(3, (1, 1))
     with pytest.raises(IndexError, match="off the chain"):

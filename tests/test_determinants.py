@@ -216,13 +216,18 @@ def test_g_at_matches_symbolic_determinant_primary():
     assert_g_matches_sym_det(D, 3, points)
 
 
-@pytest.mark.parametrize("spec", [None, PrimaryFormSpec(3, 4, (1.3, -0.7), (0.9, -1.6))],
-                         ids=["rd", "primary-n3r4"])
-def test_trie_walk_returns_the_objects_of_build_B(monkeypatch, spec):
+@pytest.mark.parametrize("spec, minors", [
+    (None, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (PrimaryFormSpec(3, 4, (1.3, -0.7), (0.9, -1.6)), [(0, 0), (1, 0), (2, 0)]),
+], ids=["rd", "primary-n3r4"])
+def test_trie_walk_returns_the_objects_of_build_B(monkeypatch, spec, minors):
     """The nest of level 4, one walk over the prefix trie, holds the very
     object that build_B(i, K) returns for every (i, K), in index_strings
     order, also on a set whose build_B recursion built them; it takes one
-    sym_det per distinct b_matrix."""
+    sym_det for B_1 and one per minor M_kj of DF that a term reads (the
+    primary form's B do not depend on x2 and x3, so only column 0's), and
+    one expansion per distinct (replaced row, parent): 30 for the 39 nodes
+    above B_1 of the primary form."""
     field = make_reaction_diffusion() if spec is None else make_primary_form(spec)
     n, dets = field.n, []
     sym_det = det.sym_det
@@ -239,9 +244,52 @@ def test_trie_walk_returns_the_objects_of_build_B(monkeypatch, spec):
     assert len(nest) == len(keys)
     for b, (i, K) in zip(nest, keys):
         assert b is D.build_B(i, K) is E.build_B(i, K), (i, K)
-    mats = {D.b_matrix(i, K) for i, K in keys}
-    assert walked == len(mats) == len(D._dets)
-    assert all(D._dets[M] is sym_det(M) for M in mats)
+    assert walked == 1 + len(minors) and sorted(D._minors) == minors
+    assert len(D._expanded) == len({(K[-1], D.build_B(i - 1, K[:-1]))
+                                    for i, K in keys if i >= 2})
+    DF = D.b_matrix(1)
+    for (k, j), m in D._minors.items():
+        assert m is sym_det([row[:j] + row[j + 1:] for row in DF[:k] + DF[k + 1:]])
+
+
+def to_sympy(e, symbols, memo):
+    """e as a sympy expression with each constant as its exact rational."""
+    import sympy as sp
+    got = memo.get(e)
+    if got is None:
+        kids = [to_sympy(c, symbols, memo) for c in e.children]
+        got = memo[e] = {
+            ex.CONST: lambda: sp.Rational(e.value),
+            ex.VAR: lambda: symbols[0][e.index],
+            ex.PAR: lambda: symbols[1][e.index],
+            ex.SUM: lambda: sp.Add(*kids),
+            ex.PROD: lambda: sp.Mul(*kids),
+            ex.NEG: lambda: -kids[0],
+            ex.QUOT: lambda: kids[0] / kids[1],
+            ex.POW: lambda: kids[0] ** e.exponent,
+        }[e.kind]()
+    return got
+
+
+@pytest.mark.parametrize("spec", [None, PrimaryFormSpec(3, 4, (2.0, -3.0), (1.0, -2.0))],
+                         ids=["rd", "primary-n3r4"])
+def test_replaced_row_expansion_is_the_determinant_of_b_matrix(spec):
+    """Every B_{i,K} up to level 4, expanded along its replaced row over
+    DF's minors, equals sym_det(b_matrix(i, K)) as an exact polynomial
+    (integer lambda and tau, so every constant is exact in binary64); on
+    the chain B_{i,(1,...,1)} both are the same node."""
+    sp = pytest.importorskip("sympy")
+    field = make_reaction_diffusion() if spec is None else make_primary_form(spec)
+    D, n = det.DeterminantSet(field), field.n
+    symbols = (sp.symbols(f"x:{n}"), sp.symbols(f"a:{field.r}"))
+    memo = {}
+    for i in range(1, 5):
+        for K in det.index_strings(n, i - 1):
+            direct = det.sym_det(D.b_matrix(i, K))
+            if K == (1,) * (i - 1):
+                assert D.build_B(i, K) is direct, (i, K)
+            diff = to_sympy(D.build_B(i, K), symbols, memo) - to_sympy(direct, symbols, memo)
+            assert sp.expand(diff) == 0, (i, K)
 
 
 def test_one_level_serves_every_lower_read(rd_field):
@@ -359,7 +407,8 @@ def test_stacked_level_values_are_exact_primary():
 def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
         monkeypatch):
     """A cold fullness report at n=3, r=6 differentiates each (expression,
-    target) pair once and expands each distinct b_matrix once; a whole find
+    target) pair once and expands by sym_det only B_1 and each minor of DF
+    that a level determinant reads, once each; a whole find
     on the same field differentiates no more, since its Newton Jacobian is
     the report's canonical extended matrix."""
     from catafind import solver
@@ -380,13 +429,13 @@ def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
     D = det.DeterminantSet(field)
     rep = solver.build_report(D.level(6, ex.Point((0.0,) * 3, (0.0,) * 6)), 0.0)
     assert rep.full
-    assert len(matrices) == 184
-    assert len(pairs) == 1089 and len(set(pairs)) == 1089
+    assert len(matrices) == 4  # B_1 and the minors M_00, M_10, M_20 of DF
+    assert len(pairs) == 765 and len(set(pairs)) == 765
     pairs.clear()
     reps = solver.find_catastrophes(field, 6, [(-1.5, 1.5)] * 9,
                                     solver.SolveOptions(seed_count=64))
     assert [r.full for r in reps] == [True]
-    assert len(pairs) == 1089 and len(set(pairs)) == 1089
+    assert len(pairs) == 765 and len(set(pairs)) == 765
 
 
 # ---------------------------------------------------------------------------
