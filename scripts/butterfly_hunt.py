@@ -13,9 +13,14 @@ Usage:
 
 import argparse
 import itertools
+import sys
+from pathlib import Path
 
-from catafind import (RdReference, SolveOptions, find_catastrophes,
-                      make_reaction_diffusion)
+from catafind import SolveOptions, find_catastrophes, make_reaction_diffusion
+
+# the closed forms are a test oracle, kept next to the tests, not in the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from rd_reference import RdReference
 
 
 def hunt(field, k1, k2, seeds):

@@ -147,7 +147,10 @@ def _make_builtin(spec: str):
             k, sep, v = item.partition("=")
             if not sep:
                 raise UsageError(f"expected key=value in builtin spec, got {item!r}")
-            opts[k.strip()] = v
+            k = k.strip()
+            if k in opts:
+                raise UsageError(f"--builtin: duplicate key {k!r} in {spec!r}")
+            opts[k] = v
         try:
             n = int(opts.pop("n", "2"))
             r = int(opts.pop("r", "2"))
@@ -246,6 +249,9 @@ def _report_json(field: ex.VectorField, rep: solver.CatastropheReport) -> dict:
 def cmd_find(args) -> int:
     field, text = _load_field(args)
     unfold = _parse_unfold(field, args.unfold)
+    if unfold is not None and len(unfold) < args.codim:
+        raise UsageError(f"--unfold names {len(unfold)} parameter(s), "
+                         f"fewer than --codim {args.codim}")
     fixed = _parse_fix(field, args.fix)
     opts = _solve_options(args)
     n_unknowns = field.n + args.codim
@@ -500,8 +506,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-minors", parents=[out_p],
                        help="exact minor-counting recurrence")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--codim", type=int)
-    p.add_argument("--corank-seq", help="explicit corank sequence i1,i2,...")
+    codim = p.add_mutually_exclusive_group()
+    codim.add_argument("--codim", type=int)
+    codim.add_argument("--corank-seq", help="explicit corank sequence i1,i2,...")
     p.set_defaults(func=cmd_count_minors)
 
     p = sub.add_parser("boardman", parents=[field_p, tol_b_p, out_p],

@@ -14,11 +14,12 @@ import catafind.expr as ex
 import catafind.determinants as det
 from catafind.boardman import bg_condition_count, boardman_symbol, minor_count
 from catafind.cli import main as cli_main
-from catafind.scenarios import (PrimaryFormSpec, RD_KINDS, RdReference,
-                                make_primary_form, make_reaction_diffusion)
+from catafind.scenarios import (PrimaryFormSpec, make_primary_form,
+                                make_reaction_diffusion)
 from catafind.solver import (SolveOptions, count_steady_states,
                              find_catastrophes)
 
+from rd_reference import RD_KINDS, RdReference
 from test_boardman import TABLE_TOP
 from test_expr import random_expression
 from test_scenarios import g_closed_form, poly_derivative, random_rd_point

@@ -10,9 +10,10 @@ import catafind.expr as ex
 import catafind.determinants as det
 from catafind.boardman import (CapExceededError, bg_condition_count,
                                boardman_symbol, minor_count)
-from catafind.scenarios import (PrimaryFormSpec, RdReference,
-                                make_primary_form, make_reaction_diffusion,
-                                rd_catastrophe_point)
+from catafind.scenarios import (PrimaryFormSpec, make_primary_form,
+                                make_reaction_diffusion)
+
+from rd_reference import RdReference, rd_catastrophe_point
 
 
 TABLE_TOP = {

@@ -87,6 +87,13 @@ def test_count_minors_requires_some_codim(capsys):
     assert rc == 2 and "corank" in err
 
 
+def test_count_minors_takes_codim_or_corank_seq_not_both(capsys):
+    rc, out, err = run(capsys, ["count-minors", "--dim", "3", "--codim", "5",
+                                "--corank-seq", "1,1"])
+    assert rc == 2 and out == ""
+    assert "--corank-seq: not allowed with argument --codim" in err
+
+
 # ---------------------------------------------------------------------------
 # find
 
@@ -253,6 +260,18 @@ def test_find_codim_exceeds_parameters(capsys):
     assert rc == 2 and err
 
 
+def test_find_unfold_shorter_than_codim_is_a_usage_error_before_building(
+        capsys, monkeypatch):
+    from catafind import solver
+    built = []
+    monkeypatch.setattr(solver, "_system", lambda *args: built.append(args))
+    rc, out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "2",
+                                "--unfold", "b", "--fix", "k1=1,k2=1"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --unfold names 1 parameter(s), fewer than --codim 2\n"
+    assert built == []
+
+
 def test_find_box_arity_checked(capsys):
     rc, _out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "1",
                                  "--box=-1:1"])
@@ -289,6 +308,15 @@ def test_builtin_primary_bad_constant_is_a_usage_error(capsys, spec, message):
                                 "--codim", "2", "--seeds", "4"])
     assert rc == 2 and out == ""
     assert err == f"error: lambda and tau values must all be {message}\n"
+
+
+def test_builtin_primary_repeated_key_is_a_usage_error(capsys):
+    # --fix and --at reject a repeated name too; the last value does not win
+    rc, out, err = run(capsys, ["find", "--builtin", "primary:n=2,r=2,tau=1,tau=2",
+                                "--codim", "1", "--seeds", "4"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: --builtin: duplicate key 'tau' in "
+                   "'primary:n=2,r=2,tau=1,tau=2'\n")
 
 
 def test_bad_builtin(capsys):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import catafind.expr as ex
 import catafind.determinants as det
-from catafind.scenarios import (PrimaryFormSpec, RdReference,
-                                make_primary_form, make_reaction_diffusion,
-                                rd_catastrophe_point)
+from catafind.scenarios import (PrimaryFormSpec, make_primary_form,
+                                make_reaction_diffusion)
+
+from rd_reference import RdReference, rd_catastrophe_point
 
 
 def rd_point(rng, span=2.0):

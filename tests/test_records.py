@@ -17,10 +17,12 @@ import catafind
 from catafind.boardman import MinorCount, minor_count
 from catafind.determinants import DeterminantSet, Level
 from catafind.expr import Point, VectorField
-from catafind.scenarios import (PrimaryFormSpec, RdReference, make_primary_form,
+from catafind.scenarios import (PrimaryFormSpec, make_primary_form,
                                 make_reaction_diffusion)
 from catafind.solver import (CatastropheReport, NewtonResult, SolveOptions,
                              SteadyStateCensus)
+
+from rd_reference import RdReference
 
 E = inspect.Parameter.empty
 

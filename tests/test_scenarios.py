@@ -7,9 +7,9 @@ import pytest
 
 import catafind.expr as ex
 import catafind.determinants as det
-from catafind.scenarios import (DomainError, PrimaryFormSpec, RD_KINDS,
-                                RdReference, make_primary_form,
-                                rd_catastrophe_point)
+from catafind.scenarios import DomainError, PrimaryFormSpec, make_primary_form
+
+from rd_reference import RD_KINDS, RdReference, rd_catastrophe_point
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,30 @@ import catafind
 from catafind import boardman as bo
 from catafind import determinants as det
 from catafind import expr as ex
+from catafind import scenarios as sc
+from catafind import solver as so
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# what the CLI, README, scripts/ and bench/ reach at the top level
+PUBLIC = ("__version__", "parse_vector_field", "VectorField", "Point",
+          "make_reaction_diffusion", "make_primary_form", "PrimaryFormSpec",
+          "DeterminantSet", "SolveOptions", "find_catastrophes",
+          "count_steady_states", "boardman_symbol", "minor_count",
+          "bg_condition_count")
+
+# names dropped from the top level, each still public in its module
+MODULE_ONLY = {
+    ex: ("EvaluationError", "ExprError", "Expression", "ParseError",
+         "compile_evaluator", "differentiate", "evaluate",
+         "format_vector_field", "to_str"),
+    det: ("DEFAULT_TOL_B", "DEFAULT_TOL_G", "hadamard_bound", "index_strings",
+          "is_nonzero", "is_zero", "numeric_rank", "sym_det"),
+    sc: ("DomainError",),
+    so: ("CatastropheReport", "NewtonResult", "SteadyStateCensus", "classify",
+         "stability_label"),
+    bo: ("CapExceededError", "MinorCount", "ToleranceError"),
+}
 
 
 def run_script(name, *args):
@@ -60,6 +82,21 @@ def test_public_names_resolve():
         assert hasattr(catafind, name), name
 
 
+def test_public_names_are_what_the_package_reaches():
+    assert sorted(catafind.__all__) == sorted(PUBLIC)
+    for module, names in MODULE_ONLY.items():
+        for name in names:
+            assert hasattr(module, name), (module.__name__, name)
+            assert not hasattr(catafind, name), name
+
+
+def test_readme_library_section_names_every_public_name():
+    text = (ROOT / "README.md").read_text("utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    for name in catafind.__all__:
+        assert f"`{name}`" in section, name
+
+
 def test_removed_names_are_gone():
     # DeterminantSet(f).b_matrix(1) and DeterminantSet(f).level(r, p).subrank(tol)
     # replace the module functions; condition_count had no caller
@@ -82,6 +119,12 @@ def test_removed_names_are_gone():
         assert not hasattr(catafind, name)
         assert not hasattr(owner, name)
     assert not hasattr(catafind.DeterminantSet, "g_matrix")
+    # the closed-form rd parameterizations only grade the solver, so they
+    # live with the tests (tests/rd_reference.py), not in the package
+    for name in ("RdReference", "rd_catastrophe_point", "RD_KINDS"):
+        assert name not in catafind.__all__
+        assert not hasattr(catafind, name)
+        assert not hasattr(sc, name)
     fields = list(inspect.signature(catafind.SolveOptions).parameters)
     assert fields == ["seed_count", "dedup_radius", "tol_b", "tol_g"]
     # the Newton solve owns F's max-norm; the compiled function returns values

@@ -16,11 +16,12 @@ import catafind.determinants as det
 import catafind.homotopy as homotopy
 import catafind.solver as solver
 from catafind.boardman import boardman_symbol
-from catafind.scenarios import (PrimaryFormSpec, RdReference,
-                                make_primary_form)
+from catafind.scenarios import PrimaryFormSpec, make_primary_form
 from catafind.solver import (NewtonSystem, SolveOptions, classify,
                              count_steady_states, find_catastrophes, halton,
                              stability_label)
+
+from rd_reference import RdReference
 
 
 try:  # a test dependency only; the package imports no numpy
