@@ -182,7 +182,7 @@ def _load_field(args):
     raise UsageError("a field file or --builtin is required")
 
 
-def _parse_unfold(field: ex.VectorField, text: str | None):
+def _parse_unfold(field: ex.VectorField, text: str | None, codim: int):
     if not text:
         return None
     order = []
@@ -191,6 +191,8 @@ def _parse_unfold(field: ex.VectorField, text: str | None):
         if name not in field.param_names:
             raise UsageError(f"--unfold: {name!r} is not a declared parameter")
         order.append(field.param_names.index(name))
+    if len(order) < codim:
+        raise UsageError(f"--unfold names {len(order)} parameter(s), fewer than --codim {codim}")
     return tuple(order)
 
 
@@ -248,10 +250,7 @@ def _report_json(field: ex.VectorField, rep: solver.CatastropheReport) -> dict:
 
 def cmd_find(args) -> int:
     field, text = _load_field(args)
-    unfold = _parse_unfold(field, args.unfold)
-    if unfold is not None and len(unfold) < args.codim:
-        raise UsageError(f"--unfold names {len(unfold)} parameter(s), "
-                         f"fewer than --codim {args.codim}")
+    unfold = _parse_unfold(field, args.unfold, args.codim)
     fixed = _parse_fix(field, args.fix)
     opts = _solve_options(args)
     n_unknowns = field.n + args.codim
@@ -292,7 +291,7 @@ def cmd_check(args) -> int:
     field, text = _load_field(args)
     p = _parse_point(field, args.at)
     r = args.codim
-    unfold = _parse_unfold(field, args.unfold)
+    unfold = _parse_unfold(field, args.unfold, r)
     D = solver._system(field, unfold)[0]
     # one level serves the report, every B and F (printed, not a residual);
     # r above the unfolding parameters fails before any of it is built

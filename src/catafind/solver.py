@@ -35,7 +35,7 @@ LABELS = {1: "fold", 2: "cusp", 3: "swallowtail", 4: "butterfly"}
 _MAX_ITERATIONS = 100  # Newton iterations per seed
 _RESIDUAL_TOL = 1e-12  # scaled by (1 + max-norm of the unknowns)
 _DAMPING = 0.5  # line-search step factor
-_MIN_STEP = 1e-12  # smallest line-search step before step-underflow
+_MIN_STEP = 2.0 ** -8  # smallest line-search step: at most 9 trials, t = 1 .. 2^-8
 _HALTON_SKIP = 20  # leading Halton points left out
 _EPS = 2.0 ** -52  # a subdiagonal entry's split threshold, relative
 _QR_STEPS = 30  # QR steps per split before ArithmeticError
@@ -242,10 +242,11 @@ def _newton_solve(slots: tuple, width: int):
     as straight-line code on locals: F+J unpacked once into f{i} and
     ea{i}_{j}, and the step x{k} for slots[k] from _elimination's lines
     inline.  Max-norms keep max()'s first maximum (_first_max); F and the
-    step are finite when each component compares below inf; a line-search
-    trial [v0 + t*x0, ..., vj] (v0 + x0 at t = 1: exact, as x0 is finite)
-    is accepted when each abs(f_i) of its F is below the max-norm, which
-    rejects NaN and inf.  The locals f_i hold F at the last point
+    step are finite when each component compares below inf.  The line
+    search tries [v0 + t*x0, ..., vj] at t = 1, 1/2, ..., _MIN_STEP, at most
+    nine trials (v0 + x0 at t = 1: exact, as x0 is finite), and accepts the
+    first whose every abs(f_i) is below the max-norm, which rejects NaN and
+    inf; with none, step-underflow.  The locals f_i hold F at the last point
     evaluated, so the max-norm after the last iteration needs no call."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)

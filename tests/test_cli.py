@@ -165,6 +165,19 @@ def test_find_infinite_constant_is_an_empty_result(capsys, tmp_path):
     assert "warning" in err
 
 
+@pytest.mark.parametrize("codim", [1, 2])
+def test_find_on_a_field_whose_zero_set_is_a_curve(capsys, tmp_path, codim):
+    # both equations vanish on the circle x^2 + y^2 = 1 - a*b: no isolated
+    # root, so every seed ends short of converging
+    path = tmp_path / "curve.field"
+    path.write_text("vars: x y\nparams: a b\neq: x^2 + y^2 - 1 + a*b\n"
+                    "eq: 2*x^2 + 2*y^2 - 2 + a*b\n")
+    rc, out, err = run(capsys, ["find", str(path), "--codim", str(codim)])
+    assert rc == 0
+    assert json.loads(out)["reports"] == []
+    assert err == "warning: no catastrophe points converged in the given box\n"
+
+
 OVERFLOW_FIELD = "vars: x\nparams: a\neq: x^7 + a*x^9 + 1/(x - 3)\n"
 
 
@@ -270,6 +283,13 @@ def test_find_unfold_shorter_than_codim_is_a_usage_error_before_building(
     assert (rc, out) == (2, "")
     assert err == "error: --unfold names 1 parameter(s), fewer than --codim 2\n"
     assert built == []
+
+
+def test_check_unfold_shorter_than_codim_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, ["check", "--builtin", "rd", "--codim", "2",
+                                "--unfold", "b", "--at", "k1=1"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --unfold names 1 parameter(s), fewer than --codim 2\n"
 
 
 def test_find_box_arity_checked(capsys):

@@ -32,6 +32,16 @@ needs_numpy = pytest.mark.skipif(np is None, reason="numpy is not installed")
 
 RD_BOX_UNIT = [(-1.2, 1.2)] * 4 + [(0.0, 1.2)] * 2
 
+# three cubic states and six parameters, every monomial up to degree 3
+# present: many seeds end far from any root
+DENSE_FIELD = """\
+vars: x y z
+params: a1 a2 a3 a4 a5 a6
+eq: a1 + a4*y + x + 0.3*y^2 - 0.7*x*z + x^3 - 0.2*y*z^2
+eq: a2 + a5*z + 1.1*y - 0.4*x^2 + 0.5*y*z + y^3 + 0.6*x*y*z
+eq: a3 + a6*x - 0.9*z + 0.8*x*y - 0.3*z^2 + z^3 - 0.5*x^2*y
+"""
+
 
 def test_classify():
     assert classify(1) == "fold"
@@ -733,10 +743,29 @@ def _census_cell(rd_field):
 def test_readme_box_newton_counters(rd_field, monkeypatch):
     counters = _NewtonCounters(monkeypatch)
     _readme_box_find(rd_field)
-    assert counters.statuses == {"converged": 255, "step-underflow": 1}
-    assert counters.iterations == 2037
-    assert counters.fj == 2293
-    assert counters.residual == 2692
+    assert counters.statuses == {"converged": 254, "step-underflow": 2}
+    assert counters.iterations == 2001
+    assert counters.fj == 2257
+    assert counters.residual == 2293
+
+
+def test_line_search_is_bounded_on_a_dense_field(monkeypatch):
+    """At most _line_search_trials() residual calls per F+J call, and the
+    dense field's two full swallowtails are still found."""
+    field = ex.parse_vector_field(DENSE_FIELD)
+    counters = _NewtonCounters(monkeypatch)
+    reports = find_catastrophes(field, 3, [(-1.5, 1.5)] * 6, SolveOptions(seed_count=64))
+    assert _line_search_trials() == 9
+    assert counters.residual <= 9 * counters.fj
+    assert counters.statuses["step-underflow"] > 0
+    full = [(rep.point.x, rep.point.alpha[:3]) for rep in reports if rep.full]
+    assert full == [
+        (pytest.approx((-1.9536524003744844, 0.09419416362684509, 1.1141597637203982)),
+         pytest.approx((7.907317477930161, 1.492798467466468, 0.31906122618147154))),
+        (pytest.approx((1.8662028896638327, -0.10349429189383619, -0.561663081728542)),
+         pytest.approx((-9.109119555587998, 1.4138848658580268, -0.25937926212871926)))]
+    assert all(rep.label == "swallowtail" and rep.subrank_ok
+               for rep in reports if rep.full)
 
 
 def test_census_cell_newton_counters(rd_field, monkeypatch):
@@ -842,6 +871,15 @@ def _reference_solve(system, start_vals):
     return solver.NewtonResult(status, as_point(vals), res, solver._MAX_ITERATIONS)
 
 
+def _line_search_trials() -> int:
+    """The most trials one iteration's line search makes: t = 1, then
+    times _DAMPING while t >= _MIN_STEP."""
+    t, trials = 1.0, 0
+    while t >= solver._MIN_STEP:
+        t, trials = t * solver._DAMPING, trials + 1
+    return trials
+
+
 def _outcome(result):
     """A result as status, iterations and the float.hex of the residual and
     of every point coordinate."""
@@ -906,7 +944,7 @@ class _TwinSolves:
 def test_line_search_matches_plain_loop_on_rd_seeds(rd_field, monkeypatch):
     twins = _TwinSolves(monkeypatch)
     _readme_box_find(rd_field)
-    assert twins.statuses == {"converged": 255, "step-underflow": 1}
+    assert twins.statuses == {"converged": 254, "step-underflow": 2}
     assert _census_cell(rd_field).count == 3  # the refinement's solves
     # 64 state seeds in (-3, 3)^2 per cell of a 5x5 (b, d) grid on the
     # cubic slice, with its degenerate b = d = 0 cell
@@ -946,18 +984,19 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
     result = system.solve([1e200])
     assert (result.status, result.iterations) == ("evaluation-error", 0)
     assert twins.calls["OverflowError"] == 2  # once per twin
-    # J = 3e-220 gives a step near 3e219, whose cube overflows down to
-    # t = 2^-39: all 40 trials raise, so the step underflows
+    # J = 3e-220 gives a step near 3e219, whose cube overflows at every t
+    # down to _MIN_STEP: all the trials raise, so the step underflows
     result = system.solve([1e-110])
     assert (result.status, result.iterations, result.residual) == (
         "step-underflow", 0, 1.0)
-    assert twins.calls["OverflowError"] == 2 + 2 * 40
+    assert twins.calls["OverflowError"] == 2 + 2 * _line_search_trials()
     # from x = 1e-3 the full step lands on x = -500, where 1e307*(x^2 + 1)
     # overflows: a trial whose F is NaN, +inf or -inf in one component only,
-    # the first or the last, is rejected (Python's max drops a last NaN)
+    # the first or the last, is rejected (Python's max drops a last NaN);
+    # without the NaN, every trial down to _MIN_STEP overflows to inf
     for bad, outcome in (("y + 1e307*(x^2 + 1) - 1e307*x^2", ("converged", 2)),
-                         ("y + 1e307*(x^2 + 1)", ("step-underflow", 10)),
-                         ("y - 1e307*(x^2 + 1)", ("step-underflow", 10))):
+                         ("y + 1e307*(x^2 + 1)", ("step-underflow", 0)),
+                         ("y - 1e307*(x^2 + 1)", ("step-underflow", 0))):
         for eqs, pos in (([bad, "x^2 + 1"], 0), (["x^2 + 1", bad], 1)):
             f = ex.parse_vector_field(
                 "vars: x y\nparams:\n" + "".join(f"eq: {e}\n" for e in eqs))
@@ -966,16 +1005,18 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
                 [1e-3, 0.0])
             assert (result.status, result.iterations) == outcome
             assert twins.non_finite == {pos}
-    # rd's codim-4 system wanders for all 100 iterations from this start:
-    # 1,025 trials, and the max-norm after the loop is the last accepted
-    # trial's, with no residual call of its own
-    _D, system = solver._system(rd_field, r=4)
+    # a dense field's codim-4 system wanders for all 100 iterations from
+    # this start: 368 trials, and the max-norm after the loop is the last
+    # accepted trial's, with no residual call of its own (its last bits
+    # follow the term order, which the process's earlier fields set)
+    f = ex.parse_vector_field(DENSE_FIELD)
+    _D, system = solver._system(f, r=4)
     before = twins.calls["residual"]
-    result = system.solve([0.3, -0.2, 0.1, 0.2, -1.0, -1.0, 1.0, 1.0])
+    result = system.solve([0.47, -0.94, -0.42, -1.32, 1.25, 0.36, -0.78, 0.0, 0.0])
     assert (result.status, result.iterations, result.residual) == (
-        "max-iterations", 100, 12.424064370273006)
+        "max-iterations", 100, pytest.approx(1.399007523749e-4, rel=1e-9))
     assert twins.statuses["max-iterations"] == 1
-    assert twins.calls["residual"] - before == 2 * 1025  # once per twin
+    assert twins.calls["residual"] - before == 2 * 368  # once per twin
 
 
 def test_residual_and_jacobian_is_one_flat_tuple_led_by_the_residual(rd_field):
