@@ -7,24 +7,19 @@ B_1 is sym_det of the Jacobian DF; each deeper B_{i,K} is expanded
 along its replaced row k = K[-1] - 1 over the minors M_kj of DF, built
 once per DeterminantSet.  At k = 0 these are sym_det's own calls along
 row 0, so each chain B_{i,(1,...,1)} is the node that expanding its
-whole matrix gives.  The extended (states + unfolding parameters)
-determinants, whose non-vanishing makes the conditions solvable with
-isolated roots, are only ever needed at a point: their rows are built
-symbolically, and evaluated rows are reduced on Python floats, row by
-row for determinants (_push) and with complete pivoting for ranks
-(numeric_rank), so no value depends on a BLAS build.
-Gradient rows are cached by expression and B determinants by (i, K), so
-index strings that share a row build it once; Newton systems and
-Boardman stages read the same rows.  Point values come from one compiled
-function per codimension r, cached on the DeterminantSet:
-DeterminantSet.level(r, p) calls it once and returns a Level, which
-holds F, each B_{i,K} with i <= r and the gradient rows of all of them
-at p, and from those rows gives the B Hadamard scales, G_{r,K} and the
-Jacobian that the subrank test ranks; a find report's level (chain=True)
-holds only the chain B_{i,(1,...,1)} of them.  The set keeps no value of
-any point.  The package runs on one thread: the set's caches take no
-lock, nor does expr's intern table, so use one DeterminantSet per thread
-and build expressions on one thread only.
+whole matrix gives.  Gradient rows are cached by expression and B by
+(i, K); Newton systems and Boardman stages read the same rows.
+Point values come from one compiled function per codimension r, cached
+on the set: DeterminantSet.level(r, p) calls it on floats for F, each
+B_{i,K} with i <= r and the state columns of B scales and the subrank,
+then once per unknown by complex step for the rows of the extended
+(states + unfolding parameters) determinants G_{r,K}, whose non-vanishing
+makes the conditions solvable with isolated roots; no symbolic row of G
+is built.  Rows are reduced on Python floats, row by row for determinants
+(_push) and with complete pivoting for ranks (numeric_rank), so no value
+depends on a BLAS build, and the set keeps no value of any point.  The
+caches take no lock, nor does expr's intern table: use one
+DeterminantSet per thread and build expressions on one thread only.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from .expr import Expression, Frozen, Point, VectorField
 
 DEFAULT_TOL_B = 1e-8
 DEFAULT_TOL_G = 1e-6
+_STEP = 2.0 ** -600  # the complex step h of a level's G rows: h * h underflows to 0
 
 
 def sym_det(M) -> Expression:
@@ -47,9 +43,8 @@ def sym_det(M) -> Expression:
     """
     M = [tuple(row) for row in M]
     size = len(M)
-    for row in M:
-        if len(row) != size:
-            raise ex.ExprError("sym_det needs a square matrix")
+    if any(len(row) != size for row in M):
+        raise ex.ExprError("sym_det needs a square matrix")
     if size == 0:
         return ex.ONE
     return _minor(M, {}, 0, tuple(range(size)))
@@ -100,7 +95,7 @@ class DeterminantSet:
 
     param_order selects which declared parameters act as the unfolding
     parameters (in order); by default the first r declared parameters.
-    The caches take no lock; produced expressions are immutable.
+    Produced expressions are immutable.
     """
 
     def __init__(self, field: VectorField, param_order=None):
@@ -197,62 +192,71 @@ class DeterminantSet:
         unfolding parameters."""
         K = _check_index_string(self.field.n, r, K)
         if r > len(self.param_order):
-            raise IndexError(
-                f"codimension {r} exceeds the {len(self.param_order)} "
-                "available unfolding parameters")
+            raise IndexError(f"codimension {r} exceeds the {len(self.param_order)} "
+                             "available unfolding parameters")
         return K
 
     # -- numeric evaluation with scale-aware thresholds ---------------------
 
-    def _level_fn(self, r: int, chain: bool = False):
-        """(fn, exprs, rows): the one compiled function of codimension
-        r >= 0, whose outputs are the values of exprs, each distinct entry
-        once: the components, then B_{i,K} for i = 1..r in index_strings
-        order (with chain, only the chain B_{i,(1,...,1)}), then the entries
-        of rows, the gradient rows of the components and of every B_{i,K}
-        over the states and the first min(r, unfolding count) parameters.
-        Level 6 of primary:n=3,r=6 with lam and tau set has 367 rows of 9
-        entries and 254 distinct outputs; with chain, 178."""
-        got = self._fns.get((r, chain))
+    def _level_fn(self, r: int):
+        """(fn, step, exprs, at): the compiled function of codimension r >= 0,
+        fn for complex inputs, the expressions fn outputs, each once (the
+        components, B_{i,K} for i = 1..r, and the state columns of the
+        components and of each B below level r, which b_matrix and subrank
+        read), and the output of each of G's rows, in index_strings order."""
+        got = self._fns.get(r)
         if got is None:
             n = self.field.n
-            width = n + min(r, len(self.param_order))
-            comps, nest = list(self.field.components), self._nest(r)
-            rows = [self.row(e, width) for e in comps + nest]
-            if chain:
-                nest = [self._b[i, (1,) * (i - 1)] for i in range(1, r + 1)]
-            exprs = list(dict.fromkeys(comps + nest + [e for row in rows for e in row]))
-            got = self._fns[r, chain] = (ex.compile_evaluator(exprs, n), exprs, rows)
+            nodes = list(self.field.components) + self._nest(r)  # level r's n^(r-1) last
+            rows = [self.row(e, n) for e in nodes[:len(nodes) - (r and n ** (r - 1))]]
+            exprs = list(dict.fromkeys(nodes + [e for row in rows for e in row]))
+            fn, at = ex.compile_evaluator(exprs, n), {e: k for k, e in enumerate(exprs)}
+            got = self._fns[r] = (fn, ex.rebind(fn, pow=_power), exprs, [at[e] for e in nodes])
         return got
 
     def level(self, r: int, p: Point, chain: bool = False) -> Level:
-        """The values of codimension r >= 0 at p (with chain, only the chain
-        B values, all that a find report reads), from one call of its
-        compiled function; G_{r,K} is eliminated over the level's rows when
-        1 <= r <= the unfolding parameter count."""
+        """The values of codimension r >= 0 at p (with chain, reading only
+        the chain B, all that a find report reads), from one call of its
+        compiled function.  For 1 <= r <= the unfolding parameter count, a
+        call per unknown x_j at x_j + i*h gives G's rows as Im/h (the complex
+        step: Squire & Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM
+        TOMS 2003): as h * h underflows, Im is h times the forward derivative
+        of fn's float operations, exact to rounding above about 1e-127."""
         if r < 0:
             raise IndexError(f"codimension {r} is below 0")
-        fn, exprs, rows = self._level_fn(r, chain)
-        value = dict(zip(exprs, map(float, fn(p.vals()))))
-        g = (_trie_dets([[value[e] for e in row] for row in rows], self.field.n, r)
-             if 1 <= r <= len(self.param_order) else None)
-        return Level(r, p, self, value, g)
+        fn, step, exprs, at = self._level_fn(r)
+        vals = p.vals()
+        value = dict(zip(exprs, map(float, fn(vals))))
+        g, n = None, self.field.n
+        if 1 <= r <= len(self.param_order):
+            cols = [step(vals[:j] + (complex(vals[j], _STEP),) + vals[j + 1:])
+                    for j in (*range(n), *(n + k for k in self.param_order[:r]))]
+            g = _trie_dets([[col[k].imag / _STEP for col in cols] for k in at], n, r)
+        return Level(r, p, self, value, g, chain)
+
+
+def _power(z, k: int):
+    """z ** k, as x ** k + i*k*x ** (k - 1)*b on a step x + i*b: above |k| =
+    100 CPython's complex ** goes through log and exp, which loses b."""
+    return complex(z.real ** k, k * z.real ** (k - 1) * z.imag) if type(z) is complex else z ** k
 
 
 class Level(Frozen):
     """The values of codimension r at the point p, from one call of the
-    level's compiled function: every read below comes from them, so a point
-    holding -0.0 reads its own signed zeros.  Equal only to itself."""
+    level's compiled function: every read below but g comes from them, so a
+    point holding -0.0 reads its own signed zeros.  Equal only to itself."""
 
-    __slots__ = ("r", "p", "_set", "_value", "_g")
+    __slots__ = ("r", "p", "_set", "_value", "_g", "_chain")
     __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
-    def __init__(self, r: int, p: Point, _set: DeterminantSet, _value: dict, _g: dict | None):
+    def __init__(self, r: int, p: Point, _set: DeterminantSet, _value: dict,
+                 _g: dict | None, _chain: bool):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_set", _set)
         object.__setattr__(self, "_value", _value)  # expression -> its float at p
         object.__setattr__(self, "_g", _g)  # K -> G_{r,K}'s (value, scale); None off 1..count
+        object.__setattr__(self, "_chain", _chain)  # b reads only the chain B
 
     def field(self) -> tuple:
         """Values of the field components at p."""
@@ -264,14 +268,14 @@ class Level(Frozen):
         K = _check_index_string(self._set.field.n, i, K)
         if i > self.r:
             raise IndexError(f"level {i} is above the codimension {self.r}")
-        if (value := self._value.get(self._set.build_B(i, K))) is None:
+        if self._chain and K != (1,) * (i - 1):
             raise IndexError(f"B_{i},{K} is off the chain that this level holds")
         M = [[self._value[e] for e in row] for row in self._set.b_matrix(i, K)]
-        return value, hadamard_bound(M)
+        return self._value[self._set.build_B(i, K)], hadamard_bound(M)
 
     def g(self, K=()):
         """(value, Hadamard scale) of G_{r,K} at p; the value is the
-        elimination (_push) of the evaluated extended matrix, row by row."""
+        elimination (_push) of the complex-step extended matrix, row by row."""
         return self._g[self._set._g_index(self.r, K)]
 
     def subrank(self, tol: float = DEFAULT_TOL_B) -> int:

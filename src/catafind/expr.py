@@ -527,9 +527,7 @@ def parse_vector_field(text: str, name: str = "field") -> VectorField:
     `#` starts a comment; one `vars:` line and one `params:` line precede
     the `eq:` lines (one per component, in order).
     """
-    var_names = None
-    param_names = None
-    eqs = []
+    decls: dict = {}  # "vars" and "params" -> their names
     eq_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         hash_pos = raw.find("#")
@@ -537,27 +535,22 @@ def parse_vector_field(text: str, name: str = "field") -> VectorField:
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("vars:"):
-            if var_names is not None:
-                raise ParseError("duplicate 'vars:' line", lineno, 1)
+        key, colon, rest = stripped.partition(":")
+        if colon and key in ("vars", "params"):
+            if key in decls:
+                raise ParseError(f"duplicate '{key}:' line", lineno, 1)
             if eq_lines:
-                raise ParseError("'vars:' must precede all 'eq:' lines", lineno, 1)
-            var_names = stripped[len("vars:"):].split()
-        elif stripped.startswith("params:"):
-            if param_names is not None:
-                raise ParseError("duplicate 'params:' line", lineno, 1)
-            if eq_lines:
-                raise ParseError("'params:' must precede all 'eq:' lines", lineno, 1)
-            param_names = stripped[len("params:"):].split()
+                raise ParseError(f"'{key}:' must precede all 'eq:' lines", lineno, 1)
+            decls[key] = rest.split()
         elif stripped.startswith("eq:"):
             body_start = line.index("eq:") + len("eq:")
             eq_lines.append((lineno, body_start, line[body_start:]))
         else:
             raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, 1)
-    if var_names is None:
-        raise ParseError("missing 'vars:' line", 1, 1)
-    if param_names is None:
-        raise ParseError("missing 'params:' line", 1, 1)
+    for key in ("vars", "params"):
+        if key not in decls:
+            raise ParseError(f"missing '{key}:' line", 1, 1)
+    var_names, param_names = decls["vars"], decls["params"]
     if not eq_lines:
         raise ParseError("no 'eq:' lines (component count is zero)", 1, 1)
 
@@ -571,8 +564,7 @@ def parse_vector_field(text: str, name: str = "field") -> VectorField:
 
     env = {nm: var(i) for i, nm in enumerate(var_names)}
     env.update({nm: par(i) for i, nm in enumerate(param_names)})
-    for lineno, col_offset, body in eq_lines:
-        eqs.append(parse_expression(body, env, lineno, col_offset))
+    eqs = [parse_expression(body, env, lineno, col) for lineno, col, body in eq_lines]
     if len(eqs) != len(var_names):
         raise ParseError(
             f"{len(var_names)} variables but {len(eqs)} 'eq:' lines", 1, 1)
@@ -662,8 +654,9 @@ def compile_evaluator(exprs, n_vars: int):
     included), and any other reader negates inline, which is exact.  A
     node nested past _LINE_NESTING parentheses gets its own line, and a
     chain continues on further lines every _LINE_OPERANDS operands.
-    Constants are bound by name, so inf and nan compile and one source can
-    run on other number types.  A variable index at or above n_vars raises
+    Constants are bound by name, and a power of exponent above 100 is the
+    builtin pow's, so inf and nan compile and one source runs on other
+    number types (rebind).  A variable index at or above n_vars raises
     ExprError here, division by zero ZeroDivisionError when it runs."""
     readers: dict = {}
     for node in _postorder(exprs, readers):
@@ -714,7 +707,8 @@ def compile_evaluator(exprs, n_vars: int):
         elif k == QUOT:
             rhs = f"{names[cs[0]]}/{names[cs[1]]}"
         elif k == POW:
-            rhs = f"({names[cs[0]]})**{node.exponent}"
+            rhs = (f"({names[cs[0]]})**{node.exponent}" if abs(node.exponent) <= 100
+                   else f"pow({names[cs[0]]}, {node.exponent})")
             d += 1
         else:  # pragma: no cover
             raise ExprError(f"unknown node kind {k!r}")
@@ -727,3 +721,8 @@ def compile_evaluator(exprs, n_vars: int):
     src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return {outs}\n"
     exec(src, consts)
     return consts.pop("_compiled")  # so the function and its globals form no cycle
+
+
+def rebind(fn, **names):
+    """compile_evaluator's fn with the named globals (c0, c1, ..., pow) bound."""
+    return type(fn)(fn.__code__, {**fn.__globals__, **names})

@@ -305,17 +305,14 @@ def _newton_solve(slots: tuple, width: int):
 def _dedup(solutions, radius):
     """Sort lexicographically then merge points within max-norm radius,
     keeping the smaller residual per cluster."""
-    solutions = sorted(solutions, key=lambda s: tuple(s[0]))
     kept = []
-    for vals, res in solutions:
-        merged = False
+    for vals, res in sorted(solutions, key=lambda s: tuple(s[0])):
         for i, (kvals, kres) in enumerate(kept):
             if max(map(abs, map(operator.sub, vals, kvals))) <= radius:
                 if res < kres:
                     kept[i] = (vals, res)
-                merged = True
                 break
-        if not merged:
+        else:
             kept.append((vals, res))
     kept.sort(key=lambda s: tuple(s[0]))
     return kept

@@ -15,6 +15,22 @@ def rd_dets(rd_field):
     return DeterminantSet(rd_field)
 
 
+# three cubic states and six parameters, every monomial up to degree 3
+# present: many seeds end far from any root
+DENSE_FIELD = """\
+vars: x y z
+params: a1 a2 a3 a4 a5 a6
+eq: a1 + a4*y + x + 0.3*y^2 - 0.7*x*z + x^3 - 0.2*y*z^2
+eq: a2 + a5*z + 1.1*y - 0.4*x^2 + 0.5*y*z + y^3 + 0.6*x*y*z
+eq: a3 + a6*x - 0.9*z + 0.8*x*y - 0.3*z^2 + z^3 - 0.5*x^2*y
+"""
+
+
+@pytest.fixture
+def dense_field():
+    return ex.parse_vector_field(DENSE_FIELD)
+
+
 SEC6_TEMPLATE = """\
 vars: x y
 params: a1 a2

@@ -457,9 +457,11 @@ def test_cold_find_compiles_the_newton_system_and_one_level(capsys, monkeypatch)
 
 
 def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
-    """A find report reads only the chain B_{i,(1,...,1)}: the level it
-    compiles holds each chain value and no off-chain B_{i,K} value, 178
-    outputs where the level that check compiles has 254."""
+    """A find report reads only the chain B_{i,(1,...,1)}: its level reads
+    each chain value and raises for an off-chain B_{i,K}, although the
+    level's one function, which check calls too, outputs every B_{i,K}
+    for G's complex-step rows: 131 outputs, where the find's level with
+    the symbolic rows of G had 178, and check's 254."""
     from catafind import determinants as det, expr, solver
     compiled = []
     compile_evaluator = expr.compile_evaluator
@@ -477,10 +479,10 @@ def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
     off_chain = {D.build_B(i, K) for i in range(1, 7)
                  for K in det.index_strings(3, i - 1)} - chain
     assert len(chain) == 6 and len(off_chain) == 76
-    assert chain <= level and not off_chain & level and len(level) == 178
-    assert len(D._level_fn(6)[1]) == 254
+    assert chain | off_chain <= level and len(level) == 131
     p = expr.Point((0.3, -0.2, 0.0), (0.1,) + (0.0,) * 5)
     assert D.level(6, p, chain=True).b(3, (1, 1)) == D.level(6, p).b(3, (1, 1))
+    assert len(compiled) == 3
     with pytest.raises(IndexError, match="off the chain"):
         D.level(6, p, chain=True).b(3, (1, 2))
 

@@ -312,17 +312,21 @@ def test_one_level_serves_every_lower_read(rd_field):
 
 
 def count_level_calls(monkeypatch):
-    """The codimensions of the level functions called from now on."""
+    """(codimension, input type) of each call of a level function from now
+    on: float, or complex for a complex step."""
     calls = []
     level_fn = det.DeterminantSet._level_fn
 
-    def counting_level_fn(D, r, *chain):
-        fn, exprs, rows = level_fn(D, r, *chain)
+    def counting_level_fn(D, r):
+        fn, step, exprs, at = level_fn(D, r)
 
-        def counted(vals):
-            calls.append(r)
-            return fn(vals)
-        return counted, exprs, rows
+        def counting(f):
+            def counted(vals):
+                calls.append((r, complex if any(isinstance(v, complex) for v in vals)
+                              else float))
+                return f(vals)
+            return counted
+        return counting(fn), counting(step), exprs, at
 
     monkeypatch.setattr(det.DeterminantSet, "_level_fn", counting_level_fn)
     return calls
@@ -331,20 +335,22 @@ def count_level_calls(monkeypatch):
 def test_cold_report_and_check_each_evaluate_one_level(monkeypatch, capsys,
                                                        rd_field):
     """With no field memo, each find report and a check call the level-r
-    function once, at level r."""
+    function once on floats, then once on complex inputs per unknown of G's
+    rows (n + r of them)."""
     from catafind import cli, solver
     monkeypatch.setattr(solver, "_memo", None)
     calls = count_level_calls(monkeypatch)
     box = [(-1.2, 1.2)] * 4 + [(0.0, 1.2)] * 2
     reports = solver.find_catastrophes(rd_field, 4, box,
                                        fixed={"k1": 1.0, "k2": 1.0})
-    assert len(reports) >= 2 and calls == [4] * len(reports)
+    one = [(4, float)] + [(4, complex)] * (2 + 4)
+    assert len(reports) >= 2 and calls == one * len(reports)
     monkeypatch.setattr(solver, "_memo", None)
     calls.clear()
     assert cli.main(["check", "--builtin", "rd", "--codim", "3",
                      "--at", "u=0.2,v=0.1,b=0.3,k1=1,k2=1"]) == 0
     capsys.readouterr()
-    assert calls == [3]
+    assert calls == [(3, float)] + [(3, complex)] * (2 + 3)
 
 
 def test_a_point_holding_negative_zeros_reads_them_back():
@@ -368,12 +374,25 @@ def evaluated(matrix, n_vars, p):
     return [flat[k:k + size] for k in range(0, len(flat), size)]
 
 
+def assert_g_matches_symbolic_rows(level, D, r, K):
+    """G_{r,K} read from level r, over its complex-step rows, within 1e-15
+    of the Hadamard scale of eliminating the symbolic g_matrix evaluated at
+    the level's point, and its scale within 1e-13 of that scale; returns
+    that evaluated matrix."""
+    M = evaluated(g_matrix(D, r, K), D.field.n, level.p)
+    value, scale = level.g(K)
+    expect = det.hadamard_bound(M)
+    assert abs(value - det._eliminate(M)[1]) <= 1e-15 * expect, (K, level.p)
+    assert abs(scale - expect) <= 1e-13 * expect, (K, level.p)
+    return M
+
+
 def assert_level_values_are_exact(D, r, points):
-    """B and G read from level r, one evaluation (and for G, one
-    elimination over the prefix trie), give the same bits as evaluating each
-    determinant and matrix on its own and, for G, eliminating that matrix
-    alone; G is also within 1e-12 of the Hadamard scale of LAPACK's
-    determinant."""
+    """B read from level r, one evaluation, gives the same bits as
+    evaluating each determinant and matrix on its own; G, one elimination
+    over the prefix trie of complex-step rows, is within 1e-15 of scale of
+    eliminating the symbolic matrix alone, and within 1e-12 of scale of
+    LAPACK's determinant."""
     n = D.field.n
     for p in points:
         level = D.level(r, p)
@@ -383,9 +402,8 @@ def assert_level_values_are_exact(D, r, points):
                 M = evaluated(D.b_matrix(i, K), n, p)
                 assert level.b(i, K) == (value, det.hadamard_bound(M)), (i, K, p)
         for K in det.index_strings(n, r - 1):
-            M = evaluated(g_matrix(D, r, K), n, p)
+            M = assert_g_matches_symbolic_rows(level, D, r, K)
             value, scale = level.g(K)
-            assert (value, scale) == (det._eliminate(M)[1], det.hadamard_bound(M)), (K, p)
             assert abs(value - np.linalg.det(M)) <= 1e-12 * scale, (K, p)
 
 
@@ -405,13 +423,41 @@ def test_stacked_level_values_are_exact_primary():
     assert_level_values_are_exact(D, 4, points)
 
 
+@pytest.mark.parametrize("power", [101, -101])
+def test_complex_step_rows_of_powers_above_100_at_a_negative_base(power):
+    """Above |k| = 100 CPython's complex ** leaves repeated multiplication
+    for log and exp, which at a negative base loses the imaginary part of a
+    complex step; the level's step takes such a power by the power rule, so
+    G at x < 0 still matches the symbolic rows."""
+    D = det.DeterminantSet(ex.parse_vector_field(
+        f"vars: x y\nparams: a b c\neq: x^{power} + a*y + b*x*y\neq: y^2 - x + c*x^2"))
+    for p in (ex.Point((-1.01, 0.3), (0.2, -0.4, 0.7)),
+              ex.Point((-0.97, -0.5), (0.1, 0.3, -0.2))):
+        level = D.level(3, p)
+        for K in det.index_strings(2, 2):
+            assert_g_matches_symbolic_rows(level, D, 3, K)
+
+
+def test_complex_step_rows_on_a_dense_field(dense_field):
+    """Every one of the 81 G_{5,K} of a field with every monomial up to
+    degree 3 matches the symbolic rows."""
+    D, rng = det.DeterminantSet(dense_field), random.Random(49)
+    level = D.level(5, ex.Point(tuple(rng.uniform(-1.5, 1.5) for _ in range(3)),
+                                tuple(rng.uniform(-1.5, 1.5) for _ in range(6))))
+    for K in det.index_strings(3, 4):
+        assert_g_matches_symbolic_rows(level, D, 5, K)
+
+
 def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
         monkeypatch):
     """A cold fullness report at n=3, r=6 differentiates each (expression,
-    target) pair once and expands by sym_det only B_1 and each minor of DF
-    that a level determinant reads, once each; a whole find
-    on the same field differentiates no more, since its Newton Jacobian is
-    the report's canonical extended matrix."""
+    target) pair once, 132 of them: the state columns of the components and
+    of each B below level 6, which the nest expands, and none for G, whose
+    rows come by complex step.  It expands by sym_det only B_1 and each
+    minor of DF that a level determinant reads, once each.  A whole find on
+    the same field, on a set of its own, differentiates those 132 and the
+    57 more of its Newton Jacobian (the parameter columns of the components
+    and the chain, and B_6's row), each once."""
     from catafind import solver
     pairs, matrices = [], []
     differentiate, sym_det = ex.differentiate, det.sym_det
@@ -431,12 +477,12 @@ def test_one_report_differentiates_each_pair_and_expands_each_matrix_once(
     rep = solver.build_report(D.level(6, ex.Point((0.0,) * 3, (0.0,) * 6)), 0.0)
     assert rep.full
     assert len(matrices) == 4  # B_1 and the minors M_00, M_10, M_20 of DF
-    assert len(pairs) == 765 and len(set(pairs)) == 765
+    assert len(pairs) == 132 and len(set(pairs)) == 132
     pairs.clear()
     reps = solver.find_catastrophes(field, 6, [(-1.5, 1.5)] * 9,
                                     solver.SolveOptions(seed_count=64))
     assert [r.full for r in reps] == [True]
-    assert len(pairs) == 765 and len(set(pairs)) == 765
+    assert len(pairs) == 189 and len(set(pairs)) == 189
 
 
 # ---------------------------------------------------------------------------

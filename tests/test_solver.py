@@ -32,17 +32,6 @@ needs_numpy = pytest.mark.skipif(np is None, reason="numpy is not installed")
 
 RD_BOX_UNIT = [(-1.2, 1.2)] * 4 + [(0.0, 1.2)] * 2
 
-# three cubic states and six parameters, every monomial up to degree 3
-# present: many seeds end far from any root
-DENSE_FIELD = """\
-vars: x y z
-params: a1 a2 a3 a4 a5 a6
-eq: a1 + a4*y + x + 0.3*y^2 - 0.7*x*z + x^3 - 0.2*y*z^2
-eq: a2 + a5*z + 1.1*y - 0.4*x^2 + 0.5*y*z + y^3 + 0.6*x*y*z
-eq: a3 + a6*x - 0.9*z + 0.8*x*y - 0.3*z^2 + z^3 - 0.5*x^2*y
-"""
-
-
 def test_classify():
     assert classify(1) == "fold"
     assert classify(2) == "cusp"
@@ -749,12 +738,11 @@ def test_readme_box_newton_counters(rd_field, monkeypatch):
     assert counters.residual == 2293
 
 
-def test_line_search_is_bounded_on_a_dense_field(monkeypatch):
+def test_line_search_is_bounded_on_a_dense_field(dense_field, monkeypatch):
     """At most _line_search_trials() residual calls per F+J call, and the
     dense field's two full swallowtails are still found."""
-    field = ex.parse_vector_field(DENSE_FIELD)
     counters = _NewtonCounters(monkeypatch)
-    reports = find_catastrophes(field, 3, [(-1.5, 1.5)] * 6, SolveOptions(seed_count=64))
+    reports = find_catastrophes(dense_field, 3, [(-1.5, 1.5)] * 6, SolveOptions(seed_count=64))
     assert _line_search_trials() == 9
     assert counters.residual <= 9 * counters.fj
     assert counters.statuses["step-underflow"] > 0
@@ -960,7 +948,7 @@ def test_line_search_matches_plain_loop_on_rd_seeds(rd_field, monkeypatch):
     assert sum(twins.statuses.values()) == 25 * 64
 
 
-def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
+def test_line_search_matches_plain_loop_on_edge_cases(rd_field, dense_field, monkeypatch):
     twins = _TwinSolves(monkeypatch)
     # from x = 3 the full step lands on the pole x = 2: that trial raises
     f = ex.parse_vector_field("vars: x\nparams:\neq: x - 1/(x - 2)")
@@ -1009,8 +997,7 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, monkeypatch):
     # this start: 368 trials, and the max-norm after the loop is the last
     # accepted trial's, with no residual call of its own (its last bits
     # follow the term order, which the process's earlier fields set)
-    f = ex.parse_vector_field(DENSE_FIELD)
-    _D, system = solver._system(f, r=4)
+    _D, system = solver._system(dense_field, r=4)
     before = twins.calls["residual"]
     result = system.solve([0.47, -0.94, -0.42, -1.32, 1.25, 0.36, -0.78, 0.0, 0.0])
     assert (result.status, result.iterations, result.residual) == (
