@@ -293,47 +293,55 @@ def _trie_dets(rows, n: int, r: int) -> dict:
     G_{r,K}'s rows are those of the components, B_1,
     B_{2,K[:1]}, ..., B_{r,K[:r-1]}, so the strings form a prefix trie: the
     first n + 1 rows are reduced once, and each trie node reduces the one
-    row it adds.  Each value has the bits of _eliminate on its matrix."""
+    row it adds, over the columns its parent's pivots left free (_push).
+    Each value has the bits of _eliminate on its matrix."""
     states, at = [_eliminate(rows[:n + 1])], n + 1
     for depth in range(1, r):  # the node of prefix K holds B_{depth+1,K}
         states = [_push(states[j // n], row)
                   for j, row in enumerate(rows[at:at + n ** depth])]
         at += n ** depth
-    return {K: s[1:] for K, s in zip(index_strings(n, r - 1), states)}
+    return {K: s[1:3] for K, s in zip(index_strings(n, r - 1), states)}
 
 
 def _push(state, row):
-    """The elimination state (pivot rows, determinant, Hadamard product)
-    after one more row: Gaussian elimination with partial pivoting on the
-    transpose (Golub & Van Loan, Matrix Computations, section 3.4).  The
-    row takes x -= x[c] * l for each pivot row l (a row over its pivot, so
-    |l| <= 1 on the free columns), then pivots on its first largest nonzero
-    free entry (a NaN wins, to reach the determinant).  The pivot and the
-    parity of its column among the pivot columns enter the determinant; a
-    row without a pivot zeroes it."""
-    pivots, value, scale = state
+    """The elimination state (pivot rows, determinant, Hadamard product,
+    free columns) after one more row: Gaussian elimination with partial
+    pivoting on the transpose (Golub & Van Loan, Matrix Computations,
+    section 3.4).  A pivot row is (j, l): its pivot's place j among the
+    columns free when it was made, and l, the row over the columns left
+    free after it, divided by the pivot, so |l| <= 1.  For each pivot row
+    in turn, the incoming row drops entry j, t, and takes x -= t * l, so it
+    reduces only the columns still free.  It then pivots on its first
+    largest nonzero entry (a NaN wins, to reach the determinant), at place
+    j of the free columns.  The pivot enters the determinant, negated when
+    an odd number of pivot columns lie above its column free[j]: all
+    pivots less the free[j] - j below it.  A row without a pivot zeroes
+    the determinant."""
+    pivots, value, scale, free = state
     scale *= math.hypot(*row)
-    for c, l in pivots:
-        t = row[c]
+    row = list(row)
+    for j, l in pivots:
+        t = row.pop(j)
         if t:
             row = [a - t * b for a, b in zip(row, l)]
-    used = [c for c, _ in pivots]
-    best, col = 0.0, -1
-    for c, a in enumerate(row):
-        if (abs(a) > best or a != a) and c not in used:
-            best, col = abs(a), c
-    if col < 0:
-        return pivots, value * 0.0, scale
-    p = row[col]
+    best, j = 0.0, -1
+    for k, a in enumerate(row):
+        if abs(a) > best or a != a:
+            best, j = abs(a), k
+    if j < 0:
+        return pivots, value * 0.0, scale, free
+    p = row.pop(j)
     value *= p
-    if sum(c > col for c in used) % 2:
+    if (len(pivots) - free[j] + j) % 2:
         value = -value
-    return pivots + ((col, [a / p for a in row]),), value, scale
+    return (pivots + ((j, [a / p for a in row]),), value, scale,
+            free[:j] + free[j + 1:])
 
 
 def _eliminate(A):
     """The elimination state of the rows of A, pushed in order."""
-    state = ((), 1.0, 1.0)  # no pivot rows, determinant 1, Hadamard product 1
+    # no pivot rows, determinant 1, Hadamard product 1, every column free
+    state = ((), 1.0, 1.0, tuple(range(len(A[0]))) if A else ())
     for row in A:
         state = _push(state, row)
     return state

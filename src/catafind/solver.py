@@ -6,11 +6,13 @@ classifies by codimension, and deduplicates roots.  Seeds come from a
 deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
 Seeds, Newton iterations and reports are computed on Python floats: F
-and J come from one compiled function, a line-search trial's F from
-another, and the damped Newton iteration, with F's max-norm, its
-convergence tests, the step's partial-pivoting elimination and the line
-search, from one function generated per layout of the unknowns, so their
-bits depend on IEEE double arithmetic alone, not on a BLAS build.
+and J come from one compiled function, which also evaluates each full
+Newton step, so that an accepted full step's F and J serve the next
+iteration; a shorter line-search trial's F comes from another; and the
+damped Newton iteration, with F's max-norm, its convergence tests, the
+step's partial-pivoting elimination and the line search, from one
+function generated per layout of the unknowns, so their bits depend on
+IEEE double arithmetic alone, not on a BLAS build.
 The steady-state census tracks roots by a parameter homotopy (module
 homotopy), refines the real ones by the same Newton solve, and labels them
 by the eigenvalues of a real Schur form, also computed on Python floats.
@@ -148,10 +150,13 @@ class NewtonSystem:
 
     solve takes a value vector of all n states and declared parameters and
     runs the Newton iteration generated per layout of the unknowns
-    (_newton_solve): per iteration one residual_and_jacobian call (one flat
-    tuple of floats, F then the row-major J), whose step is solved inline,
-    and per line-search trial one residual call (F alone, a tuple of
-    floats).  Unknowns stay Python floats."""
+    (_newton_solve).  residual_and_jacobian (one flat tuple of floats, F
+    then the row-major J) is called at the seed and at each full-step
+    trial; when that trial is accepted, the next iteration solves its step
+    inline from the F and J it returned.  residual (F alone, a tuple of
+    floats) is called at each shorter trial, and again at a full step whose
+    F+J raised; an iteration whose point residual accepted calls
+    residual_and_jacobian first.  Unknowns stay Python floats."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -239,15 +244,21 @@ def _newton_solve(slots: tuple, width: int):
     """The function (vals, residual_and_jacobian, residual) -> (status,
     vals or None, max-norm of F, iterations) that runs solve's damped
     Newton iteration for unknowns at slots of a value vector of this width,
-    as straight-line code on locals: F+J unpacked once into f{i} and
-    ea{i}_{j}, and the step x{k} for slots[k] from _elimination's lines
-    inline.  Max-norms keep max()'s first maximum (_first_max); F and the
-    step are finite when each component compares below inf.  The line
-    search tries [v0 + t*x0, ..., vj] at t = 1, 1/2, ..., _MIN_STEP, at most
-    nine trials (v0 + x0 at t = 1: exact, as x0 is finite), and accepts the
-    first whose every abs(f_i) is below the max-norm, which rejects NaN and
-    inf; with none, step-underflow.  The locals f_i hold F at the last point
-    evaluated, so the max-norm after the last iteration needs no call."""
+    as straight-line code on locals: F+J unpacked into f{i} and ea{i}_{j},
+    and the step x{k} for slots[k] from _elimination's lines inline.
+    Max-norms keep max()'s first maximum (_first_max) of a{i} = abs(f{i});
+    the step is finite when each component compares below inf, and so is
+    the seed's F.  The line search tries [v0 + t*x0, ..., vj] at t = 1,
+    1/2, ..., _MIN_STEP, at most nine trials (v0 + x0 at t = 1: exact, as
+    x0 is finite), and accepts the first whose every a{i} is below the
+    max-norm, which rejects NaN and inf, so an accepted F is finite; with
+    none, step-underflow.  The full step is evaluated by F+J, into the
+    locals that the elimination has consumed, or by residual if F+J
+    raises; a shorter step by residual.  held says whether the locals hold
+    J at the accepted point; if not, the next iteration calls F+J first,
+    whose F has residual's bits, so the a{i} still hold its abs.  After
+    the last iteration the a{i} are the last accepted trial's, so the
+    max-norm needs no call."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
     trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
@@ -255,20 +266,27 @@ def _newton_solve(slots: tuple, width: int):
     step = "\n            ".join(_elimination(m, "x", "f"))
     fs = ", ".join(f"f{i}" for i in range(m))
     ea = ", ".join(f"ea{i}_{j}" for i in range(m) for j in range(m))
-    max_norm = "; ".join([f"a{i} = abs(f{i})" for i in range(m)] + [
-        _first_max("res", [f"a{i}" for i in range(m)])])
+    abs_f = "; ".join(f"a{i} = abs(f{i})" for i in range(m))
+    max_norm = _first_max("res", [f"a{i}" for i in range(m)])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
         _first_max("scale", [f"w{s}" for s in slots])])
     src = f"""def _solve(vals, residual_and_jacobian, residual):
     {vs}, = vals
+    try:
+        {fs}, {ea}, = residual_and_jacobian(vals)
+    except (ZeroDivisionError, OverflowError):
+        return "evaluation-error", None, inf, 0
+    {abs_f}
+    if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
+        return "evaluation-error", None, inf, 0
+    held = True
     for it in range({_MAX_ITERATIONS}):
-        try:
-            {fs}, {ea}, = residual_and_jacobian(vals)
-        except (ZeroDivisionError, OverflowError):
-            return "evaluation-error", None, inf, it
+        if not held:
+            try:
+                {fs}, {ea}, = residual_and_jacobian(vals)
+            except (ZeroDivisionError, OverflowError):
+                return "evaluation-error", None, inf, it
         {max_norm}
-        if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
-            return "evaluation-error", None, inf, it
         {get_scale}
         if res <= {_RESIDUAL_TOL!r} * (1.0 + scale):
             return "converged", vals, res, it
@@ -280,13 +298,20 @@ def _newton_solve(slots: tuple, width: int):
             return "singular-jacobian", vals, res, it
         t = 1.0
         trial = [{trial.format(t="")}]
+        try:
+            {fs}, {ea}, = residual_and_jacobian(trial)
+            held = True
+        except (ZeroDivisionError, OverflowError):
+            held = False
         while True:
             try:
-                {fs}, = residual(trial)
-                if {" and ".join(f"abs(f{i}) < res" for i in range(m))}:
+                if not held:
+                    {fs}, = residual(trial)
+                if {" and ".join(f"(a{i} := abs(f{i})) < res" for i in range(m))}:
                     break
             except (ZeroDivisionError, OverflowError):
                 pass
+            held = False
             t *= {_DAMPING!r}
             if t < {_MIN_STEP!r}:
                 return "step-underflow", vals, res, it

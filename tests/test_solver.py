@@ -734,18 +734,21 @@ def test_readme_box_newton_counters(rd_field, monkeypatch):
     _readme_box_find(rd_field)
     assert counters.statuses == {"converged": 254, "step-underflow": 2}
     assert counters.iterations == 2001
-    assert counters.fj == 2257
-    assert counters.residual == 2293
+    assert counters.fj == 2401
+    assert counters.residual == 290
 
 
 def test_line_search_is_bounded_on_a_dense_field(dense_field, monkeypatch):
-    """At most _line_search_trials() residual calls per F+J call, and the
-    dense field's two full swallowtails are still found."""
+    """At most _line_search_trials() residual calls per line search, which
+    each iteration runs, and so does the last one of a seed whose step
+    underflows, and the dense field's two full swallowtails are still
+    found."""
     counters = _NewtonCounters(monkeypatch)
     reports = find_catastrophes(dense_field, 3, [(-1.5, 1.5)] * 6, SolveOptions(seed_count=64))
     assert _line_search_trials() == 9
-    assert counters.residual <= 9 * counters.fj
-    assert counters.statuses["step-underflow"] > 0
+    underflows = counters.statuses["step-underflow"]
+    assert underflows > 0
+    assert counters.residual <= 9 * (counters.iterations + underflows)
     full = [(rep.point.x, rep.point.alpha[:3]) for rep in reports if rep.full]
     assert full == [
         (pytest.approx((-1.9536524003744844, 0.09419416362684509, 1.1141597637203982)),
@@ -754,6 +757,34 @@ def test_line_search_is_bounded_on_a_dense_field(dense_field, monkeypatch):
          pytest.approx((-9.109119555587998, 1.4138848658580268, -0.25937926212871926)))]
     assert all(rep.label == "swallowtail" and rep.subrank_ok
                for rep in reports if rep.full)
+
+
+def test_accepted_full_steps_make_one_call_per_iteration(monkeypatch):
+    """Where every full step is accepted, the F+J of each trial serves
+    the next iteration: one F+J per seed and one per iteration, and no
+    residual call."""
+    counters = _NewtonCounters(monkeypatch)
+    field = make_primary_form(PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6)))
+    reports = find_catastrophes(field, 6, [(-1.5, 1.5)] * 9, SolveOptions(seed_count=64))
+    assert len(reports) == 1 and reports[0].full
+    assert counters.statuses == {"converged": 64}
+    assert counters.residual == 0
+    assert (counters.iterations, counters.fj) == (131, 131 + 64)
+
+
+def test_a_jacobian_that_overflows_at_a_full_step_falls_back_to_residual(monkeypatch):
+    """From x = 2^-500 the full step lands near 2^-520, where F is finite
+    but J's x^-2 overflows: that trial's F+J raises, residual evaluates it
+    again and accepts it, and the next iteration's F+J raises, as in the
+    plain loop."""
+    twins = _TwinSolves(monkeypatch)
+    f = ex.parse_vector_field("vars: x\nparams:\neq: 2^480*x - 2^-40 + 2^-600*x^-1")
+    result = NewtonSystem(det.DeterminantSet(f), f.components).solve([2.0 ** -500])
+    assert (result.status, result.iterations) == ("evaluation-error", 1)
+    # per twin: F+J at the seed, at the full step (raises) and at the
+    # accepted point (raises), and residual once, at the full step
+    assert twins.calls == {"residual": 2, "fj": 6, "ZeroDivisionError": 0,
+                           "OverflowError": 4}
 
 
 def test_census_cell_newton_counters(rd_field, monkeypatch):
@@ -808,7 +839,9 @@ def _reference_solve(system, start_vals):
     """NewtonSystem.solve written as a plain loop with a per-trial line
     search: each trial copies the value vector, adds t*d at each unknown's
     slot, and is accepted when each component of its F is below the
-    max-norm in absolute value."""
+    max-norm in absolute value.  The full-step trial (t = 1) calls F+J,
+    or residual if F+J raises, and a later trial residual; an iteration
+    calls F+J at its start only when it holds no J at its point."""
     vals = [float(v) for v in start_vals]
     slots = system._slots
     n = system.field.n
@@ -817,11 +850,13 @@ def _reference_solve(system, start_vals):
         return ex.Point(tuple(v[:n]), tuple(v[n:]))
 
     m = len(slots)
+    FJ = None
     for it in range(solver._MAX_ITERATIONS):
-        try:
-            FJ = system.residual_and_jacobian(vals)
-        except (ZeroDivisionError, OverflowError):
-            return solver.NewtonResult("evaluation-error", None, math.inf, it)
+        if FJ is None:
+            try:
+                FJ = system.residual_and_jacobian(vals)
+            except (ZeroDivisionError, OverflowError):
+                return solver.NewtonResult("evaluation-error", None, math.inf, it)
         F, J = FJ[:m], FJ[m:]
         res = (max(map(abs, F)) if all(map(math.isfinite, F))
                else math.inf)  # Python's max drops a NaN that is not first
@@ -842,8 +877,14 @@ def _reference_solve(system, start_vals):
             trial = vals[:]
             for s, d in moves:
                 trial[s] += t * d
+            FJ = None
             try:
-                G = system.residual(trial)
+                if t == 1.0:
+                    try:
+                        FJ = system.residual_and_jacobian(trial)
+                    except (ZeroDivisionError, OverflowError):
+                        pass  # the same trial again, by residual
+                G = system.residual(trial) if FJ is None else FJ[:m]
                 if all(abs(g) < res for g in G):  # no NaN, no infinity
                     vals, F = trial, G
                     break
@@ -881,7 +922,8 @@ class _TwinSolves:
     _reference_solve, and checks that both give the same outcome with the
     same number of residual and residual_and_jacobian calls, and of
     ZeroDivisionError and OverflowError raises.  non_finite collects the
-    positions of the non-finite components of each residual's F."""
+    positions of the non-finite components of each F, from residual or
+    from the first m entries of residual_and_jacobian."""
 
     def __init__(self, monkeypatch):
         self.calls = {"residual": 0, "fj": 0, "ZeroDivisionError": 0,
@@ -909,7 +951,13 @@ class _TwinSolves:
             self.non_finite.update(i for i, g in enumerate(F) if not math.isfinite(g))
             return F
 
-        counted_residual_and_jacobian = counted("fj", residual_and_jacobian)
+        count_residual_and_jacobian = counted("fj", residual_and_jacobian)
+
+        def counted_residual_and_jacobian(system, vals):
+            FJ = count_residual_and_jacobian(system, vals)
+            self.non_finite.update(i for i, g in enumerate(FJ[:len(system._slots)])
+                                   if not math.isfinite(g))
+            return FJ
 
         def twin_solve(system, vals):
             before = dict(self.calls)
@@ -973,11 +1021,12 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, dense_field, mon
     assert (result.status, result.iterations) == ("evaluation-error", 0)
     assert twins.calls["OverflowError"] == 2  # once per twin
     # J = 3e-220 gives a step near 3e219, whose cube overflows at every t
-    # down to _MIN_STEP: all the trials raise, so the step underflows
+    # down to _MIN_STEP: all the trials raise, the full step in F+J and
+    # again in residual, so the step underflows
     result = system.solve([1e-110])
     assert (result.status, result.iterations, result.residual) == (
         "step-underflow", 0, 1.0)
-    assert twins.calls["OverflowError"] == 2 + 2 * _line_search_trials()
+    assert twins.calls["OverflowError"] == 2 + 2 * (1 + _line_search_trials())
     # from x = 1e-3 the full step lands on x = -500, where 1e307*(x^2 + 1)
     # overflows: a trial whose F is NaN, +inf or -inf in one component only,
     # the first or the last, is rejected (Python's max drops a last NaN);
@@ -994,16 +1043,20 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, dense_field, mon
             assert (result.status, result.iterations) == outcome
             assert twins.non_finite == {pos}
     # a dense field's codim-4 system wanders for all 100 iterations from
-    # this start: 368 trials, and the max-norm after the loop is the last
-    # accepted trial's, with no residual call of its own (its last bits
-    # follow the term order, which the process's earlier fields set)
+    # this start: 368 trials, the 100 full steps by F+J and 268 by
+    # residual, and the max-norm after the loop is the last accepted
+    # trial's, with no call of its own (its last bits follow the term
+    # order, which the process's earlier fields set)
     _D, system = solver._system(dense_field, r=4)
-    before = twins.calls["residual"]
+    before = dict(twins.calls)
     result = system.solve([0.47, -0.94, -0.42, -1.32, 1.25, 0.36, -0.78, 0.0, 0.0])
     assert (result.status, result.iterations, result.residual) == (
         "max-iterations", 100, pytest.approx(1.399007523749e-4, rel=1e-9))
     assert twins.statuses["max-iterations"] == 1
-    assert twins.calls["residual"] - before == 2 * 368  # once per twin
+    assert twins.calls["residual"] - before["residual"] == 2 * 268  # once per twin
+    # F+J: the seed's, the 100 full steps', and 89 at points that a
+    # shorter step reached
+    assert twins.calls["fj"] - before["fj"] == 2 * 190
 
 
 def test_residual_and_jacobian_is_one_flat_tuple_led_by_the_residual(rd_field):
