@@ -190,7 +190,10 @@ def _parse_unfold(field: ex.VectorField, text: str | None, codim: int):
         name = name.strip()
         if name not in field.param_names:
             raise UsageError(f"--unfold: {name!r} is not a declared parameter")
-        order.append(field.param_names.index(name))
+        index = field.param_names.index(name)
+        if index in order:
+            raise UsageError(f"--unfold: {name!r} is named twice")
+        order.append(index)
     if len(order) < codim:
         raise UsageError(f"--unfold names {len(order)} parameter(s), fewer than --codim {codim}")
     return tuple(order)

@@ -214,9 +214,8 @@ class DeterminantSet:
             got = self._fns[r] = (fn, ex.rebind(fn, pow=_power), exprs, [at[e] for e in nodes])
         return got
 
-    def level(self, r: int, p: Point, chain: bool = False) -> Level:
-        """The values of codimension r >= 0 at p (with chain, reading only
-        the chain B, all that a find report reads), from one call of its
+    def level(self, r: int, p: Point) -> Level:
+        """The values of codimension r >= 0 at p, from one call of its
         compiled function.  For 1 <= r <= the unfolding parameter count, a
         call per unknown x_j at x_j + i*h gives G's rows as Im/h (the complex
         step: Squire & Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM
@@ -232,7 +231,7 @@ class DeterminantSet:
             cols = [step(vals[:j] + (complex(vals[j], _STEP),) + vals[j + 1:])
                     for j in (*range(n), *(n + k for k in self.param_order[:r]))]
             g = _trie_dets([[col[k].imag / _STEP for col in cols] for k in at], n, r)
-        return Level(r, p, self, value, g, chain)
+        return Level(r, p, self, value, g)
 
 
 def _power(z, k: int):
@@ -246,30 +245,27 @@ class Level(Frozen):
     level's compiled function: every read below but g comes from them, so a
     point holding -0.0 reads its own signed zeros.  Equal only to itself."""
 
-    __slots__ = ("r", "p", "_set", "_value", "_g", "_chain")
+    __slots__ = ("r", "p", "_set", "_value", "_g")
     __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __init__(self, r: int, p: Point, _set: DeterminantSet, _value: dict,
-                 _g: dict | None, _chain: bool):
+                 _g: dict | None):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_set", _set)
         object.__setattr__(self, "_value", _value)  # expression -> its float at p
         object.__setattr__(self, "_g", _g)  # K -> G_{r,K}'s (value, scale); None off 1..count
-        object.__setattr__(self, "_chain", _chain)  # b reads only the chain B
 
     def field(self) -> tuple:
         """Values of the field components at p."""
         return tuple(self._value[c] for c in self._set.field.components)
 
     def b(self, i: int, K=()):
-        """(value, Hadamard scale) of B_{i,K} at p (1 <= i <= r, K on the
-        chain for a chain level); the scale is that of b_matrix(i, K) at p."""
+        """(value, Hadamard scale) of B_{i,K} at p (1 <= i <= r); the scale
+        is that of b_matrix(i, K) at p."""
         K = _check_index_string(self._set.field.n, i, K)
         if i > self.r:
             raise IndexError(f"level {i} is above the codimension {self.r}")
-        if self._chain and K != (1,) * (i - 1):
-            raise IndexError(f"B_{i},{K} is off the chain that this level holds")
         M = [[self._value[e] for e in row] for row in self._set.b_matrix(i, K)]
         return self._value[self._set.build_B(i, K)], hadamard_bound(M)
 

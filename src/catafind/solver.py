@@ -6,13 +6,12 @@ classifies by codimension, and deduplicates roots.  Seeds come from a
 deterministic Halton sequence (the first d primes as bases, first 20
 points skipped), so repeated runs are reproducible without any RNG state.
 Seeds, Newton iterations and reports are computed on Python floats: F
-and J come from one compiled function, which also evaluates each full
-Newton step, so that an accepted full step's F and J serve the next
-iteration; a shorter line-search trial's F comes from another; and the
-damped Newton iteration, with F's max-norm, its convergence tests, the
-step's partial-pivoting elimination and the line search, from one
-function generated per layout of the unknowns, so their bits depend on
-IEEE double arithmetic alone, not on a BLAS build.
+and J come from one compiled function, which also evaluates every
+line-search trial, so that an accepted trial's F and J serve the next
+iteration; and the damped Newton iteration, with F's max-norm, its
+convergence tests, the step's partial-pivoting elimination and the line
+search, from one function generated per layout of the unknowns, so their
+bits depend on IEEE double arithmetic alone, not on a BLAS build.
 The steady-state census tracks roots by a parameter homotopy (module
 homotopy), refines the real ones by the same Newton solve, and labels them
 by the eigenvalues of a real Schur form, also computed on Python floats.
@@ -150,13 +149,10 @@ class NewtonSystem:
 
     solve takes a value vector of all n states and declared parameters and
     runs the Newton iteration generated per layout of the unknowns
-    (_newton_solve).  residual_and_jacobian (one flat tuple of floats, F
-    then the row-major J) is called at the seed and at each full-step
-    trial; when that trial is accepted, the next iteration solves its step
-    inline from the F and J it returned.  residual (F alone, a tuple of
-    floats) is called at each shorter trial, and again at a full step whose
-    F+J raised; an iteration whose point residual accepted calls
-    residual_and_jacobian first.  Unknowns stay Python floats."""
+    (_newton_solve), which calls residual_and_jacobian (one flat tuple of
+    floats, F then the row-major J) at the seed and at each line-search
+    trial; the next iteration solves its step inline from the F and J of
+    the trial accepted.  Unknowns stay Python floats."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -167,7 +163,6 @@ class NewtonSystem:
         self.field = D.field
         jac = [d for e in eqs for d in D.row(e, m)]
         self._fn = ex.compile_evaluator(list(eqs) + jac, n)
-        self._f = ex.compile_evaluator(eqs, n)
         self._slots = slots[:m]  # positions of the unknowns in a value vector
         self._width = n + D.field.r
         self._solve = _newton_solve(self._slots, self._width)
@@ -176,16 +171,11 @@ class NewtonSystem:
         """One flat tuple of m + m*m floats: F, then the row-major m x m J."""
         return self._fn(vals)
 
-    def residual(self, vals):
-        """F alone, a flat tuple of floats."""
-        return self._f(vals)
-
     def solve(self, start_vals) -> NewtonResult:
         vals = list(map(float, start_vals))
         if len(vals) != self._width:
             raise ValueError(f"start vector has {len(vals)} values, not {self._width}")
-        status, vals, res, iterations = self._solve(
-            vals, self.residual_and_jacobian, self.residual)
+        status, vals, res, iterations = self._solve(vals, self.residual_and_jacobian)
         n = self.field.n
         point = None if vals is None else Point(tuple(vals[:n]), tuple(vals[n:]))
         return NewtonResult(status, point, res, iterations)
@@ -241,7 +231,7 @@ def _first_max(out, names) -> str:
 
 @functools.cache  # one generated function per unknown layout
 def _newton_solve(slots: tuple, width: int):
-    """The function (vals, residual_and_jacobian, residual) -> (status,
+    """The function (vals, residual_and_jacobian) -> (status,
     vals or None, max-norm of F, iterations) that runs solve's damped
     Newton iteration for unknowns at slots of a value vector of this width,
     as straight-line code on locals: F+J unpacked into f{i} and ea{i}_{j},
@@ -251,14 +241,12 @@ def _newton_solve(slots: tuple, width: int):
     the seed's F.  The line search tries [v0 + t*x0, ..., vj] at t = 1,
     1/2, ..., _MIN_STEP, at most nine trials (v0 + x0 at t = 1: exact, as
     x0 is finite), and accepts the first whose every a{i} is below the
-    max-norm, which rejects NaN and inf, so an accepted F is finite; with
-    none, step-underflow.  The full step is evaluated by F+J, into the
-    locals that the elimination has consumed, or by residual if F+J
-    raises; a shorter step by residual.  held says whether the locals hold
-    J at the accepted point; if not, the next iteration calls F+J first,
-    whose F has residual's bits, so the a{i} still hold its abs.  After
-    the last iteration the a{i} are the last accepted trial's, so the
-    max-norm needs no call."""
+    max-norm, which rejects NaN and inf, so an accepted F is finite; a
+    trial whose F+J raises ZeroDivisionError or OverflowError is rejected
+    too; with none accepted, step-underflow.  Each trial is evaluated by
+    F+J, into the locals that the elimination has consumed, so the next
+    iteration needs no call, and after the last one the a{i} are the last
+    accepted trial's, so the max-norm needs no call either."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
     trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
@@ -270,7 +258,7 @@ def _newton_solve(slots: tuple, width: int):
     max_norm = _first_max("res", [f"a{i}" for i in range(m)])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
         _first_max("scale", [f"w{s}" for s in slots])])
-    src = f"""def _solve(vals, residual_and_jacobian, residual):
+    src = f"""def _solve(vals, residual_and_jacobian):
     {vs}, = vals
     try:
         {fs}, {ea}, = residual_and_jacobian(vals)
@@ -279,13 +267,7 @@ def _newton_solve(slots: tuple, width: int):
     {abs_f}
     if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
         return "evaluation-error", None, inf, 0
-    held = True
     for it in range({_MAX_ITERATIONS}):
-        if not held:
-            try:
-                {fs}, {ea}, = residual_and_jacobian(vals)
-            except (ZeroDivisionError, OverflowError):
-                return "evaluation-error", None, inf, it
         {max_norm}
         {get_scale}
         if res <= {_RESIDUAL_TOL!r} * (1.0 + scale):
@@ -298,20 +280,13 @@ def _newton_solve(slots: tuple, width: int):
             return "singular-jacobian", vals, res, it
         t = 1.0
         trial = [{trial.format(t="")}]
-        try:
-            {fs}, {ea}, = residual_and_jacobian(trial)
-            held = True
-        except (ZeroDivisionError, OverflowError):
-            held = False
         while True:
             try:
-                if not held:
-                    {fs}, = residual(trial)
+                {fs}, {ea}, = residual_and_jacobian(trial)
                 if {" and ".join(f"(a{i} := abs(f{i})) < res" for i in range(m))}:
                     break
             except (ZeroDivisionError, OverflowError):
                 pass
-            held = False
             t *= {_DAMPING!r}
             if t < {_MIN_STEP!r}:
                 return "step-underflow", vals, res, it
@@ -423,7 +398,7 @@ def find_catastrophes(field: VectorField, r: int, box,
     reports = []
     for vals, res in _dedup(hits, opts.dedup_radius):
         p = Point(tuple(vals[:field.n]), tuple(vals[field.n:]))
-        reports.append(build_report(D.level(r, p, chain=True), res, opts))
+        reports.append(build_report(D.level(r, p), res, opts))
     return reports
 
 

@@ -292,6 +292,14 @@ def test_check_unfold_shorter_than_codim_is_a_usage_error(capsys):
     assert err == "error: --unfold names 1 parameter(s), fewer than --codim 2\n"
 
 
+@pytest.mark.parametrize("argv", [["find", "--fix", "k1=1,k2=1"], ["check", "--at", "k1=1"]])
+def test_unfold_naming_a_parameter_twice_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, argv + ["--builtin", "rd", "--codim", "2",
+                                       "--unfold", "b, d,b"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --unfold: 'b' is named twice\n"
+
+
 def test_find_box_arity_checked(capsys):
     rc, _out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "1",
                                  "--box=-1:1"])
@@ -453,15 +461,14 @@ def test_cold_check_compiles_one_level(capsys, monkeypatch, argv):
 
 def test_cold_find_compiles_the_newton_system_and_one_level(capsys, monkeypatch):
     argv = ["find", "--builtin", PRIMARY_N3R6, "--codim", "6", "--seeds", "64"]
-    assert compile_count(monkeypatch, capsys, argv) == 3
+    assert compile_count(monkeypatch, capsys, argv) == 2
 
 
-def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
-    """A find report reads only the chain B_{i,(1,...,1)}: its level reads
-    each chain value and raises for an off-chain B_{i,K}, although the
-    level's one function, which check calls too, outputs every B_{i,K}
-    for G's complex-step rows: 131 outputs, where the find's level with
-    the symbolic rows of G had 178, and check's 254."""
+def test_cold_find_level_outputs_every_b(capsys, monkeypatch):
+    """A find report's level, whose one function check calls too, outputs
+    every B_{i,K} for G's complex-step rows, so it reads an off-chain B as
+    it reads a chain one, with no further compile: 131 outputs, where the
+    find's level with the symbolic rows of G had 178, and check's 254."""
     from catafind import determinants as det, expr, solver
     compiled = []
     compile_evaluator = expr.compile_evaluator
@@ -473,7 +480,7 @@ def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
     monkeypatch.setattr(solver, "_memo", None)
     monkeypatch.setattr(expr, "compile_evaluator", recording_compile)
     argv = ["find", "--builtin", PRIMARY_N3R6, "--codim", "6", "--seeds", "64"]
-    assert run(capsys, argv)[0] == 0 and len(compiled) == 3
+    assert run(capsys, argv)[0] == 0 and len(compiled) == 2
     level, D = compiled[-1], solver._memo[1]
     chain = {D.build_B(i, (1,) * (i - 1)) for i in range(1, 7)}
     off_chain = {D.build_B(i, K) for i in range(1, 7)
@@ -481,10 +488,8 @@ def test_cold_find_level_holds_the_chain_and_no_other_b(capsys, monkeypatch):
     assert len(chain) == 6 and len(off_chain) == 76
     assert chain | off_chain <= level and len(level) == 131
     p = expr.Point((0.3, -0.2, 0.0), (0.1,) + (0.0,) * 5)
-    assert D.level(6, p, chain=True).b(3, (1, 1)) == D.level(6, p).b(3, (1, 1))
-    assert len(compiled) == 3
-    with pytest.raises(IndexError, match="off the chain"):
-        D.level(6, p, chain=True).b(3, (1, 2))
+    assert D.level(6, p).b(3, (1, 1)) != D.level(6, p).b(3, (1, 2))
+    assert len(compiled) == 2
 
 
 ONE_PROCESS = """

@@ -30,7 +30,7 @@ E = inspect.Parameter.empty
 SIGNATURES = {
     VectorField: [("name", E), ("var_names", E), ("param_names", E), ("components", E)],
     Point: [("x", E), ("alpha", E)],
-    Level: [("r", E), ("p", E), ("_set", E), ("_value", E), ("_g", E), ("_chain", E)],
+    Level: [("r", E), ("p", E), ("_set", E), ("_value", E), ("_g", E)],
     PrimaryFormSpec: [("n", E), ("r", E), ("lambdas", ()), ("taus", ())],
     RdReference: [("k1", E), ("k2", E)],
     SolveOptions: [("seed_count", 256), ("dedup_radius", 1e-06), ("tol_b", 1e-08),

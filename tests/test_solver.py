@@ -692,20 +692,15 @@ class _NewtonCounters:
     """Counting wrappers around NewtonSystem's evaluations and solves."""
 
     def __init__(self, monkeypatch):
-        self.fj = self.residual = self.iterations = 0
+        self.fj = self.iterations = 0
         self.statuses: dict = {}
         self.trial_types: set = set()
-        residual = NewtonSystem.residual
         residual_and_jacobian = NewtonSystem.residual_and_jacobian
         solve = NewtonSystem.solve
 
-        def counted_residual(system, vals):
-            self.residual += 1
-            self.trial_types.update(type(v) for v in vals)
-            return residual(system, vals)
-
         def counted_residual_and_jacobian(system, vals):
             self.fj += 1
+            self.trial_types.update(type(v) for v in vals)
             return residual_and_jacobian(system, vals)
 
         def counted_solve(system, vals):
@@ -714,7 +709,6 @@ class _NewtonCounters:
             self.iterations += result.iterations
             return result
 
-        monkeypatch.setattr(NewtonSystem, "residual", counted_residual)
         monkeypatch.setattr(NewtonSystem, "residual_and_jacobian",
                             counted_residual_and_jacobian)
         monkeypatch.setattr(NewtonSystem, "solve", counted_solve)
@@ -734,21 +728,21 @@ def test_readme_box_newton_counters(rd_field, monkeypatch):
     _readme_box_find(rd_field)
     assert counters.statuses == {"converged": 254, "step-underflow": 2}
     assert counters.iterations == 2001
-    assert counters.fj == 2401
-    assert counters.residual == 290
+    assert counters.fj == 2549
 
 
 def test_line_search_is_bounded_on_a_dense_field(dense_field, monkeypatch):
-    """At most _line_search_trials() residual calls per line search, which
-    each iteration runs, and so does the last one of a seed whose step
-    underflows, and the dense field's two full swallowtails are still
-    found."""
+    """One F+J call per seed and at most _line_search_trials() per line
+    search, which each iteration runs, and so does the last one of a seed
+    whose step underflows, and the dense field's two full swallowtails are
+    still found."""
     counters = _NewtonCounters(monkeypatch)
     reports = find_catastrophes(dense_field, 3, [(-1.5, 1.5)] * 6, SolveOptions(seed_count=64))
     assert _line_search_trials() == 9
     underflows = counters.statuses["step-underflow"]
     assert underflows > 0
-    assert counters.residual <= 9 * (counters.iterations + underflows)
+    seeds = sum(counters.statuses.values())
+    assert counters.fj <= seeds + 9 * (counters.iterations + underflows)
     full = [(rep.point.x, rep.point.alpha[:3]) for rep in reports if rep.full]
     assert full == [
         (pytest.approx((-1.9536524003744844, 0.09419416362684509, 1.1141597637203982)),
@@ -761,30 +755,31 @@ def test_line_search_is_bounded_on_a_dense_field(dense_field, monkeypatch):
 
 def test_accepted_full_steps_make_one_call_per_iteration(monkeypatch):
     """Where every full step is accepted, the F+J of each trial serves
-    the next iteration: one F+J per seed and one per iteration, and no
-    residual call."""
+    the next iteration: one F+J per seed and one per iteration."""
     counters = _NewtonCounters(monkeypatch)
     field = make_primary_form(PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6)))
     reports = find_catastrophes(field, 6, [(-1.5, 1.5)] * 9, SolveOptions(seed_count=64))
     assert len(reports) == 1 and reports[0].full
     assert counters.statuses == {"converged": 64}
-    assert counters.residual == 0
     assert (counters.iterations, counters.fj) == (131, 131 + 64)
 
 
-def test_a_jacobian_that_overflows_at_a_full_step_falls_back_to_residual(monkeypatch):
+def test_a_trial_whose_jacobian_overflows_is_rejected(monkeypatch):
     """From x = 2^-500 the full step lands near 2^-520, where F is finite
-    but J's x^-2 overflows: that trial's F+J raises, residual evaluates it
-    again and accepts it, and the next iteration's F+J raises, as in the
-    plain loop."""
+    but J's x^-2 overflows: that trial's F+J raises and is rejected like
+    one that does not decrease F, and t = 1/2 is accepted.  So each
+    iteration halves x, until near 2^-512 every trial's J overflows and
+    the step underflows, in the generated solve as in the plain loop."""
     twins = _TwinSolves(monkeypatch)
     f = ex.parse_vector_field("vars: x\nparams:\neq: 2^480*x - 2^-40 + 2^-600*x^-1")
     result = NewtonSystem(det.DeterminantSet(f), f.components).solve([2.0 ** -500])
-    assert (result.status, result.iterations) == ("evaluation-error", 1)
-    # per twin: F+J at the seed, at the full step (raises) and at the
-    # accepted point (raises), and residual once, at the full step
-    assert twins.calls == {"residual": 2, "fj": 6, "ZeroDivisionError": 0,
-                           "OverflowError": 4}
+    assert (result.status, result.iterations, result.residual) == (
+        "step-underflow", 12, 2.328304216092647e-10)
+    # per twin: F+J at the seed, two trials in each of the 12 iterations,
+    # the first raising, and the last line search's nine, all raising
+    assert _line_search_trials() == 9
+    assert twins.calls == {"fj": 2 * (1 + 2 * 12 + 9), "ZeroDivisionError": 0,
+                           "OverflowError": 2 * (12 + 9)}
 
 
 def test_census_cell_newton_counters(rd_field, monkeypatch):
@@ -838,10 +833,10 @@ def test_census_builds_one_system_per_field(monkeypatch):
 def _reference_solve(system, start_vals):
     """NewtonSystem.solve written as a plain loop with a per-trial line
     search: each trial copies the value vector, adds t*d at each unknown's
-    slot, and is accepted when each component of its F is below the
-    max-norm in absolute value.  The full-step trial (t = 1) calls F+J,
-    or residual if F+J raises, and a later trial residual; an iteration
-    calls F+J at its start only when it holds no J at its point."""
+    slot, calls F+J, and is accepted when each component of its F is below
+    the max-norm in absolute value; a trial whose F+J raises is rejected.
+    An iteration solves its step from the F+J of the seed or of the trial
+    last accepted."""
     vals = [float(v) for v in start_vals]
     slots = system._slots
     n = system.field.n
@@ -850,13 +845,11 @@ def _reference_solve(system, start_vals):
         return ex.Point(tuple(v[:n]), tuple(v[n:]))
 
     m = len(slots)
-    FJ = None
+    try:
+        FJ = system.residual_and_jacobian(vals)
+    except (ZeroDivisionError, OverflowError):
+        return solver.NewtonResult("evaluation-error", None, math.inf, 0)
     for it in range(solver._MAX_ITERATIONS):
-        if FJ is None:
-            try:
-                FJ = system.residual_and_jacobian(vals)
-            except (ZeroDivisionError, OverflowError):
-                return solver.NewtonResult("evaluation-error", None, math.inf, it)
         F, J = FJ[:m], FJ[m:]
         res = (max(map(abs, F)) if all(map(math.isfinite, F))
                else math.inf)  # Python's max drops a NaN that is not first
@@ -877,23 +870,17 @@ def _reference_solve(system, start_vals):
             trial = vals[:]
             for s, d in moves:
                 trial[s] += t * d
-            FJ = None
             try:
-                if t == 1.0:
-                    try:
-                        FJ = system.residual_and_jacobian(trial)
-                    except (ZeroDivisionError, OverflowError):
-                        pass  # the same trial again, by residual
-                G = system.residual(trial) if FJ is None else FJ[:m]
-                if all(abs(g) < res for g in G):  # no NaN, no infinity
-                    vals, F = trial, G
-                    break
+                G = system.residual_and_jacobian(trial)
             except (ZeroDivisionError, OverflowError):
-                pass
+                G = None
+            if G is not None and all(abs(g) < res for g in G[:m]):  # no NaN, no infinity
+                vals, FJ = trial, G
+                break
             t *= solver._DAMPING
         else:
             return solver.NewtonResult("step-underflow", as_point(vals), res, it)
-    res = max(map(abs, F))  # the last accepted trial's
+    res = max(map(abs, FJ[:m]))  # the last accepted trial's
     scale = 1.0 + max(abs(vals[s]) for s in slots)
     status = ("converged" if res <= solver._RESIDUAL_TOL * scale
               else "max-iterations")
@@ -920,41 +907,25 @@ def _outcome(result):
 class _TwinSolves:
     """Replaces NewtonSystem.solve so that every seed also runs
     _reference_solve, and checks that both give the same outcome with the
-    same number of residual and residual_and_jacobian calls, and of
-    ZeroDivisionError and OverflowError raises.  non_finite collects the
-    positions of the non-finite components of each F, from residual or
-    from the first m entries of residual_and_jacobian."""
+    same number of residual_and_jacobian calls, and of ZeroDivisionError
+    and OverflowError raises.  non_finite collects the positions of the
+    non-finite components of each F, the first m entries of
+    residual_and_jacobian."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"residual": 0, "fj": 0, "ZeroDivisionError": 0,
-                      "OverflowError": 0}
+        self.calls = {"fj": 0, "ZeroDivisionError": 0, "OverflowError": 0}
         self.statuses: dict = {}
         self.non_finite: set = set()
-        residual = NewtonSystem.residual
         residual_and_jacobian = NewtonSystem.residual_and_jacobian
         solve = NewtonSystem.solve
 
-        def counted(key, method):
-            def call(system, vals):
-                self.calls[key] += 1
-                try:
-                    return method(system, vals)
-                except (ZeroDivisionError, OverflowError) as e:
-                    self.calls[type(e).__name__] += 1
-                    raise
-            return call
-
-        count_residual = counted("residual", residual)
-
-        def counted_residual(system, vals):
-            F = count_residual(system, vals)
-            self.non_finite.update(i for i, g in enumerate(F) if not math.isfinite(g))
-            return F
-
-        count_residual_and_jacobian = counted("fj", residual_and_jacobian)
-
         def counted_residual_and_jacobian(system, vals):
-            FJ = count_residual_and_jacobian(system, vals)
+            self.calls["fj"] += 1
+            try:
+                FJ = residual_and_jacobian(system, vals)
+            except (ZeroDivisionError, OverflowError) as e:
+                self.calls[type(e).__name__] += 1
+                raise
             self.non_finite.update(i for i, g in enumerate(FJ[:len(system._slots)])
                                    if not math.isfinite(g))
             return FJ
@@ -971,7 +942,6 @@ class _TwinSolves:
             self.statuses[got.status] = self.statuses.get(got.status, 0) + 1
             return got
 
-        monkeypatch.setattr(NewtonSystem, "residual", counted_residual)
         monkeypatch.setattr(NewtonSystem, "residual_and_jacobian",
                             counted_residual_and_jacobian)
         monkeypatch.setattr(NewtonSystem, "solve", twin_solve)
@@ -1021,12 +991,11 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, dense_field, mon
     assert (result.status, result.iterations) == ("evaluation-error", 0)
     assert twins.calls["OverflowError"] == 2  # once per twin
     # J = 3e-220 gives a step near 3e219, whose cube overflows at every t
-    # down to _MIN_STEP: all the trials raise, the full step in F+J and
-    # again in residual, so the step underflows
+    # down to _MIN_STEP: all the trials raise, so the step underflows
     result = system.solve([1e-110])
     assert (result.status, result.iterations, result.residual) == (
         "step-underflow", 0, 1.0)
-    assert twins.calls["OverflowError"] == 2 + 2 * (1 + _line_search_trials())
+    assert twins.calls["OverflowError"] == 2 + 2 * _line_search_trials()
     # from x = 1e-3 the full step lands on x = -500, where 1e307*(x^2 + 1)
     # overflows: a trial whose F is NaN, +inf or -inf in one component only,
     # the first or the last, is rejected (Python's max drops a last NaN);
@@ -1043,25 +1012,20 @@ def test_line_search_matches_plain_loop_on_edge_cases(rd_field, dense_field, mon
             assert (result.status, result.iterations) == outcome
             assert twins.non_finite == {pos}
     # a dense field's codim-4 system wanders for all 100 iterations from
-    # this start: 368 trials, the 100 full steps by F+J and 268 by
-    # residual, and the max-norm after the loop is the last accepted
-    # trial's, with no call of its own (its last bits follow the term
-    # order, which the process's earlier fields set)
+    # this start: 368 trials, each by F+J, and the max-norm after the
+    # loop is the last accepted trial's, with no call of its own (its last
+    # bits follow the term order, which the process's earlier fields set)
     _D, system = solver._system(dense_field, r=4)
     before = dict(twins.calls)
     result = system.solve([0.47, -0.94, -0.42, -1.32, 1.25, 0.36, -0.78, 0.0, 0.0])
     assert (result.status, result.iterations, result.residual) == (
         "max-iterations", 100, pytest.approx(1.399007523749e-4, rel=1e-9))
     assert twins.statuses["max-iterations"] == 1
-    assert twins.calls["residual"] - before["residual"] == 2 * 268  # once per twin
-    # F+J: the seed's, the 100 full steps', and 89 at points that a
-    # shorter step reached
-    assert twins.calls["fj"] - before["fj"] == 2 * 190
+    assert twins.calls["fj"] - before["fj"] == 2 * (1 + 368)  # the seed's, then the trials
 
 
 def test_residual_and_jacobian_is_one_flat_tuple_led_by_the_residual(rd_field):
-    """F+J is one tuple of m + m*m floats, F then the row-major J, and its
-    first m are residual's F bit for bit."""
+    """F+J is one tuple of m + m*m floats, F then the row-major J."""
     primary = make_primary_form(PrimaryFormSpec(3, 4, (1.3, -0.7), (0.9, -1.6)))
     for field, vals in ((rd_field, [0.3, -0.2, 0.1, 0.2, -1.0, -1.0, 1.0, 1.0]),
                         (primary, [0.3, -0.2, 0.1, 0.1, -0.4, 0.25, 0.5])):
@@ -1069,7 +1033,6 @@ def test_residual_and_jacobian_is_one_flat_tuple_led_by_the_residual(rd_field):
         m = len(system._slots)
         out = system.residual_and_jacobian(vals)
         assert type(out) is tuple and len(out) == m + m * m
-        assert list(map(float.hex, out[:m])) == list(map(float.hex, system.residual(vals)))
 
 
 def test_find_boardman_and_compile_leave_no_cyclic_garbage():
