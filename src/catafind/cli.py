@@ -348,6 +348,9 @@ def cmd_scan(args) -> int:
     ranges = _parse_intervals(args.range)
     if len(ranges) != 2:
         raise UsageError("--range needs two intervals lo:hi,lo:hi")
+    for lo, hi in ranges:  # before the header is written, as for --box-x
+        if not lo < hi:
+            raise UsageError(f"empty --range interval [{lo}, {hi}]")
     try:
         cells = tuple(int(t) for t in args.cells.split(","))
     except ValueError:
@@ -376,7 +379,7 @@ def cmd_scan(args) -> int:
                 alpha = list(base_alpha)
                 alpha[idx[0]] = v1 = cell_value(0, i)
                 alpha[idx[1]] = v2 = cell_value(1, j)
-                census = solver.count_steady_states(field, alpha, box, opts)
+                census = solver.count_steady_states(field, alpha, box, opts, axes=idx)
                 n_attracting = sum(1 for _p, label in census.states
                                    if label == "attracting")
                 lost = sum(s in ("diverged", "failed") for s in census.paths)

@@ -228,9 +228,10 @@ class DeterminantSet:
         value = dict(zip(exprs, map(float, fn(vals))))
         g, n = None, self.field.n
         if 1 <= r <= len(self.param_order):
-            cols = [step(vals[:j] + (complex(vals[j], _STEP),) + vals[j + 1:])
+            cols = [[v.imag / _STEP for v in step(vals[:j] + (complex(vals[j], _STEP),)
+                                                  + vals[j + 1:])]
                     for j in (*range(n), *(n + k for k in self.param_order[:r]))]
-            g = _trie_dets([[col[k].imag / _STEP for col in cols] for k in at], n, r)
+            g = _trie_dets([[col[k] for col in cols] for k in at], n, r)
         return Level(r, p, self, value, g)
 
 

@@ -5,7 +5,10 @@ The path tracker is straight-line code generated per number of unknowns
 (_tracker) that evaluates H by three compiled functions, a corrector's
 (H, H_x), a slope's (H_x, H_s) and a speed's H_s, and solves each linear
 system inline, by solver._elimination's lines as solver's Newton iteration
-does.  One Cauchy loop ends every singular path of its cycle.
+does.  One Cauchy loop ends every singular path of its cycle.  A scan that
+fixes all but some parameters starts each cell's paths on its own plane,
+at roots tracked there from p* once per plane, so that they move only the
+scanned parameters.
 """
 
 from __future__ import annotations
@@ -229,7 +232,15 @@ class Homotopy:
     (coefficient-parameter continuation; Morgan & Sommese, Appl. Math.
     Comput. 1989): the segment p* -> alpha at gamma = 1, ending at
     p = alpha exactly.  A stage with a bad end, or with two regular paths
-    at one root, runs again with the second gamma."""
+    at one root, runs again with the second gamma.
+
+    With axes, the indices of the parameters that a scan varies, a cell's
+    segment starts instead at the plane's start: p* with every other
+    coordinate at the cell's value.  A generic point of the plane has its
+    full count of finite roots (coefficient-parameter homotopy; Sommese &
+    Wampler 2005, ch. 7), tracked there from p*'s once per plane by the
+    same stage; if one ends anywhere but at a regular root of its own, the
+    plane's cells start at p*."""
 
     def __init__(self, field: ex.VectorField):
         n, r = field.n, field.r
@@ -250,14 +261,16 @@ class Homotopy:
                             for k in range(1, r + 1))
         starts = itertools.product(*[
             [cmath.exp(2j * math.pi * k / d) for k in range(d)] for d in degrees])
-        ends = self._stage(_compiled(start, n), list(starts), self._pstar,
-                           _GAMMAS, ("failed", "singular"))
+        _misses, ends = self._stage(_compiled(start, n), list(starts), self._pstar,
+                                    _GAMMAS, ("failed", "singular"))
         self._roots = [x for status, x in ends if status == "regular"]
         self._lost = sum(status != "diverged" for status, _x in ends) - len(self._roots)
+        self._plane = None  # (the last plane's start, its roots or None)
 
     def _stage(self, fns, starts, tail, gammas, bad):
-        """The (status, x) of each path from starts, with gammas[0], or
-        with gammas[1] if that has fewer bad ends."""
+        """(misses, the (status, x) of each path from starts) with gammas[0],
+        or with gammas[1] if that has fewer misses: ends whose status is in
+        bad, and pairs of regular ends at one root."""
         best = None
         for gamma in gammas:
             shared: list = []  # the singular paths' laps, for _path
@@ -273,15 +286,41 @@ class Homotopy:
                 best = misses, ends
             if not misses:
                 break
-        return best[1]
+        return best
 
-    def track(self, alpha):
+    def _segment(self, starts, start, end, bad):
+        """_stage's (misses, ends) for the roots starts at the parameters
+        start, moved along the segment start -> end."""
+        return self._stage(self._cell, starts, (*map(operator.sub, start, end), *end),
+                           (1.0, _GAMMAS[1]), bad)
+
+    def _plane_start(self, alpha, axes):
+        """(start, its roots) for a cell at alpha on the plane along axes:
+        start is p* with every coordinate outside axes at alpha's, and its
+        roots are p*'s tracked there, once per plane.  If one of them does
+        not end regular and distinct, p* and its roots."""
+        start = tuple(p if k in axes else a for k, (p, a) in enumerate(zip(self._pstar, alpha)))
+        if self._plane is None or self._plane[0] != start:
+            misses, ends = self._segment(self._roots, self._pstar, start,
+                                         ("failed", "diverged", "singular"))
+            self._plane = start, None if misses else [x for _status, x in ends]
+        roots = self._plane[1]
+        return (self._pstar, self._roots) if roots is None else (start, roots)
+
+    def track(self, alpha, axes=None):
         """(the end of each path, a root lost at p* reading "failed"; the
         index and real part of each real endpoint at alpha where no
-        denominator vanishes)."""
-        ends = self._stage(self._cell, self._roots,
-                           (*(p - a for p, a in zip(self._pstar, alpha)), *alpha),
-                           (1.0, _GAMMAS[1]), ("failed", "diverged"))
+        denominator vanishes).  axes: the indices of the parameters that
+        vary from call to call, None for all; a call whose other
+        parameters equal the last call's reuses its plane's start."""
+        start, roots = self._pstar, self._roots
+        if axes is not None:
+            if len(set(axes)) < len(axes) or not set(axes) <= set(range(len(start))):
+                raise ValueError(f"axes {tuple(axes)!r}: an entry repeated or not a "
+                                 f"parameter index below {len(start)}")
+            if len(axes) < len(start):
+                start, roots = self._plane_start(alpha, axes)
+        _misses, ends = self._segment(roots, start, alpha, ("failed", "diverged"))
         real = []
         for i, (_status, x) in enumerate(ends):
             tol = _REAL_TOL * (1.0 + max(map(abs, x or [0.0])))

@@ -542,11 +542,15 @@ def _block(a, b, c, d) -> list:
 
 
 def count_steady_states(field: VectorField, alpha, box,
-                        opts: SolveOptions | None = None) -> SteadyStateCensus:
+                        opts: SolveOptions | None = None, *,
+                        axes=None) -> SteadyStateCensus:
     """The states in box where F = 0 at parameters alpha: the real ends of
     homotopy.Homotopy's paths, refined by NewtonSystem.solve on F, with
     stability labels from the Jacobian eigenvalues.  census.paths says how
-    each path ended; a state may be missing where one diverged or failed."""
+    each path ended; a state may be missing where one diverged or failed.
+    axes: the declared indices of the parameters that vary from call to
+    call (None: all of them); a sweep that fixes the others tracks each
+    call's paths from one start on its own plane (Homotopy.track)."""
     opts = opts or SolveOptions()
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != field.r:
@@ -559,7 +563,7 @@ def count_steady_states(field: VectorField, alpha, box,
     _D, system = _system(field, r=0)
     if "census" not in _memo[2]:
         _memo[2]["census"] = homotopy.Homotopy(field)
-    paths, ends = _memo[2]["census"].track(alpha)
+    paths, ends = _memo[2]["census"].track(alpha, axes)
     hits = []
     for i, x in ends:
         result = system.solve(x + list(alpha))

@@ -226,7 +226,9 @@ def test_non_finite_flag_values_are_usage_errors(capsys, argv):
     (FIND_RD1 + ["--box=1:0,-1:1,-1:1"], "empty seed interval [1.0, 0.0]"),
     (SCAN_RD + ["--range=0:1,0:1", "--box-x=1:0,0:1"],
      "empty state interval in box [(1.0, 0.0), (0.0, 1.0)]"),
-], ids=["find-box", "scan-box-x"])
+    (SCAN_RD + ["--range=1:1,-1:1"], "empty --range interval [1.0, 1.0]"),
+    (SCAN_RD + ["--range=-1:1,1:-1"], "empty --range interval [1.0, -1.0]"),
+], ids=["find-box", "scan-box-x", "scan-range", "scan-range-reversed"])
 def test_empty_intervals_are_usage_errors(capsys, tmp_path, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and message in err and out == ""  # not even a CSV header

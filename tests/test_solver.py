@@ -5,6 +5,7 @@ import functools
 import gc
 import importlib.util
 import math
+import operator
 import random
 import sys
 from pathlib import Path
@@ -339,6 +340,76 @@ def test_census_matches_the_exact_oracle_on_both_workload_slices(rd_field):
                 assert got == oracles.rd_census(1, 1, a, a, b, d, box), (a, b, d)
 
 
+def _rd_slice_cells():
+    # the parameters of every cell of both 5x5 scan-rd workload slices,
+    # (b, d, a, g, k1, k2), slice a = g = 0.2 first
+    centres = [-1.5 + (k + 0.5) * 3.0 / 5 for k in range(5)]
+    return [[b, d, a, a, 1, 1] for a in (0.2, -1.0) for b in centres for d in centres]
+
+
+def test_a_plane_start_gives_the_census_of_the_start_at_p_star(rd_field):
+    # a scan over (b, d) tracks each cell from p* with a, g, k1 and k2 set
+    # to the cell's: the same states and labels, though by shorter paths
+    box = [(-3.0, 3.0)] * 2
+    for alpha in _rd_slice_cells():
+        want = count_steady_states(rd_field, alpha, box)
+        got = count_steady_states(rd_field, alpha, box, axes=(0, 1))
+        assert got.count == want.count, alpha
+        for (p, label), (q, want_label) in zip(got.states, want.states):
+            assert p.alpha == q.alpha and label == want_label, alpha
+            assert max(map(abs, map(operator.sub, p.x, q.x))) <= 1e-9, alpha
+    census = solver._memo[2]["census"]
+    assert census._plane[1] is not None  # the a = g = -1 plane's start was kept
+    # axes that cover every parameter start at p*, with no plane stage
+    census._plane = None
+    assert count_steady_states(rd_field, alpha, box, axes=range(5, -1, -1)) == want
+    assert census._plane is None
+
+
+@pytest.mark.parametrize("axes", [(0, 6), (-1,), (1, 1), (0, 2, 0)])
+def test_a_scan_axis_out_of_range_or_repeated_is_rejected(rd_field, axes):
+    with pytest.raises(ValueError, match="repeated or not a parameter index below 6"):
+        count_steady_states(rd_field, [0.1, 0.2, 0.2, 0.2, 1, 1], [(-3.0, 3.0)] * 2,
+                            axes=axes)
+
+
+def test_a_plane_singular_at_its_start_is_tracked_from_p_star(tmp_path, monkeypatch):
+    # at a1 = 0, (x - a2)^2 + a1*x + a1*a3 has one double root on the whole
+    # (a2, a3) plane, so both paths to the plane's start end singular and
+    # every cell starts at p*: the CSV of the start at p*, byte for byte.
+    # That CSV reads 1 or 2 states per cell, not 1: the census refinement
+    # accepts a point near a double root on its residual alone, ROADMAP
+    # item 1's defect, which the start does not change
+    import catafind.cli as cli
+    path = tmp_path / "double.field"
+    path.write_text("vars: x\nparams: a1 a2 a3\neq: (x - a2)^2 + a1*x + a1*a3\n")
+    argv = ["scan", str(path), "--axes", "a2,a3", "--range=-1:1,-1:1", "--cells", "3,3",
+            "--fix", "a1=0", "--out"]
+    assert cli.main(argv + [str(tmp_path / "plane.csv")]) == 0
+    assert solver._memo[2]["census"]._plane[1] is None
+    census = solver.count_steady_states
+    monkeypatch.setattr(solver, "count_steady_states",
+                        lambda *args, axes: census(*args))
+    assert cli.main(argv + [str(tmp_path / "p_star.csv")]) == 0
+    csv = (tmp_path / "plane.csv").read_bytes()
+    assert csv == (tmp_path / "p_star.csv").read_bytes() and csv.count(b"\n") == 10
+
+
+def test_a_slice_scanned_again_after_another_prints_its_first_bytes(capsys, monkeypatch):
+    # the plane's start is kept one plane at a time: scan-rd-positive, then
+    # scan-rd-negative, then scan-rd-positive again in one process each
+    # print the golden document of a fresh process
+    import catafind.cli as cli
+    monkeypatch.setattr(solver, "_memo", None)
+    golden = Path(__file__).resolve().parent / "golden"
+    commands = dict(line.split(maxsplit=1)
+                    for line in (golden / "COMMANDS").read_text().splitlines())
+    for name in ("scan-rd-positive", "scan-rd-negative", "scan-rd-positive"):
+        rc = cli.main(commands[name].split())
+        out, err = capsys.readouterr()
+        assert out + f"exit: {rc}\n" == (golden / f"{name}.out").read_text() and not err
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "within about 1e-8 of a fold the Cauchy loops enclose both close real "
     "roots, whose midpoint does not refine (ROADMAP item 6)"))
@@ -463,11 +534,8 @@ def test_generated_tracker_matches_plain_loop_on_rd_slices(rd_field, monkeypatch
     twins = _TwinTracks(monkeypatch)
     census = homotopy.Homotopy(rd_field)  # the total-degree stage to p*
     # both 5x5 workload slices, with the b = d = 0 cell's endgame chords
-    centres = [-1.5 + (k + 0.5) * 3.0 / 5 for k in range(5)]
-    for a in (0.2, -1.0):
-        for b in centres:
-            for d in centres:
-                census.track([b, d, a, a, 1, 1])
+    for alpha in _rd_slice_cells():
+        census.track(alpha)
     # 9 paths to p* and 9 per cell, but at b = d = 0 three of them fail;
     # there the first singular path tracks 2 segments to its loops and 72
     # chords, and the other two of its cycle one segment each
@@ -480,8 +548,7 @@ def test_tracker_evaluations_on_the_rd_workload_slices(rd_field, monkeypatch):
     # accepted step's next first slope is one speed call (1620 of them),
     # where the loop before took a slope call; and no function named _step
     # is called while the slices are tracked
-    log, steps, compiled = [], [], homotopy._compiled
-    monkeypatch.setattr(homotopy, "_compiled", lambda hs, n: _logged(compiled(hs, n), log))
+    steps = []
 
     def profile(frame, event, _arg):
         if event == "call" and frame.f_code.co_name == "_step":
@@ -489,19 +556,32 @@ def test_tracker_evaluations_on_the_rd_workload_slices(rd_field, monkeypatch):
 
     sys.setprofile(profile)
     try:
-        census = homotopy.Homotopy(rd_field)
-        del log[:]  # the total-degree stage to p*
-        centres = [-1.5 + (k + 0.5) * 3.0 / 5 for k in range(5)]
-        for a in (0.2, -1.0):
-            for b in centres:
-                for d in centres:
-                    census.track([b, d, a, a, 1, 1])
+        calls = _slice_tracker_calls(rd_field, monkeypatch, None)
     finally:
         sys.setprofile(None)
     accepted = 1620
-    calls = collections.Counter(k for k, _v in log)
     assert calls == {0: 4295, 1: 7783 - accepted, 2: accepted}
     assert not steps
+
+
+def _slice_tracker_calls(rd_field, monkeypatch, axes):
+    # the corrector (0), slope (1) and speed (2) calls that track both 5x5
+    # workload slices, the total-degree stage to p* left out
+    log, compiled = [], homotopy._compiled
+    monkeypatch.setattr(homotopy, "_compiled", lambda hs, n: _logged(compiled(hs, n), log))
+    census = homotopy.Homotopy(rd_field)
+    del log[:]
+    for alpha in _rd_slice_cells():
+        census.track(alpha, axes)
+    return collections.Counter(k for k, _v in log)
+
+
+def test_tracker_evaluations_from_the_scan_plane_start(rd_field, monkeypatch):
+    # the same slices with (b, d) as the scan's axes: each slice's plane
+    # stage from p* (287 calls for both), then shorter paths per cell;
+    # 10,963 calls in all against 12,078 from p*
+    calls = _slice_tracker_calls(rd_field, monkeypatch, (0, 1))
+    assert calls == {0: 3799, 1: 5668, 2: 1496}
 
 
 def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
