@@ -9,13 +9,13 @@ Reports are JSON with a `"schema": 1` field; grids are CSV.  All floats are
 printed with 17 significant digits and results are sorted before emission,
 so identical commands on identical inputs produce byte-identical output.
 Exit codes: 0 success (including empty result sets), 2 usage or parse
-error, 3 numerical failure.
+error, 3 numerical failure.  A document is written once, whole, so a
+failed command writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
@@ -107,7 +107,7 @@ def _finite(text: str, message: str) -> float:
     return value
 
 
-def _parse_pairs(text: str) -> dict:
+def _parse_pairs(text: str | None) -> dict:
     """\"a=1,b=-2.5\" -> {\"a\": 1.0, \"b\": -2.5}"""
     out: dict = {}
     if not text:
@@ -183,7 +183,7 @@ def _load_field(args):
 
 
 def _parse_unfold(field: ex.VectorField, text: str | None, codim: int):
-    if not text:
+    if text is None:
         return None
     order = []
     for name in text.split(","):
@@ -199,15 +199,6 @@ def _parse_unfold(field: ex.VectorField, text: str | None, codim: int):
     return tuple(order)
 
 
-def _parse_fix(field: ex.VectorField, text: str | None) -> dict:
-    """--fix values by parameter name; each name must be declared."""
-    fixed = _parse_pairs(text or "")
-    for name in fixed:
-        if name not in field.param_names:
-            raise UsageError(f"--fix: {name!r} is not a declared parameter")
-    return fixed
-
-
 def _solve_options(args) -> solver.SolveOptions:
     """SolveOptions from the flags the subcommand has, defaults for the rest."""
     names = ("seed_count", "dedup_radius", "tol_b", "tol_g")
@@ -215,7 +206,7 @@ def _solve_options(args) -> solver.SolveOptions:
 
 
 def _parse_point(field: ex.VectorField, text: str | None) -> ex.Point:
-    vals = _parse_pairs(text or "")
+    vals = _parse_pairs(text)
     known = set(field.var_names) | set(field.param_names)
     for name in vals:
         if name not in known:
@@ -254,17 +245,10 @@ def _report_json(field: ex.VectorField, rep: solver.CatastropheReport) -> dict:
 def cmd_find(args) -> int:
     field, text = _load_field(args)
     unfold = _parse_unfold(field, args.unfold, args.codim)
-    fixed = _parse_fix(field, args.fix)
-    opts = _solve_options(args)
-    n_unknowns = field.n + args.codim
-    box = (_parse_intervals(args.box) if args.box
-           else [(-1.5, 1.5)] * n_unknowns)
-    if len(box) != n_unknowns:
-        raise UsageError(
-            f"--box needs {n_unknowns} intervals (states then unfolding "
-            f"parameters), got {len(box)}")
-    reports = solver.find_catastrophes(field, args.codim, box, opts,
-                                       fixed=fixed, param_order=unfold)
+    box = (_parse_intervals(args.box) if args.box is not None
+           else [(-1.5, 1.5)] * (field.n + args.codim))
+    reports = solver.find_catastrophes(field, args.codim, box, _solve_options(args),
+                                       fixed=_parse_pairs(args.fix), param_order=unfold)
     doc = _document(args._argv, text,
                     reports=[_report_json(field, rep) for rep in reports])
     _emit(_to_json(doc) + "\n", args.out)
@@ -339,7 +323,7 @@ def cmd_scan(args) -> int:
         raise UsageError("--axes needs exactly two parameter names")
     if axes[0] == axes[1]:
         raise UsageError(f"--axes names {axes[0]!r} twice")
-    fixed = _parse_fix(field, args.fix)
+    fixed = _parse_pairs(args.fix)
     for a in axes:
         if a not in field.param_names:
             raise UsageError(f"--axes: {a!r} is not a declared parameter")
@@ -348,7 +332,7 @@ def cmd_scan(args) -> int:
     ranges = _parse_intervals(args.range)
     if len(ranges) != 2:
         raise UsageError("--range needs two intervals lo:hi,lo:hi")
-    for lo, hi in ranges:  # before the header is written, as for --box-x
+    for lo, hi in ranges:
         if not lo < hi:
             raise UsageError(f"empty --range interval [{lo}, {hi}]")
     try:
@@ -357,12 +341,8 @@ def cmd_scan(args) -> int:
         raise UsageError(f"bad --cells {args.cells!r}") from None
     if len(cells) != 2 or min(cells) < 1:
         raise UsageError("--cells needs two positive integers")
-    box = (_parse_intervals(args.box_x) if args.box_x
+    box = (_parse_intervals(args.box_x) if args.box_x is not None
            else [(-3.0, 3.0)] * field.n)
-    if len(box) != field.n:
-        raise UsageError(f"--box-x needs {field.n} intervals")
-    if not all(lo < hi for lo, hi in box):  # before the header is written
-        raise UsageError(f"empty state interval in box {box}")
     opts = _solve_options(args)
     idx = [field.param_names.index(a) for a in axes]
     base_alpha = solver._resolve_fixed(field, fixed)
@@ -371,24 +351,23 @@ def cmd_scan(args) -> int:
         lo, hi = ranges[axis]
         return lo + (k + 0.5) * (hi - lo) / cells[axis]
 
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write(f"{axes[0]},{axes[1]},n_states,n_attracting\n")
-        for i in range(cells[0]):
-            for j in range(cells[1]):
-                alpha = list(base_alpha)
-                alpha[idx[0]] = v1 = cell_value(0, i)
-                alpha[idx[1]] = v2 = cell_value(1, j)
-                census = solver.count_steady_states(field, alpha, box, opts, axes=idx)
-                n_attracting = sum(1 for _p, label in census.states
-                                   if label == "attracting")
-                lost = sum(s in ("diverged", "failed") for s in census.paths)
-                if lost:
-                    print(f"warning: cell {axes[0]}={_fmt_float(v1)},{axes[1]}="
-                          f"{_fmt_float(v2)}: {lost} of {len(census.paths)} homotopy "
-                          "paths diverged or failed; states may be missing", file=sys.stderr)
-                fh.write(f"{_fmt_float(v1)},{_fmt_float(v2)},"
-                         f"{census.count},{n_attracting}\n")
+    rows = [f"{axes[0]},{axes[1]},n_states,n_attracting\n"]
+    for i in range(cells[0]):
+        for j in range(cells[1]):
+            alpha = list(base_alpha)
+            alpha[idx[0]] = v1 = cell_value(0, i)
+            alpha[idx[1]] = v2 = cell_value(1, j)
+            census = solver.count_steady_states(field, alpha, box, opts, axes=idx)
+            n_attracting = sum(1 for _p, label in census.states
+                               if label == "attracting")
+            lost = sum(s in ("diverged", "failed") for s in census.paths)
+            if lost:
+                print(f"warning: cell {axes[0]}={_fmt_float(v1)},{axes[1]}="
+                      f"{_fmt_float(v2)}: {lost} of {len(census.paths)} homotopy "
+                      "paths diverged or failed; states may be missing", file=sys.stderr)
+            rows.append(f"{_fmt_float(v1)},{_fmt_float(v2)},"
+                        f"{census.count},{n_attracting}\n")
+    _emit("".join(rows), args.out)
     return 0
 
 
@@ -421,9 +400,8 @@ def cmd_count_minors(args) -> int:
 
 def cmd_boardman(args) -> int:
     field, text = _load_field(args)
-    fixed = _parse_fix(field, args.fix)
-    alpha = solver._resolve_fixed(field, fixed)
-    at = _parse_pairs(args.at or "")
+    alpha = solver._resolve_fixed(field, _parse_pairs(args.fix))
+    at = _parse_pairs(args.at)
     for name in at:
         if name not in field.var_names:
             raise UsageError(f"--at: {name!r} is not a state variable")
@@ -465,7 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # one parent per tolerance flag, so each subcommand takes the ones it reads
     tol_b_p = argparse.ArgumentParser(add_help=False)
     tol_b_p.add_argument("--tol-b", type=float, default=det.DEFAULT_TOL_B,
-                         help="scaled zero threshold for level determinants")
+                         help="zero threshold. find, check: level determinants "
+                              "(scaled) and subrank pivots (relative to the largest "
+                              "row norm); boardman: rank pivots (relative); scan: "
+                              "eigenvalue real parts for stability labels (absolute)")
     tol_g_p = argparse.ArgumentParser(add_help=False)
     tol_g_p.add_argument("--tol-g", type=float, default=det.DEFAULT_TOL_G,
                          help="scaled nonzero threshold for extended determinants")

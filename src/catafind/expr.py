@@ -355,14 +355,6 @@ class VectorField(Frozen):
         object.__setattr__(self, "param_names", param_names)
         object.__setattr__(self, "components", components)
 
-    def __eq__(self, other):  # Record's, unrolled: solver._system compares on every call
-        if other.__class__ is self.__class__:
-            return (self.name, self.var_names, self.param_names, self.components) == (
-                other.name, other.var_names, other.param_names, other.components)
-        return NotImplemented
-
-    __hash__ = Frozen.__hash__  # a class that defines __eq__ alone is unhashable
-
     @property
     def n(self) -> int:
         return len(self.var_names)

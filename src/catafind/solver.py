@@ -245,8 +245,8 @@ def _newton_solve(slots: tuple, width: int):
     trial whose F+J raises ZeroDivisionError or OverflowError is rejected
     too; with none accepted, step-underflow.  Each trial is evaluated by
     F+J, into the locals that the elimination has consumed, so the next
-    iteration needs no call, and after the last one the a{i} are the last
-    accepted trial's, so the max-norm needs no call either."""
+    pass needs no call; the pass after the last iteration only tests
+    convergence, and ends max-iterations when that fails."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
     trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
@@ -267,11 +267,13 @@ def _newton_solve(slots: tuple, width: int):
     {abs_f}
     if not ({" and ".join(f"a{i} < inf" for i in range(m))}):
         return "evaluation-error", None, inf, 0
-    for it in range({_MAX_ITERATIONS}):
+    for it in range({_MAX_ITERATIONS + 1}):
         {max_norm}
         {get_scale}
         if res <= {_RESIDUAL_TOL!r} * (1.0 + scale):
             return "converged", vals, res, it
+        if it == {_MAX_ITERATIONS}:
+            return "max-iterations", vals, res, it
         try:
             {step}
         except ZeroDivisionError:
@@ -292,10 +294,6 @@ def _newton_solve(slots: tuple, width: int):
                 return "step-underflow", vals, res, it
             trial = [{trial.format(t="t*")}]
         {vs}, = vals = trial
-    {max_norm}
-    {get_scale}
-    return ("converged" if res <= {_RESIDUAL_TOL!r} * (1.0 + scale)
-            else "max-iterations"), vals, res, {_MAX_ITERATIONS}
 """
     namespace: dict = {"inf": math.inf}
     exec(src, namespace)
@@ -374,7 +372,8 @@ def find_catastrophes(field: VectorField, r: int, box,
         raise ValueError(
             f"codimension {r} exceeds the field's {field.r} parameters")
     if len(box) != field.n + r:
-        raise ValueError(f"box needs {field.n + r} intervals, got {len(box)}")
+        raise ValueError(f"box needs {field.n + r} intervals (states, then the "
+                         f"unfolding parameters), got {len(box)}")
     solved = tuple(range(field.r) if param_order is None else param_order)[:r]
     for key in fixed or ():
         if _param_index(field, key) in solved:
@@ -426,7 +425,7 @@ def _param_index(field: VectorField, key) -> int:
     """The declared index of a parameter given by name or index."""
     if isinstance(key, str):
         if key not in field.param_names:
-            raise ValueError(f"unknown parameter {key!r}")
+            raise ValueError(f"cannot fix {key!r}: not a declared parameter")
         return field.param_names.index(key)
     idx = int(key)
     if not 0 <= idx < field.r:
@@ -556,7 +555,7 @@ def count_steady_states(field: VectorField, alpha, box,
     if len(alpha) != field.r:
         raise ValueError(f"expected {field.r} parameter values")
     if len(box) != field.n:
-        raise ValueError(f"box needs {field.n} intervals")
+        raise ValueError(f"box needs {field.n} intervals (one per state), got {len(box)}")
     if not all(lo < hi for lo, hi in box):
         raise ValueError(f"empty state interval in box {box}")
     from . import homotopy  # compiled on the first census, not on import

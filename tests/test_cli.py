@@ -237,6 +237,52 @@ def test_empty_intervals_are_usage_errors(capsys, tmp_path, argv, message):
     assert rc == 2 and message in err and out == "" and not path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (FIND_RD1 + ["--box="], "error: expected lo:hi, got ''\n"),
+    (SCAN_RD + ["--range=-1:1,-1:1", "--box-x="], "error: expected lo:hi, got ''\n"),
+    (FIND_RD1 + ["--unfold="], "error: --unfold: '' is not a declared parameter\n"),
+    (FIND_RD1 + ["--box=-1:1"], "error: box needs 3 intervals (states, then the "
+                                "unfolding parameters), got 1\n"),
+    (SCAN_RD + ["--range=-1:1,-1:1", "--box-x=-1:1"],
+     "error: box needs 2 intervals (one per state), got 1\n"),
+    (FIND_RD1 + ["--fix", "zz=1"], "error: cannot fix 'zz': not a declared parameter\n"),
+    (SCAN_RD + ["--range=-1:1,-1:1", "--fix", "zz=1"],
+     "error: cannot fix 'zz': not a declared parameter\n"),
+    (["boardman", "--builtin", "rd", "--fix", "zz=1"],
+     "error: cannot fix 'zz': not a declared parameter\n"),
+], ids=["find-empty-box", "scan-empty-box-x", "find-empty-unfold", "find-box-length",
+        "scan-box-x-length", "find-fix-name", "scan-fix-name", "boardman-fix-name"])
+def test_usage_errors_write_nothing(capsys, tmp_path, argv, message):
+    # an empty flag value is no default; the library's own checks name the
+    # box's layout and the undeclared name
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", message)
+    path = tmp_path / "out"
+    rc, out, err = run(capsys, argv + ["--out", str(path)])
+    assert (rc, out, err) == (2, "", message) and not path.exists()
+
+
+def test_a_scan_failing_at_a_later_cell_writes_nothing(capsys, tmp_path, monkeypatch):
+    from catafind import solver
+    census, calls = solver.count_steady_states, []
+
+    def third_cell_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ArithmeticError("third cell")
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "count_steady_states", third_cell_fails)
+    argv = SCAN_RD + ["--range=-1:1,-1:1", "--fix", "a=0.2,g=0.2,k1=1,k2=1"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (3, "") and len(calls) == 3
+    assert err == "numerical failure: ArithmeticError: third cell\n"
+    path = tmp_path / "grid.csv"
+    calls.clear()
+    rc, out, err = run(capsys, argv + ["--out", str(path)])
+    assert (rc, out) == (3, "") and len(calls) == 3 and not path.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (FIND_RD1 + ["--tol-g", "-1"], "--tol-g"),
     (FIND_RD1 + ["--tol-b", "0"], "--tol-b"),

@@ -37,6 +37,25 @@ def test_golden_document(name, args, tmp_path):
     assert got == (GOLDEN / f"{name}.out").read_bytes(), proc.stderr.decode()
 
 
+@pytest.mark.parametrize("name", [
+    "find-rd-codim2", "check-readme", "scan-rd-positive", "count-minors-readme",
+    "boardman-readme"])
+def test_out_file_holds_the_golden_document(name, tmp_path):
+    # one writer: --out FILE gets the bytes that stdout gets, and stdout
+    # none; a JSON document's "command" list also holds the two --out words
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [*dict(COMMANDS)[name].split(), "--out", "doc.out"]
+    proc = subprocess.run([sys.executable, "-m", "catafind.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, b""), proc.stderr.decode()
+    want = (GOLDEN / f"{name}.out").read_bytes().removesuffix(b"exit: 0\n")
+    head, sep, tail = want.partition(b'"command": [')
+    if sep:
+        end = tail.index(b"\n  ]")
+        want = head + sep + tail[:end] + b',\n    "--out",\n    "doc.out"' + tail[end:]
+    assert (tmp_path / "doc.out").read_bytes() == want
+
+
 def test_scan_prints_its_golden_document_without_numpy(tmp_path):
     # numpy is no dependency of the package: with its import blocked, a
     # scan (homotopy census and stability labels) prints the same bytes
