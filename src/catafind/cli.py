@@ -245,8 +245,9 @@ def _report_json(field: ex.VectorField, rep: solver.CatastropheReport) -> dict:
 def cmd_find(args) -> int:
     field, text = _load_field(args)
     unfold = _parse_unfold(field, args.unfold, args.codim)
+    # no more default intervals than unknowns, so that the library judges --codim
     box = (_parse_intervals(args.box) if args.box is not None
-           else [(-1.5, 1.5)] * (field.n + args.codim))
+           else [(-1.5, 1.5)] * (field.n + min(args.codim, field.r)))
     reports = solver.find_catastrophes(field, args.codim, box, _solve_options(args),
                                        fixed=_parse_pairs(args.fix), param_order=unfold)
     doc = _document(args._argv, text,
@@ -518,6 +519,8 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         solver._check_tolerances(args, lambda name: "--" + name.replace("_", "-"))
+        if getattr(args, "out", None) == "":  # "--out=" names no file and means no stdout
+            raise UsageError("--out needs a file name, got ''")
         return args.func(args)
     except (bo.ToleranceError, ArithmeticError) as e:  # zero division, overflow, FP errors
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)

@@ -12,6 +12,9 @@ iteration; and the damped Newton iteration, with F's max-norm, its
 convergence tests, the step's partial-pivoting elimination and the line
 search, from one function generated per layout of the unknowns, so their
 bits depend on IEEE double arithmetic alone, not on a BLAS build.
+find's multistart certifies each new root by Krawczyk's interval test
+(module interval, imported on the first certificate), and a later seed
+whose iterate enters a certified box ends there, at that box's root.
 The steady-state census tracks roots by a parameter homotopy (module
 homotopy), refines the real ones by the same Newton solve, and labels them
 by the eigenvalues of a real Schur form, also computed on Python floats.
@@ -38,6 +41,11 @@ _RESIDUAL_TOL = 1e-12  # scaled by (1 + max-norm of the unknowns)
 _DAMPING = 0.5  # line-search step factor
 _MIN_STEP = 2.0 ** -8  # smallest line-search step: at most 9 trials, t = 1 .. 2^-8
 _HALTON_SKIP = 20  # leading Halton points left out
+# The fewest iterations from a seed to a new root for which find certifies
+# a box.  Later seeds reach such a root about as fast, and a stop comes
+# only after an accepted trial, so below it a stop saves each seed at most
+# two iterations, less than a certificate's two interval runs of F+J cost
+_CERTIFY_ITERATIONS = 4
 _EPS = 2.0 ** -52  # a subdiagonal entry's split threshold, relative
 _QR_STEPS = 30  # QR steps per split before ArithmeticError
 
@@ -166,19 +174,33 @@ class NewtonSystem:
         self._slots = slots[:m]  # positions of the unknowns in a value vector
         self._width = n + D.field.r
         self._solve = _newton_solve(self._slots, self._width)
+        self._interval_fn = None  # F+J on intervals, bound on the first certify
 
     def residual_and_jacobian(self, vals):
         """One flat tuple of m + m*m floats: F, then the row-major m x m J."""
         return self._fn(vals)
 
-    def solve(self, start_vals) -> NewtonResult:
+    def solve(self, start_vals, boxes=()) -> NewtonResult:
+        """boxes: certify's bounds, each followed by its root's value
+        vector and residual; a seed whose iterate, after an accepted trial,
+        lies in a box ends converged at the box's root, with its residual
+        and the seed's own iteration count."""
         vals = list(map(float, start_vals))
         if len(vals) != self._width:
             raise ValueError(f"start vector has {len(vals)} values, not {self._width}")
-        status, vals, res, iterations = self._solve(vals, self.residual_and_jacobian)
+        status, vals, res, iterations = self._solve(vals, self.residual_and_jacobian, boxes)
         n = self.field.n
         point = None if vals is None else Point(tuple(vals[:n]), tuple(vals[n:]))
         return NewtonResult(status, point, res, iterations)
+
+    def certify(self, vals):
+        """The bounds (lo, hi per unknown) of a box around the unknowns of
+        the value vector vals that Krawczyk's test proves to hold exactly
+        one root of the system (interval.krawczyk), or None."""
+        from . import interval  # compiled on the first certificate, not on import
+        if self._interval_fn is None:
+            self._interval_fn = interval.bind(self._fn)
+        return interval.krawczyk(self._interval_fn, self._fn, vals, self._slots)
 
 
 def _elimination(m: int, x: str, f: str = "eb") -> list:
@@ -231,7 +253,7 @@ def _first_max(out, names) -> str:
 
 @functools.cache  # one generated function per unknown layout
 def _newton_solve(slots: tuple, width: int):
-    """The function (vals, residual_and_jacobian) -> (status,
+    """The function (vals, residual_and_jacobian, boxes) -> (status,
     vals or None, max-norm of F, iterations) that runs solve's damped
     Newton iteration for unknowns at slots of a value vector of this width,
     as straight-line code on locals: F+J unpacked into f{i} and ea{i}_{j},
@@ -246,7 +268,10 @@ def _newton_solve(slots: tuple, width: int):
     too; with none accepted, step-underflow.  Each trial is evaluated by
     F+J, into the locals that the elimination has consumed, so the next
     pass needs no call; the pass after the last iteration only tests
-    convergence, and ends max-iterations when that fails."""
+    convergence, and ends max-iterations when that fails.  After each
+    accepted trial the unknowns are compared with each box's bounds, and a
+    seed inside one returns the box's root; with no boxes, no float
+    operation changes."""
     vs = ", ".join(f"v{j}" for j in range(width))
     m = len(slots)
     trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
@@ -258,7 +283,8 @@ def _newton_solve(slots: tuple, width: int):
     max_norm = _first_max("res", [f"a{i}" for i in range(m)])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
         _first_max("scale", [f"w{s}" for s in slots])])
-    src = f"""def _solve(vals, residual_and_jacobian):
+    inside = " and ".join(f"box[{2 * k}] <= v{s} <= box[{2 * k + 1}]" for k, s in enumerate(slots))
+    src = f"""def _solve(vals, residual_and_jacobian, boxes):
     {vs}, = vals
     try:
         {fs}, {ea}, = residual_and_jacobian(vals)
@@ -294,6 +320,9 @@ def _newton_solve(slots: tuple, width: int):
                 return "step-underflow", vals, res, it
             trial = [{trial.format(t="t*")}]
         {vs}, = vals = trial
+        for box in boxes:
+            if {inside}:
+                return "converged", box[{2 * m}], box[{2 * m + 1}], it + 1
 """
     namespace: dict = {"inf": math.inf}
     exec(src, namespace)
@@ -364,6 +393,10 @@ def find_catastrophes(field: VectorField, r: int, box,
     parameters.  fixed: values for the non-unfolding parameters (by name or
     index; unlisted ones stay at 0; naming an unfolding one is a
     ValueError).  Non-full solutions are returned flagged, not discarded.
+    A seed that converges in at least _CERTIFY_ITERATIONS iterations, with
+    no earlier root within opts.dedup_radius, runs NewtonSystem.certify, and
+    each certified box stops the later seeds that enter it
+    (NewtonSystem.solve's boxes).
     """
     opts = opts or SolveOptions()
     if r < 1:
@@ -385,14 +418,23 @@ def find_catastrophes(field: VectorField, r: int, box,
     template = list(tuple(0.0 for _ in range(field.n)) + alpha0)
     slots = system._slots
 
-    hits = []
+    hits, roots, boxes = [], [], []
     for seed in _seed_values(box, opts.seed_count):
         vals = list(template)
         for s, v in zip(slots, seed):
             vals[s] = v
-        result = system.solve(vals)
+        result = system.solve(vals, boxes)
         if result.ok:
-            hits.append((result.point.vals(), result.residual))
+            y = result.point.vals()
+            hits.append((y, result.residual))
+            # a new root: certified, its box stops the seeds that enter it
+            if result.iterations >= _CERTIFY_ITERATIONS and not any(
+                    max(map(abs, map(operator.sub, y, root))) <= opts.dedup_radius
+                    for root in roots):
+                roots.append(y)
+                bounds = system.certify(y)
+                if bounds is not None:
+                    boxes.append(bounds + (y, result.residual))
 
     reports = []
     for vals, res in _dedup(hits, opts.dedup_radius):

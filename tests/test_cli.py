@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -908,6 +909,35 @@ def test_out_flag_writes_file(capsys, tmp_path):
                                     "--codim", "4", "--out", str(out)])
     assert rc == 0 and stdout == ""
     assert json.loads(out.read_text())["counts"]["table_total"] == 16
+
+
+@pytest.mark.parametrize("argv", [
+    FIND_RD1, SCAN_RD + ["--range=-1:1,-1:1"], ["count-minors", "--dim", "2", "--codim", "2"],
+    ["check", "--builtin", "rd", "--codim", "1", "--at", "u=0"], ["boardman", "--builtin", "rd"],
+], ids=["find", "scan", "count-minors", "check", "boardman"])
+def test_an_empty_out_is_a_usage_error_before_any_solving(capsys, monkeypatch, argv):
+    # "--out=" names no file; it is no request for stdout
+    from catafind import solver
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved before the usage error")
+
+    monkeypatch.setattr(solver, "find_catastrophes", no_solving)
+    monkeypatch.setattr(solver, "count_steady_states", no_solving)
+    assert run(capsys, argv + ["--out="]) == (2, "", "error: --out needs a file name, got ''\n")
+
+
+def test_a_huge_codimension_is_rejected_without_a_box_of_its_size(capsys):
+    # find's default box has one interval per unknown, so --codim 1000000
+    # builds no million intervals before the library's own message
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, ["find", "--builtin", "rd", "--codim", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out, err) == (2, "", "error: codimension 1000000 exceeds the field's 6 parameters\n")
+    assert peak < 2 ** 20
 
 
 def test_input_hash_is_stable(capsys):
