@@ -336,6 +336,8 @@ def cmd_scan(args) -> int:
     for lo, hi in ranges:
         if not lo < hi:
             raise UsageError(f"empty --range interval [{lo}, {hi}]")
+        if hi - lo == math.inf:  # the cell values would overflow to inf
+            raise UsageError(f"--range interval [{lo}, {hi}] wider than the largest float")
     try:
         cells = tuple(int(t) for t in args.cells.split(","))
     except ValueError:

@@ -633,36 +633,57 @@ _LINE_NESTING = 12
 def compile_evaluator(exprs, n_vars: int):
     """Compile a list of expressions into one fast function of a flat value
     vector (variables first, then parameters), returning their values as a
-    tuple.
+    tuple: emit's lines and outputs, with every variable and parameter read
+    from the vector.  A variable index at or above n_vars raises ExprError
+    here, division by zero ZeroDivisionError when it runs."""
+    consts: dict = {}
+    lines, outs = emit(exprs, consts, n_vars=n_vars)
+    values = f"({', '.join(outs)},)" if exprs else "()"
+    src = "def _compiled(v):\n" + "\n".join("    " + line for line in lines) + (
+        f"\n    return {values}\n")
+    exec(src, consts)
+    return consts.pop("_compiled")  # so the function and its globals form no cycle
+
+
+def emit(exprs, consts: dict, known=None, n_vars: int = 0):
+    """(lines, outs): source lines, unindented, that compute exprs on
+    locals, and each expression's source text, which reads those locals.
 
     Each node's floating-point operation runs once, on the operand values
     of a plain tree walk, so the values are bit-identical to the walk's.
-    A node with one reader (an output position counts as one) is written
-    inline in that reader, in parentheses, and a variable or parameter
-    with one reader is read there from the vector: CPython evaluates
-    operands left to right and an operator after both.  Shared nodes, and
-    outputs read elsewhere too, get a local.  A negation gets none: a sum
+    known maps nodes already computed (leaves, locals of earlier lines) to
+    their names; the lines read those and walk none of their children.
+    Other variables and parameters are read from the vector v: variable j
+    at v[j], an index at or above n_vars raising ExprError, parameter k at
+    v[n_vars + k].  A node with one reader (an output position counts as
+    one) is written inline in that reader, in parentheses, and a vector
+    entry with one reader is read there: CPython evaluates operands left
+    to right and an operator after both.  Shared nodes, and outputs read
+    elsewhere too, get a local t{i}.  A negation gets none: a sum
     subtracts its child (IEEE defines x - y as x + (-y), signed zeros
     included), and any other reader negates inline, which is exact.  A
     node nested past _LINE_NESTING parentheses gets its own line, and a
     chain continues on further lines every _LINE_OPERANDS operands.
-    Constants are bound by name, and a power of exponent above 100 is the
-    builtin pow's, so inf and nan compile and one source runs on other
-    number types (rebind).  A variable index at or above n_vars raises
-    ExprError here, division by zero ZeroDivisionError when it runs."""
-    readers: dict = {}
+    Constants are bound by name in consts, the globals the caller execs
+    the lines in, and a power of exponent above 100 is the builtin pow's,
+    so inf and nan compile and one source runs on other number types
+    (rebind)."""
+    known = known or {}
+    readers = dict.fromkeys(known, 0)  # known nodes are read, not walked
     for node in _postorder(exprs, readers):
         readers[node] = 0
     for e in exprs:
         readers[e] += 1
     for node in reversed(readers):  # each reader before the nodes it reads
-        for c in node.children:  # a negation's readers read its child
-            readers[c] += readers[node] if node.kind == NEG else 1
-    names: dict = {}
+        if node not in known:  # a negation's readers read its child
+            for c in node.children:
+                readers[c] += readers[node] if node.kind == NEG else 1
+    names = dict(known)
     depth = dict.fromkeys(readers, 0)  # parenthesis levels of names[node]
-    consts: dict = {}
     lines = []
     for i, node in enumerate(readers):
+        if node in known:
+            continue
         k = node.kind
         cs = node.children
         if k == CONST:
@@ -679,7 +700,7 @@ def compile_evaluator(exprs, n_vars: int):
                 names[node], depth[node] = f"v[{j}]", 1
             else:
                 names[node] = f"v{j}"
-                lines.append(f"    v{j} = v[{j}]")
+                lines.append(f"v{j} = v[{j}]")
             continue
         if k == NEG:  # the only names that start with "-"
             names[node], depth[node] = "-" + names[cs[0]], depth[cs[0]]
@@ -694,7 +715,7 @@ def compile_evaluator(exprs, n_vars: int):
                    else " + " + a for a in rest]
             rhs = first + "".join(ops[:_LINE_OPERANDS - 1])
             for j in range(_LINE_OPERANDS - 1, len(ops), _LINE_OPERANDS):
-                lines.append(f"    {nm} = {rhs}")
+                lines.append(f"{nm} = {rhs}")
                 rhs = nm + "".join(ops[j:j + _LINE_OPERANDS])
         elif k == QUOT:
             rhs = f"{names[cs[0]]}/{names[cs[1]]}"
@@ -707,12 +728,9 @@ def compile_evaluator(exprs, n_vars: int):
         if readers[node] == 1 and d < _LINE_NESTING and len(cs) <= _LINE_OPERANDS:
             names[node], depth[node] = f"({rhs})", d + 1
         else:
-            lines.append(f"    {nm} = {rhs}")
+            lines.append(f"{nm} = {rhs}")
             names[node] = nm
-    outs = f"({', '.join(names[e] for e in exprs)},)" if exprs else "()"
-    src = "def _compiled(v):\n" + "\n".join(lines) + f"\n    return {outs}\n"
-    exec(src, consts)
-    return consts.pop("_compiled")  # so the function and its globals form no cycle
+    return lines, [names[e] for e in exprs]
 
 
 def rebind(fn, **names):

@@ -1,20 +1,19 @@
 """The steady-state census's parameter homotopy on complex values (Sommese
 & Wampler, The Numerical Solution of Systems of Polynomial Equations, 2005,
 ch. 7-8).  solver imports it on the first census, not with the package.
-The path tracker is straight-line code generated per number of unknowns
-(_tracker) that evaluates H by three compiled functions, a corrector's
-(H, H_x), a slope's (H_x, H_s) and a speed's H_s, and solves each linear
-system inline, by solver._elimination's lines as solver's Newton iteration
-does.  One Cauchy loop ends every singular path of its cycle.  A scan that
-fixes all but some parameters starts each cell's paths on its own plane,
-at roots tracked there from p* once per plane, so that they move only the
-scanned parameters.
+The path tracker is straight-line code generated once per homotopy system
+(_tracker), the start system and the cell system.  It evaluates H, H_x and
+H_s inline on locals, computes their terms free of the unknowns once per
+value of s, and solves each linear system inline, by solver._elimination's
+lines as solver's Newton iteration does.  One Cauchy loop ends every
+singular path of its cycle.  A scan that fixes all but some parameters
+starts each cell's paths on its own plane, at roots tracked there from p*
+once per plane, so that they move only the scanned parameters.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import operator
@@ -78,73 +77,97 @@ def _close(x, y, tol):
     return max(abs(v - w) for v, w in zip(x, y)) <= tol * (1.0 + max(map(abs, y)))
 
 
-def _compiled(hs, n):
-    """(corrector, slope, speed) for H = hs in the unknowns x and s, the
-    variable at index n, each called on (*x, s, *tail): corrector -> H,
-    then the flat row-major H_x; slope -> H_x, then H_s; speed -> H_s.  A
-    Newton correction reads only H and H_x, an RK4 slope only H_x and H_s,
-    and the slope after an accepted step only H_s, since the last
-    correction has computed H_x at its point; so none computes what it does
-    not read.  All compile the same derivatives, so their H_x and H_s agree
-    bit for bit."""
+def _frontier(outs, on_x):
+    """The nodes free of the unknowns that outs reads through nodes on
+    them, outs itself included, negations replaced by what they negate and
+    leaves left out: what a step computes once per value of s.  on_x maps
+    each node to whether an unknown is among its leaves."""
+    front: dict = {}
+    seen, stack = set(), list(reversed(outs))
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if on_x[node]:
+                stack.extend(reversed(node.children))
+            else:
+                while node.kind == ex.NEG:
+                    node = node.children[0]
+                if node.children:
+                    front[node] = None
+    return list(front)
+
+
+def _track(tracker, x, a, b, tail, h=_FIRST_STEP):
+    """(status, x at b) for the root x of H(., a) = 0 as s runs along the
+    segment a -> b of the complex plane; tracker is _tracker's for H, and
+    tail holds the values of H's parameters.  A step is an RK4 prediction
+    on dx/ds = -H_x^-1 H_s, each slope from H_x and H_s at its point (the
+    first after an accepted step from H_s and the last correction's H_x),
+    then up to _CORRECTIONS Newton corrections, each from H and H_x at its
+    point; a failed one halves the step, and the first one's size sets the
+    next.  status: "regular", "diverged" (max |x| beyond _DIVERGED) or
+    "failed"."""
+    return tracker(x, a, b, tail, h)
+
+
+def _tracker(hs, n: int):
+    """_track's loop for H = hs, in the unknowns x and s, the variable at
+    index n: straight-line code on locals that evaluates H, H_x and H_s
+    inline (expr.emit).  The locals are the unknowns x{i}; the RK4 slopes
+    p, then q in turn at w, w and t, with k summing p + 2 q + 2 q'; the
+    prediction y and the corrections d; max-norms over m{i} by
+    solver._first_max; and after each evaluation solver._elimination's
+    lines.  The tail's parameters are unpacked once per call.  The nodes
+    free of x (_frontier) go to S{k} once per value of s: at u when the
+    first slope is recomputed, at w for its two slopes, and at t for its
+    slope, the corrections and the next first slope.  Each float operation
+    is a plain loop's over lists (v + h / 2 * k per slope, v + h / 6 * (p +
+    2*q + 2*r + z), each linear system by a plain elimination, H by
+    compile_evaluator's functions), in its order, so both give bit-identical
+    endpoints; the tests keep that loop as a twin.  Every node computed at
+    s is one that the loop evaluates at s in the same step, inside the same
+    try, so the same steps raise.  o holds the last correction's H_x and
+    unknowns, from which, with H_s there, an accepted step's next first
+    slope is solved."""
     memo: dict = {}
     grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
     h_x, h_s = [g[j] for g in grads for j in range(n)], [g[n] for g in grads]
-    return tuple(ex.compile_evaluator(out, n + 1) for out in (list(hs) + h_x, h_x + h_s, h_s))
-
-
-def _track(fns, x, a, b, tail, h=_FIRST_STEP):
-    """(status, x at b) for the root x of H(., a) = 0 as s runs along the
-    segment a -> b of the complex plane; fns is _compiled's (corrector,
-    slope, speed).  A step is an RK4 prediction on dx/ds = -H_x^-1 H_s,
-    each slope one slope call (the first after an accepted step one speed
-    call, with the last correction's H_x), then up to _CORRECTIONS Newton
-    corrections, each one corrector call; a failed one halves the step, and
-    the first one's size sets the next.  status: "regular", "diverged" (max
-    |x| beyond _DIVERGED) or "failed".  The loop is _tracker's, generated
-    per number of unknowns, and solves each linear system inline."""
-    return _tracker(len(x))(*fns, x, a, b, tail, h)
-
-
-@functools.cache  # one generated tracker per number of unknowns
-def _tracker(n: int):
-    """_track's loop as straight-line code on locals x0..x{n-1}: the RK4
-    slopes p, q, r, z, the prediction y, the corrections d, max-norms over
-    locals c{i} by solver._first_max, and after each evaluation one unpack
-    of its output and solver._elimination's lines.  Each float operation
-    is a plain loop's over lists (v + h / 2 * k per slope, v + h / 6 * (p
-    + 2*q + 2*r + z), each linear system by a plain elimination), in its
-    order, so both give bit-identical endpoints; the tests keep that loop
-    as a twin.  h / 2, h / 6 and s at w and at t are computed once per
-    step.  v and o hold the last correction's argument and output, from
-    which, with speed(v), an accepted step's next first slope is solved."""
-    ea = ", ".join(f"ea{i}_{j}" for i in range(n) for j in range(n))
-    eb = ", ".join(f"eb{i}" for i in range(n))
+    on_x: dict = {}
+    for node in ex._postorder([*hs, *h_x, *h_s], on_x):
+        on_x[node] = (node.kind == ex.VAR and node.index < n) or any(
+            on_x[c] for c in node.children)
+    slope_front = _frontier(h_x + h_s, on_x)  # H_s's is part of it
+    front = list(dict.fromkeys(slope_front + _frontier([*hs, *h_x], on_x)))
+    hoisted = {node: f"S{k}" for k, node in enumerate(front)}
+    width = 1 + max((node.index for node in on_x if node.kind == ex.PAR), default=-1)
+    known = {ex.var(n): "s", **{ex.par(k): f"P{k}" for k in range(width)}}
+    ea = [f"ea{i}_{j}" for i in range(n) for j in range(n)]
+    eb = [f"eb{i}" for i in range(n)]
+    consts: dict = {}
 
     def each(fmt, sep="; "):  # fmt for every unknown i, on one line
         return sep.join(fmt.format(i=i) for i in range(n))
 
     def norm(fmt):  # mx = max(fmt over i), max()'s first maximum
-        return each(f"c{{i}} = {fmt}") + "; " + _first_max("mx", [f"c{i}" for i in range(n)])
+        return each(f"m{{i}} = {fmt}") + "; " + _first_max("mx", [f"m{i}" for i in range(n)])
 
-    def solve(k, unpack, by_ds=True):  # k{i} = -J^-1 F, J and F from unpack, times ds
-        return [unpack, *_elimination(n, k)] + [each(f"{k}{{i}} = ds * {k}{{i}}")] * by_ds
+    def at_s(nodes):  # the hoisted nodes at s
+        lines, outs = ex.emit(nodes, consts, known)
+        return lines + [f"{hoisted[node]} = {out}" for node, out in zip(nodes, outs)]
 
-    def slope(k, arg, s):  # k{i} = ds * dx/dt at (*x + arg, s, *tail)
-        return solve(k, f"{ea}, {eb}, = slope(({each('x{i}' + arg, ', ')}, {s}, *tail))")
+    def values(exprs, targets, x):  # targets = exprs at the unknowns x{i} and s
+        lines, outs = ex.emit(exprs, consts, {**known, **hoisted, **{
+            ex.var(i): f"{x}{i}" for i in range(n)}})
+        return lines + [f"{target} = {out}" for target, out in zip(targets, outs)]
 
-    correct, pad = [], "            "
-    for it in range(_CORRECTIONS):  # each one after the first if the last missed
-        if it:
-            correct.append(f"{pad}if not err <= {_TRACK_TOL!r}:")
-            pad += "    "
-        correct += [pad + line for line in [
-            f"v = ({each('y{i}', ', ')}, T, *tail)",
-            "o = corrector(v)", *solve("d", f"{eb}, {ea}, = o", False),
-            each("y{i} = y{i} + d{i}"), norm("abs(y{i})") + "; scale = 1.0 + mx",
-            norm("abs(d{i})") + "; err = mx / scale"] + ["first = err"] * (it == 0)]
+    def solve(k, lines, by_ds=True):  # k{i} = -J^-1 F, J and F set by lines, times ds
+        return [*lines, *_elimination(n, k)] + [each(f"{k}{{i}} = ds * {k}{{i}}")] * by_ds
+
+    at_w, slope = at_s(slope_front), values(h_x + h_s, ea + eb, "X")  # slope at X{i} and s
     src = "\n".join([
-        "def _track(corrector, slope, speed, x, a, b, tail, h):",
+        "def _track(x, a, b, tail, h):",
+        *[f"    {', '.join(known[ex.par(k)] for k in range(width))}, *_ = tail"] * (width > 0),
         f"    {each('x{i}', ', ')}, = x",
         "    ds, u, have = b - a, 0.0, False",
         f"    for _ in range({_MAX_STEPS}):",
@@ -153,15 +176,29 @@ def _tracker(n: int):
         "        t = u + h; t = 1.0 if 1.0 < t else t; h = t - u",
         "        try:",
         "            if not have:",  # u < 1.0 here
-        *["                " + line for line in slope("p", "", "a + u * ds")],
+        *["                " + line for line in [
+            "s = a + u * ds", *at_w, each("X{i} = x{i}"), *solve("p", slope)]],
         "                have = True",
         "            h2, h6 = h / 2, h / 6",
-        "            w = u + h2; W = b if w == 1.0 else a + w * ds",
-        "            T = b if t == 1.0 else a + t * ds",
-        *["            " + line for line in slope("q", " + h2 * p{i}", "W")
-          + slope("r", " + h2 * q{i}", "W") + slope("z", " + h * r{i}", "T")],
-        "            " + each("y{i} = x{i} + h6 * (p{i} + 2 * q{i} + 2 * r{i} + z{i})"),
-        *correct,
+        "            w = u + h2; s = b if w == 1.0 else a + w * ds",
+        *["            " + line for line in at_w],
+        "            " + each("q{i} = k{i} = p{i}") + "; c = h2",
+        "            for it in (0, 1, 2):",  # the slopes at w, w and t; k sums p + 2 q + 2 q'
+        "                if it == 2:",
+        *["                    " + line for line in [
+            "s = b if t == 1.0 else a + t * ds", *at_s(front), "c = h"]],
+        *["                " + line for line in [
+            each("X{i} = x{i} + c * q{i}"), *solve("q", slope),
+            "if it < 2: " + each("k{i} = k{i} + 2 * q{i}")]],
+        "            " + each("y{i} = x{i} + h6 * (k{i} + q{i})"),
+        f"            for it in {tuple(range(_CORRECTIONS))}:",  # until one is small enough
+        *["                " + line for line in [
+            *solve("d", [*values([*hs, *h_x], eb + ea, "y"),
+                         f"o = {', '.join(ea)}, {each('y{i}', ', ')},"], False),
+            each("y{i} = y{i} + d{i}"), norm("abs(y{i})") + "; scale = 1.0 + mx",
+            norm("abs(d{i})") + "; err = mx / scale",
+            "if not it: first = err",
+            f"if err <= {_TRACK_TOL!r}: break"]],
         f"            ok = err <= {_TRACK_TOL!r}",
         "        except (ZeroDivisionError, OverflowError):",
         "            ok = have = False",
@@ -173,17 +210,18 @@ def _tracker(n: int):
         "            return 'diverged', None",
         "        else:",
         f"            {each('x{i}', ', ')}, u = {each('y{i}', ', ')}, t",
-        *["            " + line for line in solve("p", f"{eb}, {ea}, = o; {eb}, = speed(v)")],
+        *["            " + line for line in solve("p", [
+            f"{', '.join(ea)}, {each('v{i}', ', ')}, = o", *values(h_s, eb, "v")])],
         f"            g = 0.8 * ({_PREDICT_TOL!r} / (1e-300 if 1e-300 > first else first)) ** 0.2",
         "            h *= g if g < 2.0 else 2.0",
         "    return 'failed', None\n"])
-    namespace: dict = {}
-    exec(src, namespace)
-    return namespace["_track"]
+    exec(src, consts)
+    return consts.pop("_track")  # so the function and its globals form no cycle
 
 
-def _path(fns, x, tail, cycles, shared):
-    """(status, x at s = 1 or None) for the path of H from x at s = 0.  If
+def _path(tracker, x, tail, cycles, shared):
+    """(status, x at s = 1 or None) for the path of H from x at s = 0,
+    each segment by _track with tracker, _tracker's for H, and tail.  If
     tracking to s = 1 fails, a Cauchy endgame (Morgan, Sommese & Wampler,
     Numer. Math. 1992) loops on |s - 1| = rho from s = 1 - rho until the
     path closes, after c <= cycles loops at a root of cycle number c, and
@@ -192,19 +230,19 @@ def _path(fns, x, tail, cycles, shared):
     One loop serves its whole cycle: shared holds each singular path's
     (lap vertices, end), its points at s = 1 - _RADII[0] after each loop,
     and a path that reaches one of them there takes that end."""
-    status, y = _track(fns, x, 0.0, 1.0, tail)
+    status, y = _track(tracker, x, 0.0, 1.0, tail)
     if status != "failed":
         return status, y
     s, estimate, spread, laps = 0.0, None, math.inf, None
     for rho in _RADII:
-        status, x = _track(fns, x, s, 1.0 - rho, tail)
+        status, x = _track(tracker, x, s, 1.0 - rho, tail)
         for vertices, end in shared if laps is None and status == "regular" else ():
             if any(_close(x, v, 1e-6) for v in vertices):
                 return end
         points, y, s = [], x, 1.0 - rho
         for k in range(cycles * _CHORDS if status == "regular" else 0):
             a, b = (1.0 - rho * cmath.exp(2j * math.pi * j / _CHORDS) for j in (k, k + 1))
-            status, y = _track(fns, y, a, b, tail, 1.0)
+            status, y = _track(tracker, y, a, b, tail, 1.0)
             if status != "regular":
                 return status, None
             points.append(y)
@@ -254,27 +292,27 @@ class Homotopy:
         start = [ex.add(ex.mul(ex.sub(ex.ONE, s), gamma,
                                ex.sub(ex.pow_(ex.var(i), d), ex.ONE)), ex.mul(s, num))
                  for i, ((num, _den), d) in enumerate(zip(at_pstar, degrees))]
-        self._cell = _compiled([num for num, _den in on_segment], n)
+        self._cell = _tracker([num for num, _den in on_segment], n)
         self._dens = ex.compile_evaluator([den for _num, den in at_pstar], n + 1)
         # p* on the unit circle at golden-ratio angles
         self._pstar = tuple(cmath.exp(2j * math.pi * (k * 0.6180339887498949 % 1))
                             for k in range(1, r + 1))
         starts = itertools.product(*[
             [cmath.exp(2j * math.pi * k / d) for k in range(d)] for d in degrees])
-        _misses, ends = self._stage(_compiled(start, n), list(starts), self._pstar,
+        _misses, ends = self._stage(_tracker(start, n), list(starts), self._pstar,
                                     _GAMMAS, ("failed", "singular"))
         self._roots = [x for status, x in ends if status == "regular"]
         self._lost = sum(status != "diverged" for status, _x in ends) - len(self._roots)
         self._plane = None  # (the last plane's start, its roots or None)
 
-    def _stage(self, fns, starts, tail, gammas, bad):
+    def _stage(self, tracker, starts, tail, gammas, bad):
         """(misses, the (status, x) of each path from starts) with gammas[0],
         or with gammas[1] if that has fewer misses: ends whose status is in
         bad, and pairs of regular ends at one root."""
         best = None
         for gamma in gammas:
             shared: list = []  # the singular paths' laps, for _path
-            ends = [_path(fns, list(x), (gamma, *tail), len(starts), shared)
+            ends = [_path(tracker, list(x), (gamma, *tail), len(starts), shared)
                     for x in starts]
             regular = [x for status, x in ends if status == "regular"]
             # _close(x, y, 1e-8) for each pair, y's bound computed once

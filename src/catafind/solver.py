@@ -379,6 +379,8 @@ def _seed_values(box, count):
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"empty seed interval [{lo}, {hi}]")
+        if hi - lo == math.inf:  # the seeds would overflow to inf
+            raise ValueError(f"seed interval [{lo}, {hi}] wider than the largest float")
     return [[lo + x * (hi - lo) for x, (lo, hi) in zip(pt, box)]
             for pt in _unit_points(len(box), count)]
 

@@ -229,7 +229,12 @@ def test_non_finite_flag_values_are_usage_errors(capsys, argv):
      "empty state interval in box [(1.0, 0.0), (0.0, 1.0)]"),
     (SCAN_RD + ["--range=1:1,-1:1"], "empty --range interval [1.0, 1.0]"),
     (SCAN_RD + ["--range=-1:1,1:-1"], "empty --range interval [1.0, -1.0]"),
-], ids=["find-box", "scan-box-x", "scan-range", "scan-range-reversed"])
+    (SCAN_RD + ["--range=-1e308:1e308,-1:1"],
+     "--range interval [-1e+308, 1e+308] wider than the largest float"),
+    (["find", "--builtin", "rd", "--codim", "2", "--box=-1e308:1e308,-1:1,-1:1,-1:1"],
+     "seed interval [-1e+308, 1e+308] wider than the largest float"),
+], ids=["find-box", "scan-box-x", "scan-range", "scan-range-reversed",
+        "scan-range-overflows", "find-box-overflows"])
 def test_empty_intervals_are_usage_errors(capsys, tmp_path, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and message in err and out == ""  # not even a CSV header

@@ -432,16 +432,27 @@ def test_a_root_singular_at_every_parameter_value_is_counted():
 # ---------------------------------------------------------------------------
 # the generated path tracker against a plain loop over lists
 
+def _plain_fns(hs, n):
+    # the corrector (H, then the flat row-major H_x), the slope (H_x, then
+    # H_s) and the speed (H_s) of H = hs in the unknowns x and s, the
+    # variable at index n: compile_evaluator functions of (*x, s, *tail)
+    memo: dict = {}
+    grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
+    h_x, h_s = [g[j] for g in grads for j in range(n)], [g[n] for g in grads]
+    return tuple(ex.compile_evaluator(out, n + 1) for out in (list(hs) + h_x, h_x + h_s, h_s))
+
+
 def _plain_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
-    # the loop before the tracker took an accepted step's next first slope
-    # from speed: fns is (corrector, slope, the slope for that one), and
-    # step solves each linear system
-    corrector, slope_fn, accepted_slope_fn = fns
+    # homotopy._track's loop over lists: fns is _plain_fns's (corrector,
+    # slope, speed), each called on (*x, s, *tail), and step solves each
+    # linear system; an accepted step's next first slope is solved from
+    # the last correction's H_x and the speed's H_s at its argument
+    corrector, slope_fn, speed = fns
     n = len(x)
     ds, nn = b - a, n * n
 
-    def slope(v, fn=slope_fn):  # ds * dx/dt at the argument v
-        out = fn(v)
+    def slope(v):  # ds * dx/dt at the argument v
+        out = slope_fn(v)
         return [ds * w for w in step(out[nn:], out[:nn])]
 
     def at(y, t):  # the argument at y and t in [0, 1]
@@ -482,7 +493,7 @@ def _plain_track(fns, step, x, a, b, tail, h=homotopy._FIRST_STEP):
             return "diverged", None
         else:
             x, u = y, t
-            k1 = slope(arg, accepted_slope_fn)  # at the last correction's argument
+            k1 = [ds * w for w in step(speed(arg), out[n:])]
             h *= min(2.0, 0.8 * (homotopy._PREDICT_TOL / max(first, 1e-300)) ** 0.2)
     return "failed", None
 
@@ -501,32 +512,48 @@ def _logged(fns, log):  # fns, logging each call as (its index in fns, argument)
     return tuple(logger(k, fn) for k, fn in enumerate(fns))
 
 
-def _plain_fns(fns):  # _plain_track's fns for _compiled's (corrector, slope, speed)
-    corrector, slope, _speed = fns
-    return corrector, slope, slope
+def _recorded(fn, raised):  # fn, adding the type of each error it raises to raised
+    def recorded_fn(*args):
+        try:
+            return fn(*args)
+        except ArithmeticError as err:
+            raised.add(type(err))
+            raise
+    return recorded_fn
 
 
 class _TwinTracks:
-    """Runs every homotopy._track call through the plain loop too, asserts
-    the same corrector, slope and speed calls at the same points (the plain
-    loop's slope after an accepted step for speed), status and endpoint
-    bits, and counts statuses per number of unknowns."""
+    """Keeps H of every tracker that homotopy._tracker generates, runs
+    every homotopy._track call through the plain loop too, on _plain_fns
+    of the same H, and asserts the same status and endpoint bits.  Counts
+    statuses per number of unknowns, the plain loop's corrector (0), slope
+    (1) and speed (2) calls, which are the generated tracker's evaluations
+    of H, and the types of the errors raised in the plain loop's steps."""
 
     def __init__(self, monkeypatch):
         self.seen: dict = {}
-        track = homotopy._track
+        self.calls: collections.Counter = collections.Counter()
+        self.raised: set = set()
+        plain: dict = {}
+        tracker, track = homotopy._tracker, homotopy._track
 
-        def twin_track(fns, x, a, b, tail, h=homotopy._FIRST_STEP):
-            logs = [], []
-            want = _plain_track(_logged(_plain_fns(fns), logs[0]), _plain_step,
-                                x, a, b, tail, h)
-            got = track(_logged(fns, logs[1]), x, a, b, tail, h)
+        def twin_tracker(hs, n):
+            fn = tracker(hs, n)
+            plain[fn] = _plain_fns(hs, n)
+            return fn
+
+        def twin_track(fn, x, a, b, tail, h=homotopy._FIRST_STEP):
+            log: list = []
+            fns = [_recorded(f, self.raised) for f in _logged(plain[fn], log)]
+            want = _plain_track(fns, _recorded(_plain_step, self.raised), x, a, b, tail, h)
+            got = track(fn, x, a, b, tail, h)
             assert _track_bits(got) == _track_bits(want), (x, a, b, tail, h)
-            assert logs[0] == logs[1], (x, a, b, tail, h)
+            self.calls.update(k for k, _v in log)
             key = len(x), got[0]
             self.seen[key] = self.seen.get(key, 0) + 1
             return got
 
+        monkeypatch.setattr(homotopy, "_tracker", twin_tracker)
         monkeypatch.setattr(homotopy, "_track", twin_track)
 
 
@@ -544,15 +571,19 @@ def test_generated_tracker_matches_plain_loop_on_rd_slices(rd_field, monkeypatch
 
 
 def test_tracker_evaluations_on_the_rd_workload_slices(rd_field, monkeypatch):
-    # the corrector, slope and speed calls of both 5x5 workload slices; an
-    # accepted step's next first slope is one speed call (1620 of them),
-    # where the loop before took a slope call; and no function named _step
-    # is called while the slices are tracked
-    steps = []
+    # the evaluations of H, H_x and H_s that track both 5x5 workload
+    # slices, as the plain twin's corrector, slope and speed calls: an
+    # accepted step's next first slope is one speed (1620 of them), where
+    # the loop before took a slope.  The generated tracker evaluates them
+    # inline: it calls no Python function, so no function named _step
+    # either
+    called = []
 
     def profile(frame, event, _arg):
-        if event == "call" and frame.f_code.co_name == "_step":
-            steps.append(frame)
+        caller = frame.f_back and frame.f_back.f_code
+        if event == "call" and caller and (caller.co_name, caller.co_filename) == (
+                "_track", "<string>"):
+            called.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
     try:
@@ -561,25 +592,24 @@ def test_tracker_evaluations_on_the_rd_workload_slices(rd_field, monkeypatch):
         sys.setprofile(None)
     accepted = 1620
     assert calls == {0: 4295, 1: 7783 - accepted, 2: accepted}
-    assert not steps
+    assert not called
 
 
 def _slice_tracker_calls(rd_field, monkeypatch, axes):
-    # the corrector (0), slope (1) and speed (2) calls that track both 5x5
-    # workload slices, the total-degree stage to p* left out
-    log, compiled = [], homotopy._compiled
-    monkeypatch.setattr(homotopy, "_compiled", lambda hs, n: _logged(compiled(hs, n), log))
+    # the plain twin's corrector (0), slope (1) and speed (2) calls that
+    # track both 5x5 workload slices, the total-degree stage to p* left out
+    twins = _TwinTracks(monkeypatch)
     census = homotopy.Homotopy(rd_field)
-    del log[:]
+    twins.calls.clear()
     for alpha in _rd_slice_cells():
         census.track(alpha, axes)
-    return collections.Counter(k for k, _v in log)
+    return twins.calls
 
 
 def test_tracker_evaluations_from_the_scan_plane_start(rd_field, monkeypatch):
     # the same slices with (b, d) as the scan's axes: each slice's plane
-    # stage from p* (287 calls for both), then shorter paths per cell;
-    # 10,963 calls in all against 12,078 from p*
+    # stage from p* (287 evaluations for both), then shorter paths per
+    # cell; 10,963 evaluations in all against 12,078 from p*
     calls = _slice_tracker_calls(rd_field, monkeypatch, (0, 1))
     assert calls == {0: 3799, 1: 5668, 2: 1496}
 
@@ -600,52 +630,37 @@ def test_generated_tracker_matches_plain_loop_on_other_sizes(monkeypatch):
             census.track(alpha)
     assert twins.seen[1, "failed"] >= 6  # halvings below _LEAST_STEP, then endgames
     # H = s*x - 1 from x = 1 at s = 1 towards s = 1e-12: x = 1/s passes 1e8
-    fns = homotopy._compiled([ex.sub(ex.mul(ex.var(1), ex.var(0)), ex.ONE)], 1)
-    assert homotopy._track(fns, [1 + 0j], 1.0, 1e-12, ()) == ("diverged", None)
-    # H = x^2 - s: from x = 0 every step's H_x is 0, so the elimination
-    # after the first slope divides by zero until the step halves below
-    # _LEAST_STEP: one slope call per twin and halving, and nothing else
-    fns, log = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1), []
-    assert homotopy._track(_logged(fns, log), [0j], 0.0, 1.0, ()) == ("failed", None)
-    assert [k for k, _v in log] == [1] * 2 * 19
+    track = homotopy._tracker([ex.sub(ex.mul(ex.var(1), ex.var(0)), ex.ONE)], 1)
+    assert homotopy._track(track, [1 + 0j], 1.0, 1e-12, ()) == ("diverged", None)
     assert {n for n, _status in twins.seen} == {1, 3}
 
 
-@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
-def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(error):
-    fns = homotopy._compiled([ex.sub(ex.pow_(ex.var(0), 2), ex.var(1))], 1)
-
-    def raising_once(at, fns):  # fns, their calls counted together, raising on number at
-        calls = iter(range(1 << 30))
-
-        def flaky(fn):
-            def flaky_fn(v):
-                if next(calls) == at:
-                    raise error
-                return fn(v)
-            return flaky_fn
-        return tuple(map(flaky, fns))
-
-    # H = x^2 - s from x = 0.1: raised in the first slope, in each later
-    # slope and in each correction of the first steps; the tracker halves,
-    # recomputes the first slope and recovers
-    for at in range(16):
-        logs = [], []
-        plain = _plain_track(_logged(raising_once(at, _plain_fns(fns)), logs[0]),
-                             _plain_step, [0.1 + 0j], 0.01, 1.0 + 0.5j, ())
-        got = homotopy._track(_logged(raising_once(at, fns), logs[1]), [0.1 + 0j], 0.01,
-                              1.0 + 0.5j, ())
-        assert _track_bits(plain) == _track_bits(got)
-        assert logs[0] == logs[1] and got[0] == "regular"
-        assert {k for k, _v in logs[1]} == {0, 1, 2}  # corrections, slopes, speeds
+@pytest.mark.parametrize("error, power, x, a, status, calls", [
+    # H = x^2 - s from x = 0: H_x is 0 at every step's start, so the
+    # elimination after the first slope divides by zero until the step
+    # halves below _LEAST_STEP: one slope per halving, and nothing else
+    (ZeroDivisionError, 2, 0j, 0.0, "failed", {1: 19}),
+    # H = x^100 - s from s = 1e-6, where dx/ds is about 8.7e3: the first
+    # step's midpoint lies beyond |x| = 1.3e3, where x^99 overflows, so
+    # its slope raises until the step has halved enough; then the path
+    # reaches its root at s = 1
+    (OverflowError, 100, 1e-6 ** 0.01 + 0j, 1e-6, "regular", None),
+], ids=["ZeroDivisionError", "OverflowError"])
+def test_generated_tracker_matches_plain_loop_when_an_evaluation_raises(
+        monkeypatch, error, power, x, a, status, calls):
+    twins = _TwinTracks(monkeypatch)
+    track = homotopy._tracker([ex.sub(ex.pow_(ex.var(0), power), ex.var(1))], 1)
+    assert homotopy._track(track, [x], a, 1.0, ())[0] == status
+    assert twins.raised == {error}
+    assert calls is None or twins.calls == calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_split_evaluators_match_one_combined_compile(n):
-    # H_i = x_i^3 s + p0 x_{i+1} - (1 - s) p1 x_i^2 + s^2 / (1 + x_0 s): every
-    # output of the corrector (H, H_x), the slope (H_x, H_s) and the speed
-    # (H_s) has the bits of the same output of one function compiling H, H_x
-    # and H_s together
+def test_emitted_evaluation_on_hoisted_nodes_matches_one_compile(n):
+    # H_i = x_i^3 s + p0 x_{i+1} - (1 - s) p1 x_i^2 + s^2 / (1 + x_0 s): the
+    # nodes of H, H_x and H_s free of x (homotopy._frontier) emitted first,
+    # then H, H_x and H_s emitted on them, as the tracker does once per s,
+    # give the bits of one compile_evaluator function of H, H_x and H_s
     x, s = [ex.var(i) for i in range(n)], ex.var(n)
     hs = [ex.add(ex.mul(ex.pow_(x[i], 3), s), ex.mul(ex.par(0), x[(i + 1) % n]),
                  ex.neg(ex.mul(ex.sub(ex.ONE, s), ex.par(1), ex.pow_(x[i], 2))),
@@ -653,9 +668,23 @@ def test_split_evaluators_match_one_combined_compile(n):
           for i in range(n)]
     memo: dict = {}
     grads = [[ex.differentiate(e, ex.var(j), memo) for j in range(n + 1)] for e in hs]
-    h_x = [g[j] for g in grads for j in range(n)]
-    combined = ex.compile_evaluator(hs + h_x + [g[n] for g in grads], n + 1)
-    corrector, slope, speed = homotopy._compiled(hs, n)
+    outs = hs + [g[j] for g in grads for j in range(n)] + [g[n] for g in grads]
+    on_x: dict = {}
+    for node in ex._postorder(outs, on_x):
+        on_x[node] = node in x or any(on_x[c] for c in node.children)
+    front = homotopy._frontier(outs, on_x)
+    assert front and not any(on_x[node] or node.kind == ex.NEG for node in front)
+    consts: dict = {}
+    leaves = {s: "s", ex.par(0): "p0", ex.par(1): "p1"}
+    hoisted = {node: f"S{k}" for k, node in enumerate(front)}
+    lines, values = ex.emit(front, consts, leaves)
+    lines += [f"{hoisted[node]} = {value}" for node, value in zip(front, values)]
+    more, values = ex.emit(outs, consts, {**leaves, **hoisted, **{
+        v: f"x{i}" for i, v in enumerate(x)}})
+    args = ", ".join([f"x{i}" for i in range(n)] + ["s", "p0", "p1"])
+    exec("\n    ".join([f"def hoisted({args}):", *lines, *more,
+                        f"return ({', '.join(values)},)"]), consts)
+    combined = ex.compile_evaluator(outs, n + 1)
     rng = random.Random(n)
 
     def bits(values):
@@ -663,10 +692,7 @@ def test_split_evaluators_match_one_combined_compile(n):
 
     for _ in range(20):
         v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n + 3))
-        want = combined(v)
-        assert bits(corrector(v)) == bits(want[:n + n * n])
-        assert bits(slope(v)) == bits(want[n:])
-        assert bits(speed(v)) == bits(want[n + n * n:])
+        assert bits(consts["hoisted"](*v)) == bits(combined(v))
 
 
 # ---------------------------------------------------------------------------
