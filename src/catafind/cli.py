@@ -336,14 +336,15 @@ def cmd_scan(args) -> int:
     for lo, hi in ranges:
         if not lo < hi:
             raise UsageError(f"empty --range interval [{lo}, {hi}]")
-        if hi - lo == math.inf:  # the cell values would overflow to inf
-            raise UsageError(f"--range interval [{lo}, {hi}] wider than the largest float")
     try:
         cells = tuple(int(t) for t in args.cells.split(","))
     except ValueError:
         raise UsageError(f"bad --cells {args.cells!r}") from None
     if len(cells) != 2 or min(cells) < 1:
         raise UsageError("--cells needs two positive integers")
+    for (lo, hi), count in zip(ranges, cells):
+        if (count - 0.5) * (hi - lo) == math.inf:  # cell_value at the last cell
+            raise UsageError(f"--range interval [{lo}, {hi}] too wide for {count} cells")
     box = (_parse_intervals(args.box_x) if args.box_x is not None
            else [(-3.0, 3.0)] * field.n)
     opts = _solve_options(args)

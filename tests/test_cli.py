@@ -230,11 +230,13 @@ def test_non_finite_flag_values_are_usage_errors(capsys, argv):
     (SCAN_RD + ["--range=1:1,-1:1"], "empty --range interval [1.0, 1.0]"),
     (SCAN_RD + ["--range=-1:1,1:-1"], "empty --range interval [1.0, -1.0]"),
     (SCAN_RD + ["--range=-1e308:1e308,-1:1"],
-     "--range interval [-1e+308, 1e+308] wider than the largest float"),
+     "--range interval [-1e+308, 1e+308] too wide for 2 cells"),
+    (SCAN_RD[:-1] + ["3,1", "--range=-1e308:0,-1:1"],  # its third cell's value overflows
+     "--range interval [-1e+308, 0.0] too wide for 3 cells"),
     (["find", "--builtin", "rd", "--codim", "2", "--box=-1e308:1e308,-1:1,-1:1,-1:1"],
      "seed interval [-1e+308, 1e+308] wider than the largest float"),
 ], ids=["find-box", "scan-box-x", "scan-range", "scan-range-reversed",
-        "scan-range-overflows", "find-box-overflows"])
+        "scan-range-overflows", "scan-cells-overflow", "find-box-overflows"])
 def test_empty_intervals_are_usage_errors(capsys, tmp_path, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and message in err and out == ""  # not even a CSV header
