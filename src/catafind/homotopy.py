@@ -137,7 +137,7 @@ def _tracker(hs, n: int):
     for node in ex._postorder([*hs, *h_x, *h_s], on_x):
         on_x[node] = (node.kind == ex.VAR and node.index < n) or any(
             on_x[c] for c in node.children)
-    slope_front = _frontier(h_x + h_s, on_x)  # H_s's is part of it
+    slope_front = _frontier(h_x + h_s, on_x)  # it holds the speed's, H_s's
     front = list(dict.fromkeys(slope_front + _frontier([*hs, *h_x], on_x)))
     hoisted = {node: f"S{k}" for k, node in enumerate(front)}
     width = 1 + max((node.index for node in on_x if node.kind == ex.PAR), default=-1)
