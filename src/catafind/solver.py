@@ -160,7 +160,11 @@ class NewtonSystem:
     (_newton_solve), which calls residual_and_jacobian (one flat tuple of
     floats, F then the row-major J) at the seed and at each line-search
     trial; the next iteration solves its step inline from the F and J of
-    the trial accepted.  Unknowns stay Python floats."""
+    the trial accepted.  Unknowns stay Python floats.  An unknown whose J
+    column is a constant on one row and zero elsewhere, as an unfolding
+    parameter that enters one component additively (rd's b and d), is split
+    off (_split_columns): the step eliminates on the other rows and columns
+    and recovers it by back-substitution."""
 
     def __init__(self, D: det.DeterminantSet, eqs):
         n, m = D.field.n, len(eqs)
@@ -173,7 +177,8 @@ class NewtonSystem:
         self._fn = ex.compile_evaluator(list(eqs) + jac, n)
         self._slots = slots[:m]  # positions of the unknowns in a value vector
         self._width = n + D.field.r
-        self._solve = _newton_solve(self._slots, self._width)
+        self._split = _split_columns(jac, m)
+        self._solve = _newton_solve(self._slots, self._width, self._split)
         self._interval_fn = None  # F+J on intervals, bound on the first certify
 
     def residual_and_jacobian(self, vals):
@@ -203,7 +208,25 @@ class NewtonSystem:
         return interval.krawczyk(self._interval_fn, self._fn, vals, self._slots)
 
 
-def _elimination(m: int, x: str, f: str = "eb") -> list:
+def _split_columns(jac, m: int) -> tuple:
+    """The (row, column) pairs of the m x m symbolic Jacobian jac (flat,
+    row-major) whose column has one entry that is not the constant 0, a
+    finite nonzero constant, on a row that no earlier pair holds; in column
+    order.  Such a column's unknown meets the other rows nowhere, so J x =
+    -F splits into the system without those rows and columns and one
+    back-substitution per pair."""
+    split, used = [], set()
+    for j in range(m):
+        nonzero = [i for i in range(m) if jac[i * m + j] is not ex.ZERO]
+        if len(nonzero) == 1 and nonzero[0] not in used:
+            i, e = nonzero[0], jac[nonzero[0] * m + j]
+            if e.kind == ex.CONST and math.isfinite(e.value):
+                split.append((i, j))
+                used.add(i)
+    return tuple(split)
+
+
+def _elimination(m: int, x: str, f: str = "eb", split: tuple = ()) -> list:
     """Source lines that solve J x = -F for an m x m J: Gaussian
     elimination with partial pivoting (Golub & Van Loan, Matrix
     Computations, section 3.4) as straight-line code on locals, each line
@@ -217,15 +240,25 @@ def _elimination(m: int, x: str, f: str = "eb") -> list:
     l = a_ik / a_kk, a_ij -= l*a_kj and b_i -= l*b_k, with b = -F.  Back
     substitution computes x_k = (b_k - a_k,k+1*x_k+1 - ...) / a_kk left to
     right.  A zero pivot raises ZeroDivisionError; a NaN in J gives a
-    non-finite x."""
-    a = [[f"ea{i}_{j}" for j in range(m)] for i in range(m)]
-    b = [f"eb{i}" for i in range(m)]
+    non-finite x.
+
+    split: (row i, column j) pairs whose column j is zero off row i
+    (_split_columns).  The elimination then runs on the other rows and
+    columns alone, in their order, an exact submatrix of J, and each pair
+    in order gives x_j = (-f_i - ea{i}_{k}*x_k - ...) / ea{i}_{j} over the
+    other columns k left to right.  With no pair the lines are those of the
+    full m x m elimination."""
+    rows = [i for i in range(m) if i not in {si for si, _sj in split}]
+    cols = [j for j in range(m) if j not in {sj for _si, sj in split}]
+    a = [[f"ea{i}_{j}" for j in cols] for i in rows]
+    b = [f"eb{i}" for i in rows]
 
     def swap(k, i):  # rows k and i from column k on, with their b
-        rows = a[k][k:] + [b[k]], a[i][k:] + [b[i]]
-        return f"{', '.join(rows[0] + rows[1])} = {', '.join(rows[1] + rows[0])}"
+        pair = a[k][k:] + [b[k]], a[i][k:] + [b[i]]
+        return f"{', '.join(pair[0] + pair[1])} = {', '.join(pair[1] + pair[0])}"
 
-    lines = [f"{bi} = -{f}{i}" for i, bi in enumerate(b)]
+    lines = [f"{bi} = -{f}{i}" for i, bi in zip(rows, b)]
+    m = len(rows)  # the order of the system eliminated
     for k in range(m - 1):
         # ep stays 0 (no swap) unless a row i > k >= 0 wins
         lines += [f"es = abs({a[k][k]})", "ep = 0"]
@@ -239,8 +272,11 @@ def _elimination(m: int, x: str, f: str = "eb") -> list:
             lines += [f"{a[i][j]} -= el*{a[k][j]}" for j in range(k + 1, m)]
             lines.append(f"{b[i]} -= el*{b[k]}")
     for k in reversed(range(m)):
-        terms = "".join(f" - {a[k][j]}*{x}{j}" for j in range(k + 1, m))
-        lines.append(f"{x}{k} = ({b[k]}{terms}) / {a[k][k]}")
+        terms = "".join(f" - {a[k][j]}*{x}{cols[j]}" for j in range(k + 1, m))
+        lines.append(f"{x}{cols[k]} = ({b[k]}{terms}) / {a[k][k]}")
+    for i, j in split:
+        terms = "".join(f" - ea{i}_{k}*{x}{k}" for k in cols)
+        lines.append(f"{x}{j} = (-{f}{i}{terms}) / ea{i}_{j}")
     return lines
 
 
@@ -251,13 +287,16 @@ def _first_max(out, names) -> str:
         f"{out} = {a} if {a} > {out} else {out}" for a in names[1:]])
 
 
-@functools.cache  # one generated function per unknown layout
-def _newton_solve(slots: tuple, width: int):
+@functools.cache  # one generated function per unknown layout and split
+def _newton_solve(slots: tuple, width: int, split: tuple):
     """The function (vals, residual_and_jacobian, boxes) -> (status,
     vals or None, max-norm of F, iterations) that runs solve's damped
     Newton iteration for unknowns at slots of a value vector of this width,
     as straight-line code on locals: F+J unpacked into f{i} and ea{i}_{j},
-    and the step x{k} for slots[k] from _elimination's lines inline.
+    and the step x{k} for slots[k] from _elimination's lines inline, which
+    eliminate on the rows and columns outside split (_split_columns) and
+    back-substitute each split unknown; the reduced matrix is an exact
+    submatrix of J, so a singular J still raises ZeroDivisionError.
     Max-norms keep max()'s first maximum (_first_max) of a{i} = abs(f{i});
     the step is finite when each component compares below inf, and so is
     the seed's F.  The line search tries [v0 + t*x0, ..., vj] at t = 1,
@@ -276,7 +315,7 @@ def _newton_solve(slots: tuple, width: int):
     m = len(slots)
     trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
                       for j in range(width))  # {t}: "" at t = 1, else "t*"
-    step = "\n            ".join(_elimination(m, "x", "f"))
+    step = "\n            ".join(_elimination(m, "x", "f", split))
     fs = ", ".join(f"f{i}" for i in range(m))
     ea = ", ".join(f"ea{i}_{j}" for i in range(m) for j in range(m))
     abs_f = "; ".join(f"a{i} = abs(f{i})" for i in range(m))
@@ -598,6 +637,8 @@ def count_steady_states(field: VectorField, alpha, box,
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != field.r:
         raise ValueError(f"expected {field.r} parameter values")
+    if not all(map(math.isfinite, alpha)):
+        raise ValueError(f"parameter values {alpha} are not all finite numbers")
     if len(box) != field.n:
         raise ValueError(f"box needs {field.n} intervals (one per state), got {len(box)}")
     if not all(lo < hi for lo, hi in box):

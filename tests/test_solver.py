@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catafind.expr as ex
 import catafind.determinants as det
@@ -251,6 +252,16 @@ def test_census_rejects_an_empty_state_interval(rd_field, box):
     # read 0 states in every cell of such a box
     with pytest.raises(ValueError, match="empty state interval"):
         count_steady_states(rd_field, (0.0, 0.0, 0.0, 0.0, 1.0, 1.0), box)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_census_rejects_a_non_finite_parameter_value(rd_field, bad):
+    # such a cell would track no path to its end and read 0 states, silently
+    for pos in (0, 5):
+        alpha = [0.0, 0.0, 0.2, 0.2, 1.0, 1.0]
+        alpha[pos] = bad
+        with pytest.raises(ValueError, match="not all finite"):
+            count_steady_states(rd_field, alpha, [(-3.0, 3.0)] * 2)
 
 
 def test_census_seed_order_invariance(rd_field):
@@ -942,7 +953,7 @@ def _reference_solve(system, start_vals):
     slot, calls F+J, and is accepted when each component of its F is below
     the max-norm in absolute value; a trial whose F+J raises is rejected.
     An iteration solves its step from the F+J of the seed or of the trial
-    last accepted."""
+    last accepted, by the plain elimination with the system's split."""
     vals = [float(v) for v in start_vals]
     slots = system._slots
     n = system.field.n
@@ -965,7 +976,7 @@ def _reference_solve(system, start_vals):
         if res <= solver._RESIDUAL_TOL * scale:
             return solver.NewtonResult("converged", as_point(vals), res, it)
         try:
-            step = _plain_step(F, J)
+            step = _plain_step(F, J, system._split)
         except ZeroDivisionError:
             return solver.NewtonResult("singular-jacobian", as_point(vals), res, it)
         if not all(map(math.isfinite, step)):
@@ -1184,24 +1195,30 @@ def test_solve_rejects_a_start_vector_of_the_wrong_length(rd_field):
 # the generated elimination: partial-pivot elimination on Python floats
 
 @functools.cache
-def _generated_step(m):
-    """solver._elimination's lines for size m as a function (F, J) -> x
-    of a flat row-major m x m J, as the generated Newton solve and the
-    tracker run them inline."""
+def _generated_step(m, split=()):
+    """solver._elimination's lines for size m and split as a function
+    (F, J) -> x of a flat row-major m x m J, as the generated Newton solve
+    and the tracker run them inline."""
     lines = [f"{', '.join(f'ea{i}_{j}' for i in range(m) for j in range(m))}, = J",
-             f"{', '.join(f'eb{i}' for i in range(m))}, = F", *solver._elimination(m, "x")]
+             f"{', '.join(f'eb{i}' for i in range(m))}, = F",
+             *solver._elimination(m, "x", split=split)]
     namespace: dict = {}
     exec("def step(F, J):\n" + "".join(f"    {line}\n" for line in lines)
          + f"    return ({', '.join(f'x{k}' for k in range(m))},)\n", namespace)
     return namespace["step"]
 
 
-def _plain_step(F, J):
+def _plain_step(F, J, split=()):
     """J x = -F by the generated elimination's algorithm and operation
-    order, written as plain loops over lists."""
-    m = len(F)
-    a = [list(J[i * m:(i + 1) * m]) for i in range(m)]
-    b = [-f for f in F]
+    order, written as plain loops over lists: the elimination on the rows
+    and columns outside split, then each split (row i, column j) pair's
+    x_j from row i."""
+    size = len(F)
+    rows = [i for i in range(size) if i not in dict(split)]
+    cols = [j for j in range(size) if j not in dict(split).values()]
+    a = [[J[i * size + j] for j in cols] for i in rows]
+    b = [-F[i] for i in rows]
+    m = len(rows)
     for k in range(m):
         p = k
         for i in range(k + 1, m):
@@ -1214,12 +1231,17 @@ def _plain_step(F, J):
             for j in range(k + 1, m):
                 a[i][j] -= l * a[k][j]
             b[i] -= l * b[k]
-    x = [0.0] * m
+    x = [0.0] * size
     for k in reversed(range(m)):
         s = b[k]
         for j in range(k + 1, m):
-            s -= a[k][j] * x[j]
-        x[k] = s / a[k][k]
+            s -= a[k][j] * x[cols[j]]
+        x[cols[k]] = s / a[k][k]
+    for i, j in split:
+        s = -F[i]
+        for k in cols:
+            s -= J[i * size + k] * x[k]
+        x[j] = s / J[i * size + j]
     return tuple(x)
 
 
@@ -1335,6 +1357,100 @@ def test_non_finite_jacobian_entry_is_singular(c):
     assert not math.isfinite(J[1])
     res = system.solve(vals)
     assert (res.status, res.iterations) == ("singular-jacobian", 0)
+
+
+def _unknowns(system):  # the names of a system's unknowns, in column order
+    names = system.field.var_names + system.field.param_names
+    return [names[s] for s in system._slots]
+
+
+def test_additive_unfolding_parameters_are_split_off(rd_field):
+    """rd's b and d enter F1 and F2 with the constant coefficient -1 and
+    appear in no B; the primary form's a1 enters F1 alone; the census's
+    F-only rd system has no constant column."""
+    _D, system = solver._system(rd_field, r=4)
+    assert _unknowns(system) == ["u", "v", "b", "d", "a", "g"]
+    assert system._split == ((0, 2), (1, 3))
+    _D, system = solver._system(rd_field, r=0)
+    assert system._split == ()
+    primary = make_primary_form(PrimaryFormSpec(3, 6, (1.3, -0.7), (0.9, -1.6)))
+    _D, system = solver._system(primary, r=6)
+    assert _unknowns(system)[3] == "a1" and system._split == ((0, 3),)
+
+
+def test_a_second_constant_column_on_a_used_row_stays_eliminated(monkeypatch):
+    """x and y each have one constant entry, both on row 0: x is split off,
+    y stays in the 1 x 1 system of row 1, whose zero pivot ends the solve
+    singular-jacobian at once, as with no split."""
+    twins = _TwinSolves(monkeypatch)
+    f = ex.parse_vector_field("vars: x y\nparams:\neq: x + y - 1\neq: 3")
+    system = NewtonSystem(det.DeterminantSet(f), f.components)
+    assert system._split == ((0, 0),)
+    result = system.solve([0.0, 0.0])
+    assert (result.status, result.iterations, result.residual) == (
+        "singular-jacobian", 0, 3.0)
+    assert twins.statuses == {"singular-jacobian": 1}
+
+
+def test_an_infinite_constant_column_is_not_split(monkeypatch):
+    # split off, x's step would be some number over inf, a finite 0
+    twins = _TwinSolves(monkeypatch)
+    f = ex.parse_vector_field("vars: x y\nparams:\neq: 1e400*x + y - 1\neq: y - 0.5")
+    system = NewtonSystem(det.DeterminantSet(f), f.components)
+    assert system._split == ()
+    for start in ([0.0, 0.0], [1.0, 0.5]):
+        assert system.solve(start).status == "evaluation-error"
+    assert twins.statuses == {"evaluation-error": 2}
+
+
+@st.composite
+def _split_systems(draw):
+    """(F, J, split): a random m x m J in which each split (row i, column
+    j) pair's column is a nonzero constant on row i and 0 elsewhere, with
+    distinct rows and the pairs in column order, as _split_columns gives
+    them; entries are often exactly 0, so J may be singular."""
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(0, m))
+    rows = draw(st.permutations(range(m)))[:k]
+    cols = sorted(draw(st.permutations(range(m)))[:k])
+    entry = st.sampled_from((0.0, 1.0, -2.0)) | st.floats(-1.0, 1.0, allow_subnormal=False)
+    J = [draw(entry) for _ in range(m * m)]
+    for i, j in zip(rows, cols):
+        for row in range(m):
+            J[row * m + j] = 0.0
+        J[i * m + j] = draw(st.floats(0.25, 4.0) | st.floats(-4.0, -0.25))
+    F = tuple(draw(st.floats(-1.0, 1.0, allow_subnormal=False)) for _ in range(m))
+    return F, tuple(J), tuple(zip(rows, cols))
+
+
+@needs_numpy
+@settings(max_examples=300, deadline=None)
+@given(_split_systems())
+def test_split_step_matches_the_plain_twin_and_lapack(case):
+    """The generated step with split columns gives the plain twin's bits,
+    and a finite step solves J x = -F with a backward error within Gaussian
+    elimination's bound, as numpy.linalg.solve's solution does."""
+    F, J, split = case
+    m = len(F)
+    got = _step_or_error(_generated_step(m, split), F, J)
+    assert _bits(got) == _bits(_step_or_error(
+        functools.partial(_plain_step, split=split), F, J))
+    if got == "singular" or not all(map(math.isfinite, got)):
+        return
+    A, b = np.reshape(J, (m, m)), -np.array(F)
+
+    def backward_bound(x):  # m 2^m eps (|A| |x| + |b|) in max-norms, growth included
+        norm = np.max(np.sum(np.abs(A), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b))
+        return m * 2.0 ** m * 2.0 ** -52 * norm + 1e-300
+
+    x = np.array(got)
+    assert np.max(np.abs(A @ x - b)) <= backward_bound(x)
+    if np.linalg.cond(A, np.inf) < 1e8:
+        want = np.linalg.solve(A, b)
+        assert np.max(np.abs(A @ want - b)) <= backward_bound(want)
+        # x - want = A^-1 (r_x - r_want), each r within its bound
+        gap = np.linalg.norm(np.linalg.inv(A), np.inf) * (backward_bound(x) + backward_bound(want))
+        assert np.max(np.abs(x - want)) <= 2.0 * gap
 
 
 @needs_numpy
