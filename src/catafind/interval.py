@@ -7,13 +7,15 @@ An Interval is a closed [lo, hi] of floats.  Each of +, -, *, / and
 integer powers runs the float operation, which IEEE arithmetic rounds to
 nearest, so within half a step of the exact result, and then moves each
 endpoint one step outward by math.nextafter: the result contains the exact
-result of the operation on every pair of points of its operands.  Negation
-is exact.  *, / and ** raise OverflowError on an infinite or NaN operand
-endpoint, since min and max could drop a NaN, and dividing by an interval
-that contains 0 raises ZeroDivisionError.  So compile_evaluator's source,
-run on intervals with its constants bound to point intervals (bind), either
-encloses the values of its expressions over a box, or raises, or returns an
-infinite or NaN endpoint.
+result of the operation on every pair of points of its operands.  * and /
+take the least and the greatest of the four endpoint products or quotients
+(Moore, Interval Analysis, 1966).  Negation is exact.  *, / and ** raise
+OverflowError on an infinite or NaN operand endpoint, since min and max
+could drop a NaN, and dividing by an interval that contains 0 raises
+ZeroDivisionError.  So compile_evaluator's source, run on intervals with
+its constants bound to point intervals (bind), either encloses the values
+of its expressions over a box, or raises, or returns an infinite or NaN
+endpoint.
 """
 
 from __future__ import annotations
@@ -52,28 +54,8 @@ class Interval:
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if not (-inf < a and b < inf and -inf < c and d < inf):
             raise OverflowError("interval product of a non-finite endpoint")
-        # by the signs of the endpoints: the two products that bound it
-        if a >= 0.0:
-            if c >= 0.0:
-                lo, hi = a * c, b * d
-            elif d <= 0.0:
-                lo, hi = b * c, a * d
-            else:
-                lo, hi = b * c, b * d
-        elif b <= 0.0:
-            if c >= 0.0:
-                lo, hi = a * d, b * c
-            elif d <= 0.0:
-                lo, hi = b * d, a * c
-            else:
-                lo, hi = a * d, a * c
-        elif c >= 0.0:
-            lo, hi = a * d, b * d
-        elif d <= 0.0:
-            lo, hi = b * c, a * c
-        else:
-            lo, hi = min(a * d, b * c), max(a * c, b * d)
-        return Interval(nextafter(lo, -inf), nextafter(hi, inf))
+        p, q, r, s = a * c, a * d, b * c, b * d
+        return Interval(nextafter(min(p, q, r, s), -inf), nextafter(max(p, q, r, s), inf))
 
     def __truediv__(self, other):
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
@@ -95,38 +77,27 @@ class Interval:
         if not (-inf < a and b < inf):
             raise OverflowError("interval power of a non-finite endpoint")
         if k % 2:  # increasing
-            return Interval(_down(a, k) if a >= 0.0 else -_up(-a, k),
-                            _up(b, k) if b >= 0.0 else -_down(-b, k))
+            return Interval(_bound(a, k, -inf) if a >= 0.0 else -_bound(-a, k, inf),
+                            _bound(b, k, inf) if b >= 0.0 else -_bound(-b, k, -inf))
         if a >= 0.0:
-            return Interval(_down(a, k), _up(b, k))
+            return Interval(_bound(a, k, -inf), _bound(b, k, inf))
         if b <= 0.0:
-            return Interval(_down(-b, k), _up(-a, k))
-        return Interval(0.0, _up(max(-a, b), k))
+            return Interval(_bound(-b, k, -inf), _bound(-a, k, inf))
+        return Interval(0.0, _bound(max(-a, b), k, inf))
 
 
-def _up(x: float, k: int) -> float:
-    """An upper bound of x ** k, for a float x >= 0 and an int k >= 1, by
-    binary powering with each product rounded up."""
+def _bound(x: float, k: int, to: float) -> float:
+    """A bound of x ** k, for a float x >= 0 and an int k >= 1, by binary
+    powering with each product rounded toward to (inf: an upper bound,
+    -inf: a lower one) and kept >= 0, which rounding up never needs."""
     out = None
     while True:
         if k & 1:
-            out = x if out is None else nextafter(out * x, inf)
+            out = x if out is None else max(nextafter(out * x, to), 0.0)
         k >>= 1
         if not k:
             return out
-        x = nextafter(x * x, inf)
-
-
-def _down(x: float, k: int) -> float:
-    """A lower bound >= 0 of x ** k, as _up with each product rounded down."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else max(nextafter(out * x, -inf), 0.0)
-        k >>= 1
-        if not k:
-            return out
-        x = max(nextafter(x * x, -inf), 0.0)
+        x = max(nextafter(x * x, to), 0.0)
 
 
 def bind(fn):

@@ -226,12 +226,12 @@ def _split_columns(jac, m: int) -> tuple:
     return tuple(split)
 
 
-def _elimination(m: int, x: str, f: str = "eb", split: tuple = ()) -> list:
+def _elimination(m: int, x: str, split: tuple = ()) -> list:
     """Source lines that solve J x = -F for an m x m J: Gaussian
     elimination with partial pivoting (Golub & Van Loan, Matrix
     Computations, section 3.4) as straight-line code on locals, each line
     indented relative to the first.  J's entries come in the locals
-    ea{i}_{j}, F's in {f}{i}, and x{k} receives the solution; every name
+    ea{i}_{j}, F's in eb{i}, and x{k} receives the solution; every name
     the lines bind but x's starts with e, and J and the eb{i} (b = -F) are
     overwritten.
 
@@ -245,8 +245,9 @@ def _elimination(m: int, x: str, f: str = "eb", split: tuple = ()) -> list:
     split: (row i, column j) pairs whose column j is zero off row i
     (_split_columns).  The elimination then runs on the other rows and
     columns alone, in their order, an exact submatrix of J, and each pair
-    in order gives x_j = (-f_i - ea{i}_{k}*x_k - ...) / ea{i}_{j} over the
-    other columns k left to right.  With no pair the lines are those of the
+    in order gives x_j = (-eb{i} - ea{i}_{k}*x_k - ...) / ea{i}_{j} over
+    the other columns k left to right: the lines never write a split row's
+    eb{i}, so it still holds F.  With no pair the lines are those of the
     full m x m elimination."""
     rows = [i for i in range(m) if i not in {si for si, _sj in split}]
     cols = [j for j in range(m) if j not in {sj for _si, sj in split}]
@@ -257,7 +258,7 @@ def _elimination(m: int, x: str, f: str = "eb", split: tuple = ()) -> list:
         pair = a[k][k:] + [b[k]], a[i][k:] + [b[i]]
         return f"{', '.join(pair[0] + pair[1])} = {', '.join(pair[1] + pair[0])}"
 
-    lines = [f"{bi} = -{f}{i}" for i, bi in zip(rows, b)]
+    lines = [f"{bi} = -{bi}" for bi in b]
     m = len(rows)  # the order of the system eliminated
     for k in range(m - 1):
         # ep stays 0 (no swap) unless a row i > k >= 0 wins
@@ -276,7 +277,7 @@ def _elimination(m: int, x: str, f: str = "eb", split: tuple = ()) -> list:
         lines.append(f"{x}{cols[k]} = ({b[k]}{terms}) / {a[k][k]}")
     for i, j in split:
         terms = "".join(f" - ea{i}_{k}*{x}{k}" for k in cols)
-        lines.append(f"{x}{j} = (-{f}{i}{terms}) / ea{i}_{j}")
+        lines.append(f"{x}{j} = (-eb{i}{terms}) / ea{i}_{j}")
     return lines
 
 
@@ -292,12 +293,12 @@ def _newton_solve(slots: tuple, width: int, split: tuple):
     """The function (vals, residual_and_jacobian, boxes) -> (status,
     vals or None, max-norm of F, iterations) that runs solve's damped
     Newton iteration for unknowns at slots of a value vector of this width,
-    as straight-line code on locals: F+J unpacked into f{i} and ea{i}_{j},
+    as straight-line code on locals: F+J unpacked into eb{i} and ea{i}_{j},
     and the step x{k} for slots[k] from _elimination's lines inline, which
     eliminate on the rows and columns outside split (_split_columns) and
     back-substitute each split unknown; the reduced matrix is an exact
     submatrix of J, so a singular J still raises ZeroDivisionError.
-    Max-norms keep max()'s first maximum (_first_max) of a{i} = abs(f{i});
+    Max-norms keep max()'s first maximum (_first_max) of a{i} = abs(eb{i});
     the step is finite when each component compares below inf, and so is
     the seed's F.  The line search tries [v0 + t*x0, ..., vj] at t = 1,
     1/2, ..., _MIN_STEP, at most nine trials (v0 + x0 at t = 1: exact, as
@@ -315,10 +316,10 @@ def _newton_solve(slots: tuple, width: int, split: tuple):
     m = len(slots)
     trial = ", ".join(f"v{j} + {{t}}x{slots.index(j)}" if j in slots else f"v{j}"
                       for j in range(width))  # {t}: "" at t = 1, else "t*"
-    step = "\n            ".join(_elimination(m, "x", "f", split))
-    fs = ", ".join(f"f{i}" for i in range(m))
+    step = "\n            ".join(_elimination(m, "x", split))
+    fs = ", ".join(f"eb{i}" for i in range(m))
     ea = ", ".join(f"ea{i}_{j}" for i in range(m) for j in range(m))
-    abs_f = "; ".join(f"a{i} = abs(f{i})" for i in range(m))
+    abs_f = "; ".join(f"a{i} = abs(eb{i})" for i in range(m))
     max_norm = _first_max("res", [f"a{i}" for i in range(m)])
     get_scale = "; ".join([f"w{s} = abs(v{s})" for s in slots] + [
         _first_max("scale", [f"w{s}" for s in slots])])
@@ -350,7 +351,7 @@ def _newton_solve(slots: tuple, width: int, split: tuple):
         while True:
             try:
                 {fs}, {ea}, = residual_and_jacobian(trial)
-                if {" and ".join(f"(a{i} := abs(f{i})) < res" for i in range(m))}:
+                if {" and ".join(f"(a{i} := abs(eb{i})) < res" for i in range(m))}:
                     break
             except (ZeroDivisionError, OverflowError):
                 pass
@@ -453,9 +454,8 @@ def find_catastrophes(field: VectorField, r: int, box,
         if _param_index(field, key) in solved:
             raise ValueError(f"parameter {key!r} is one of the {r} unfolding "
                              "parameters, which are solved for, not fixed")
-    D, system = _system(field, param_order, r)
-
     alpha0 = _resolve_fixed(field, fixed)
+    D, system = _system(field, param_order, r)
     template = list(tuple(0.0 for _ in range(field.n)) + alpha0)
     slots = system._slots
 
@@ -519,7 +519,10 @@ def _param_index(field: VectorField, key) -> int:
 def _resolve_fixed(field: VectorField, fixed) -> tuple:
     alpha = [0.0] * field.r
     for key, value in (fixed or {}).items():
-        alpha[_param_index(field, key)] = float(value)
+        idx, value = _param_index(field, key), float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"fixed value of {key!r} is not a finite number: {value!r}")
+        alpha[idx] = value
     return tuple(alpha)
 
 

@@ -83,11 +83,6 @@ def test_count_minors_largest_printable_codim(capsys):
     assert len(str(cumulative[-1])) == 4227
 
 
-def test_count_minors_requires_some_codim(capsys):
-    rc, _out, err = run(capsys, ["count-minors", "--dim", "2"])
-    assert rc == 2 and "corank" in err
-
-
 def test_count_minors_takes_codim_or_corank_seq_not_both(capsys):
     rc, out, err = run(capsys, ["count-minors", "--dim", "3", "--codim", "5",
                                 "--corank-seq", "1,1"])
@@ -270,6 +265,40 @@ def test_usage_errors_write_nothing(capsys, tmp_path, argv, message):
     assert (rc, out, err) == (2, "", message) and not path.exists()
 
 
+SCAN_RD_RANGE = SCAN_RD[:-2] + ["--range=-1:1,-1:1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["boardman", "--builtin", "rd:x"], "builtin rd takes no options"),
+    (["boardman", "--builtin", "primary:n"], "expected key=value in builtin spec, got 'n'"),
+    (["boardman", "--builtin", "primary:n=x"], "bad numeric value in builtin spec"),
+    (["boardman", "--builtin", "primary:foo=1"], "unknown primary options: foo"),
+    (["find", "--builtin", "foo", "--codim", "1"], "unknown builtin 'foo'"),
+    (["boardman", "{tmp}/rd.field", "--builtin", "rd"],
+     "give either a field file or --builtin, not both"),
+    (["boardman"], "a field file or --builtin is required"),
+    (["boardman", "{tmp}/missing.field"], "cannot read "),
+    (["find", "--builtin", "rd", "--codim", "0"], "codimension must be >= 1"),
+    (["find", "--builtin", "rd", "--codim", "-1"], "codimension must be >= 1"),
+    (["boardman", "--builtin", "rd", "--at", "b=1"], "--at: 'b' is not a state variable"),
+    (["scan", "--builtin", "rd", "--axes", "b", "--range=-1:1,-1:1"],
+     "--axes needs exactly two parameter names"),
+    (SCAN_RD[:-2] + ["--range=-1:1"], "--range needs two intervals"),
+    (SCAN_RD_RANGE + ["--cells", "x,2"], "bad --cells 'x,2'"),
+    (SCAN_RD_RANGE + ["--cells", "0,2"], "--cells needs two positive integers"),
+    (["count-minors", "--dim", "2", "--corank-seq", "1,x"], "bad --corank-seq '1,x'"),
+    (["count-minors", "--dim", "2"], "need --codim or --corank-seq"),
+], ids=["rd-options", "primary-no-value", "primary-bad-number", "primary-unknown-key",
+        "unknown-builtin", "file-and-builtin", "no-field", "unreadable-field",
+        "find-codim-0", "find-codim-negative", "boardman-at-parameter", "scan-one-axis",
+        "scan-one-range", "scan-cells-not-int", "scan-cells-zero", "corank-seq-not-int",
+        "count-minors-no-codim"])
+def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
+    rc, out, err = run(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_a_scan_failing_at_a_later_cell_writes_nothing(capsys, tmp_path, monkeypatch):
     from catafind import solver
     census, calls = solver.count_steady_states, []
@@ -403,11 +432,6 @@ def test_builtin_primary_repeated_key_is_a_usage_error(capsys):
                    "'primary:n=2,r=2,tau=1,tau=2'\n")
 
 
-def test_bad_builtin(capsys):
-    rc, _out, err = run(capsys, ["find", "--builtin", "vortex", "--codim", "1"])
-    assert rc == 2 and "builtin" in err
-
-
 # ---------------------------------------------------------------------------
 # check
 
@@ -442,6 +466,19 @@ def test_check_no_singularity(capsys, tmp_path):
     path.write_text("vars: x\nparams: a\neq: x + a\n")
     doc = run_json(capsys, ["check", str(path), "--codim", "1", "--at", "x=0"])
     assert doc["reports"][0]["verdict"] == "no singularity"
+
+
+def test_check_a_fold_is_no_codimension_2_catastrophe(capsys):
+    # x1^3 + a2*x1 + a1 at a1 = 2, a2 = -3 is (x1 - 1)^2 (x1 + 2): x1 = 1
+    # is a fold, where F and B_1 vanish exactly and B_2 does not
+    doc = run_json(capsys, ["check", "--builtin", "primary:n=2,r=2", "--codim", "2",
+                            "--at", "x1=1,a1=2,a2=-3"])
+    rep = doc["reports"][0]
+    assert rep["f_values"] == [0, 0]
+    by_key = {(e["level"], tuple(e["index"])): e for e in rep["b_values"]}
+    assert by_key[(1, ())]["value"] == 0 and by_key[(1, ())]["zero"]
+    assert not by_key[(2, (1,))]["zero"]
+    assert rep["verdict"] == "no codimension-2 catastrophe"
 
 
 @pytest.mark.parametrize("codim", ["0", "-1"])

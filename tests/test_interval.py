@@ -58,6 +58,26 @@ def test_arithmetic_encloses_the_exact_rational_result(x, y):
     assert (neg.lo, neg.hi) == (-X.hi, -X.lo)
 
 
+def _steps(x: float, k: int, to: float) -> float:
+    for _ in range(k):
+        x = math.nextafter(x, to)
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(intervals, intervals)
+def test_a_product_is_the_rational_hull_rounded_out_by_at_most_two_steps(x, y):
+    """An enclosure alone would pass a rule that picks the wrong products
+    but still encloses, or that widens by more than rounding needs."""
+    (X, _xs), (Y, _ys) = x, y
+    products = [Fraction(a) * Fraction(b) for a in (X.lo, X.hi) for b in (Y.lo, Y.hi)]
+    assume(all(math.isfinite(float(a) * float(b)) for a in (X.lo, X.hi) for b in (Y.lo, Y.hi)))
+    got = X * Y
+    lo, hi = min(products), max(products)  # the last step out may reach an infinity
+    assert _contains(Interval(got.lo, _steps(got.lo, 2, math.inf)), lo), (X, Y, got)
+    assert _contains(Interval(_steps(got.hi, 2, -math.inf), got.hi), hi), (X, Y, got)
+
+
 @settings(max_examples=300, deadline=None)
 @given(intervals, st.integers(-12, 12) | st.integers(101, 260) | st.integers(-260, -101))
 def test_integer_powers_enclose_the_exact_rational_power(x, k):

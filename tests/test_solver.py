@@ -213,6 +213,32 @@ def test_find_rejects_fixing_an_unfolding_parameter(rd_field, fixed, param_order
                           fixed=fixed, param_order=param_order)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_find_rejects_a_non_finite_fixed_value(rd_field, bad):
+    # every seed would end evaluation-error, and the find would return no
+    # report, silently
+    with pytest.raises(ValueError, match="'k1' is not a finite number"):
+        find_catastrophes(rd_field, 4, RD_BOX_UNIT, fixed={"k1": bad, "k2": 1})
+
+
+def test_find_rejects_codimension_zero_and_an_index_out_of_range(rd_field):
+    with pytest.raises(ValueError, match="codimension must be >= 1"):
+        find_catastrophes(rd_field, 0, [(-1, 1)] * 2)
+    with pytest.raises(ValueError, match="parameter index 7 out of range"):
+        find_catastrophes(rd_field, 4, RD_BOX_UNIT, fixed={7: 1.0})
+
+
+def test_census_rejects_too_few_parameter_values(rd_field):
+    with pytest.raises(ValueError, match="expected 6 parameter values"):
+        count_steady_states(rd_field, (1.0, 1.0), [(-3.0, 3.0)] * 2)
+
+
+def test_newton_system_rejects_more_equations_than_unknowns():
+    f = ex.parse_vector_field("vars: x\nparams:\neq: x")
+    with pytest.raises(ValueError, match="2 equations but only 1 states"):
+        NewtonSystem(det.DeterminantSet(f), [ex.var(0)] * 2)
+
+
 # ---------------------------------------------------------------------------
 # steady states
 
@@ -243,6 +269,22 @@ def test_census_one_dimensional():
                                  SolveOptions(seed_count=32))
     assert census.count == 1
     assert census.states[0][0].x[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b, want", [(0.5, 1.0, 2), (0.5, -2.0, 2), (2.0, 0.3, 1)])
+def test_census_of_a_sum_of_fractions_with_different_denominators(a, b, want):
+    # the homotopy clears 1/(x - a) + 1/(x + 1) - b to the quadratic
+    # -b x^2 + (2 - b(1 - a)) x + 1 - a + ab, whose real roots in (-3, 3)
+    # are the states
+    f = ex.parse_vector_field("vars: x\nparams: a b\neq: 1/(x - a) + 1/(x + 1) - b")
+    census = count_steady_states(f, (a, b), [(-3.0, 3.0)])
+    p, q, c = -b, 2.0 - b * (1.0 - a), 1.0 - a + a * b
+    disc = math.sqrt(q * q - 4.0 * p * c)
+    roots = sorted(x for x in ((-q - disc) / (2.0 * p), (-q + disc) / (2.0 * p)) if -3 < x < 3)
+    assert census.count == len(roots) == want
+    assert all(path == "regular" for path in census.paths)
+    for (point, _label), x in zip(census.states, roots):
+        assert point.x[0] == pytest.approx(x, abs=1e-12)
 
 
 @pytest.mark.parametrize("box", [[(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (0.5, 0.5)],
